@@ -11,7 +11,7 @@ import numpy as np
 
 from .classes import (DomainDistribution, HypothesisClass, LabeledSample,
                       MassartInstance, make_massart_instance, sample)
-from .geometry import gamma_loc, local_packing_number, pseudoconvexity_constant
+from .geometry import _pseudoconvexity
 from .measures import vc_dimension
 from .util import env_budget, make_rng
 
@@ -210,12 +210,9 @@ def build_adversarial_family(cls: HypothesisClass, h: float, n_budget: int,
     cap = env_budget("POSITION_CAP", 512) if position_cap is None else position_cap
 
     n0 = min(int(math.ceil(6.0 * n_budget * 1.0 * h / (1.0 - h))), cap)
-    c0 = pseudoconvexity_constant(cls, h, n0, search=search, seed=seed)
-    big_n = min(int(math.ceil(6.0 * n_budget * c0.constant * h / (1.0 - h))), cap)
-    cf = pseudoconvexity_constant(cls, h, big_n, search=search, seed=seed) if big_n != n0 else c0
-
-    fp = gamma_loc(cls, h, 1.0, big_n, search=search, seed=seed)
-    lp = local_packing_number(cls, fp.gamma, big_n, 1.0, search=search, seed=seed)
+    first = _pseudoconvexity(cls, h, n0, search, seed)
+    big_n = min(int(math.ceil(6.0 * n_budget * first[0].constant * h / (1.0 - h))), cap)
+    cf, fp, lp = _pseudoconvexity(cls, h, big_n, search, seed) if big_n != n0 else first
     if lp.eps is None or lp.multiset is None:
         raise ValueError("local packing degenerated; increase n_budget or the position cap")
 

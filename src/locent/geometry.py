@@ -78,7 +78,9 @@ def project(cls: HypothesisClass, multiset, cache: bool = True) -> Projection:
         raise ValueError("multiset index out of range")
     store = cls.cache().setdefault("proj_lru", {})
     if cache and ms in store:
-        return store[ms]
+        proj = store.pop(ms)  # re-insert: dict order is recency order
+        store[ms] = proj
+        return proj
     support, counts = np.unique(np.asarray(ms, dtype=np.int64), return_counts=True)
     sub = cls.patterns[:, support]
     first: dict[bytes, int] = {}
@@ -109,44 +111,73 @@ class PackingResult:
     budget_hit: bool = False
 
 
-def _greedy_pack(dists: np.ndarray, eps: int, subset: np.ndarray | None = None) -> list[int]:
-    """Maximal-by-inclusion packing by minimum-index elimination."""
-    if subset is None:
-        subset = np.arange(dists.shape[0])
+# Pattern sets are Python-int bitsets over projected-row indices (bit j is
+# row j).  For one distance matrix and separation sep, the conflict row of i
+# is the bitset {j : dists[i, j] <= sep}; it always holds i itself.
+
+
+class _BitRows:
+    """Rows of a boolean matrix as bitsets (bit j = column j).
+
+    The matrix is packed in one numpy pass; a row becomes a Python int the
+    first time it is read, so a caller that reads few rows allocates few
+    integers.
+    """
+
+    __slots__ = ("_packed", "_nbytes", "_rows")
+
+    def __init__(self, flags: np.ndarray):
+        self._nbytes = (flags.shape[1] + 7) // 8
+        self._packed = np.packbits(flags, axis=1, bitorder="little").tobytes()
+        self._rows: dict[int, int] = {}
+
+    def __getitem__(self, i: int) -> int:
+        row = self._rows.get(i)
+        if row is None:
+            k = i * self._nbytes
+            row = self._rows[i] = int.from_bytes(self._packed[k:k + self._nbytes], "little")
+        return row
+
+
+def _members(mask: int) -> list[int]:
+    """Set bit positions of a bitset, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _greedy_pack(conflicts: _BitRows, cand: int) -> list[int]:
+    """Maximal-by-inclusion packing of the bitset cand by minimum-index
+    elimination: take the lowest candidate, clear its conflict row, repeat."""
     chosen: list[int] = []
-    cand = subset
-    while cand.size:
-        i = int(cand[0])
+    while cand:
+        i = (cand & -cand).bit_length() - 1
         chosen.append(i)
-        cand = cand[dists[i, cand] > eps]
+        cand &= ~conflicts[i]
     return chosen
 
 
-def _exact_pack(dists: np.ndarray, eps: int, subset: np.ndarray | None,
-                node_budget: int) -> tuple[list[int], bool]:
-    """Maximum packing as a maximum independent set in the conflict graph.
+def _exact_pack(conflicts: _BitRows, ball: int, node_budget: int) -> tuple[list[int], bool]:
+    """Maximum packing of the bitset ball as a maximum independent set in the
+    conflict graph.
 
-    Branch and bound over bitsets with the greedy packing as incumbent;
+    Branch and bound with the greedy packing as incumbent, branching on the
+    candidate with the most conflicts among candidates, lowest index on ties
+    (counts include the candidate itself, which shifts them all by one);
     returns (witness, certified).  certified=False when the node budget ran
     out, in which case the witness is the best packing found so far.
     """
-    if subset is None:
-        subset = np.arange(dists.shape[0])
-    idx = np.asarray(subset)
-    k = idx.size
-    if k == 0:
+    if not ball:
         return [], True
-    local = dists[np.ix_(idx, idx)]
-    conflict = local <= eps
-    np.fill_diagonal(conflict, False)
-    adj = [int.from_bytes(np.packbits(conflict[i], bitorder="little").tobytes(), "little")
-           for i in range(k)]
-    greedy = _greedy_pack(local, eps)
+    rows = {v: conflicts[v] for v in _members(ball)}
+    greedy = _greedy_pack(conflicts, ball)
     best_mask = 0
     for i in greedy:
         best_mask |= 1 << i
     best_size = len(greedy)
-    full = (1 << k) - 1
     nodes = 0
     exhausted = True
 
@@ -164,23 +195,20 @@ def _exact_pack(dists: np.ndarray, eps: int, subset: np.ndarray | None,
             return
         if cur_size + cand.bit_count() <= best_size:
             return
-        # branch on the candidate with most conflicts among candidates
         rest = cand
         v, vdeg = -1, -1
         while rest:
             b = rest & -rest
             u = b.bit_length() - 1
-            deg = (adj[u] & cand).bit_count()
+            deg = (rows[u] & cand).bit_count()
             if deg > vdeg:
                 v, vdeg = u, deg
             rest ^= b
-        bit = 1 << v
-        expand(cand & ~(adj[v] | bit), cur | bit, cur_size + 1)
-        expand(cand & ~bit, cur, cur_size)
+        expand(cand & ~rows[v], cur | 1 << v, cur_size + 1)
+        expand(cand & ~(1 << v), cur, cur_size)
 
-    expand(full, 0, 0)
-    out = [int(idx[i]) for i in range(k) if best_mask >> i & 1]
-    return out, exhausted
+    expand(ball, 0, 0)
+    return _members(best_mask), exhausted
 
 
 def max_packing(patterns, eps: int, mode: str = "exact", weights=None,
@@ -199,13 +227,15 @@ def max_packing(patterns, eps: int, mode: str = "exact", weights=None,
         if pats.ndim != 2 or pats.shape[0] < 1:
             raise ValueError("patterns must be a nonempty matrix")
         dists = hamming_matrix(pats, weights=weights)
+    conflicts = _BitRows(dists <= eps)
+    everything = (1 << dists.shape[0]) - 1
     if mode == "greedy":
-        chosen = _greedy_pack(dists, eps)
+        chosen = _greedy_pack(conflicts, everything)
         return PackingResult(size=len(chosen), witness=tuple(chosen), radius=eps, mode="greedy")
     if mode != "exact":
         raise ValueError(f"unknown packing mode {mode!r}")
     budget = env_budget("PACK_NODE_BUDGET", 200_000) if node_budget is None else node_budget
-    witness, certified = _exact_pack(dists, eps, None, budget)
+    witness, certified = _exact_pack(conflicts, everything, budget)
     if not certified:
         return PackingResult(size=len(witness), witness=tuple(witness), radius=eps,
                              mode="greedy", budget_hit=True)
@@ -489,50 +519,52 @@ def _local_profile(proj: Projection, h: float, eps_values: list[int], exact: boo
 
     For a center f and radius eps the ball holds patterns within
     floor(eps/h) of f and the packing separation is ceil(eps/2) (strict).
-    Returns (profile, all_certified).
+    A ball of radius at least the largest distance holds every pattern, so
+    its packing is solved once per separation and credited to the first
+    center.  Returns (profile, all_certified).
     """
     out: dict[int, tuple[int, int, tuple]] = {}
-    certified_all = True
-    if not eps_values:
-        return out, certified_all
     dists = proj.dists
     total = proj.size
     u = proj.n_patterns
-    centers = _center_indices(u, exact)
-    budget = node_budget or env_budget("PACK_NODE_BUDGET", 200_000)
-    # precompute the discretizations once; they are shared by every center
-    discr = [(eps, min(int(math.floor(eps / h + 1e-12)), total),
-              int(math.ceil(eps / 2 - 1e-12))) for eps in eps_values]
+    centers = _center_indices(u, exact).tolist()
+    center_rows = dists[centers]
+    budget = env_budget("PACK_NODE_BUDGET", 200_000) if node_budget is None else node_budget
     max_dist = int(dists.max()) if u > 1 else 0
-    full_cache: dict[int, list[int]] = {}  # saturated balls are center-independent
-    for f in centers:
-        drow = dists[f]
-        for eps, radius, sep in discr:
-            prev = out.get(eps)
-            if radius >= max_dist:
-                if not exact:
-                    if sep not in full_cache:
-                        full_cache[sep] = _greedy_pack(dists, sep)
-                        certified_all = False
-                    witness = full_cache[sep]
-                    if prev is None or len(witness) > prev[0]:
-                        out[eps] = (len(witness), int(f), tuple(int(w) for w in witness))
-                    continue
-                ball = np.arange(u)
-            else:
-                ball = np.nonzero(drow <= radius)[0]
-            if prev is not None and ball.size <= prev[0]:
+    certified_all = True
+
+    def pack(conflicts: _BitRows, ball: int) -> tuple[int, ...]:
+        nonlocal certified_all
+        if exact:
+            witness, certified = _exact_pack(conflicts, ball, budget)
+            if certified:
+                return tuple(witness)
+        certified_all = False
+        return tuple(_greedy_pack(conflicts, ball))
+
+    # callers pass radii in increasing order, so radii sharing a separation
+    # are adjacent and only one separation's conflict rows are alive at a time
+    sep_now, conflicts, saturated = None, None, None
+    for eps in eps_values:
+        radius = min(int(math.floor(eps / h + 1e-12)), total)
+        sep = int(math.ceil(eps / 2 - 1e-12))
+        if sep != sep_now:
+            sep_now, conflicts, saturated = sep, _BitRows(dists <= sep), None
+        if radius >= max_dist:
+            if saturated is None:
+                saturated = pack(conflicts, (1 << u) - 1)
+            out[eps] = (len(saturated), centers[0], saturated)
+            continue
+        balls = _BitRows(center_rows <= radius)
+        best = None
+        for k, f in enumerate(centers):
+            ball = balls[k]
+            if best is not None and ball.bit_count() <= best[0]:
                 continue  # packing cannot beat current best
-            if exact:
-                witness, certified = _exact_pack(dists, sep, ball, budget)
-                if not certified:
-                    certified_all = False
-                    witness = _greedy_pack(dists, sep, ball)
-            else:
-                witness = _greedy_pack(dists, sep, ball)
-                certified_all = False
-            if prev is None or len(witness) > prev[0]:
-                out[eps] = (len(witness), int(f), tuple(int(w) for w in witness))
+            witness = pack(conflicts, ball)
+            if best is None or len(witness) > best[0]:
+                best = (len(witness), f, witness)
+        out[eps] = best
     return out, certified_all
 
 
@@ -817,13 +849,20 @@ def pseudoconvexity_constant(cls: HypothesisClass, h: float, n: int,
     """Smallest c certifying pseudoconvexity at this n: the ratio between the
     radius achieving the local packing supremum (with unit ball scale) at
     gamma_loc(h, 1) and the fixed point itself."""
+    return _pseudoconvexity(cls, h, n, search, seed)[0]
+
+
+def _pseudoconvexity(cls: HypothesisClass, h: float, n: int, search: str,
+                     seed: int) -> tuple[PseudoconvexityReport, FixedPointResult,
+                                         LocalPackingResult]:
+    """pseudoconvexity_constant plus the fixed point gamma_loc(h, 1, n) and the
+    local packing at it that the constant was read from."""
     fp = gamma_loc(cls, h, 1.0, n, search=search, seed=seed)
     lp = local_packing_number(cls, fp.gamma, n, 1.0, search=search, seed=seed)
-    if lp.eps is None:
-        return PseudoconvexityReport(constant=1.0, gamma=fp.gamma, eps=None, n=n,
-                                     exact=fp.exact and lp.exact)
-    return PseudoconvexityReport(constant=max(1.0, lp.eps / fp.gamma), gamma=fp.gamma,
-                                 eps=lp.eps, n=n, exact=fp.exact and lp.exact)
+    constant = 1.0 if lp.eps is None else max(1.0, lp.eps / fp.gamma)
+    report = PseudoconvexityReport(constant=constant, gamma=fp.gamma, eps=lp.eps, n=n,
+                                   exact=fp.exact and lp.exact)
+    return report, fp, lp
 
 
 def packing_log_vc_bound(d: int, s: int, n: int, gamma: int, h: float) -> float:

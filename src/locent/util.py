@@ -11,7 +11,6 @@ __all__ = [
     "tlog",
     "make_rng",
     "hamming_matrix",
-    "hamming_to_all",
     "frozen_array",
     "env_budget",
 ]
@@ -33,13 +32,6 @@ def frozen_array(values, dtype=None) -> np.ndarray:
     return arr
 
 
-def _as_sign_f32(patterns: np.ndarray) -> np.ndarray:
-    a = np.asarray(patterns)
-    if a.dtype != np.float32:
-        a = a.astype(np.float32)
-    return a
-
-
 def hamming_matrix(patterns: np.ndarray, weights=None) -> np.ndarray:
     """Pairwise (weighted) Hamming distances between +-1 rows.
 
@@ -47,7 +39,7 @@ def hamming_matrix(patterns: np.ndarray, weights=None) -> np.ndarray:
     values are integers below 2**24, so the result is exact for total weight
     up to 2**24.
     """
-    a = _as_sign_f32(patterns)
+    a = np.asarray(patterns, dtype=np.float32)
     if weights is None:
         total = a.shape[1]
         gram = a @ a.T
@@ -59,20 +51,6 @@ def hamming_matrix(patterns: np.ndarray, weights=None) -> np.ndarray:
         a64 = a.astype(np.float64)
         gram = (a64 * weights) @ a64.T if weights is not None else a64 @ a64.T
     return np.rint((total - gram) / 2.0).astype(np.int32)
-
-
-def hamming_to_all(pattern: np.ndarray, patterns: np.ndarray, weights=None) -> np.ndarray:
-    """(Weighted) Hamming distance from one +-1 row to each row of `patterns`."""
-    a = _as_sign_f32(patterns)
-    v = _as_sign_f32(pattern)
-    if weights is None:
-        total = a.shape[1]
-        dots = a @ v
-    else:
-        w = np.asarray(weights, dtype=np.float32)
-        total = float(w.sum())
-        dots = a @ (v * w)
-    return np.rint((total - dots) / 2.0).astype(np.int64)
 
 
 def env_budget(name: str, default: int) -> int:

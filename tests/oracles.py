@@ -1,5 +1,9 @@
 """Independent brute-force oracles: plain exhaustive enumeration, no search
-tricks, kept deliberately separate from the library's algorithms."""
+tricks, kept deliberately separate from the library's algorithms.
+
+The ref_* functions at the end are the numpy fancy-index packing routines
+that the library's conflict-bitset core replaced; the core must reproduce
+their outputs exactly (witnesses, certified flags and profile order)."""
 
 from itertools import combinations, combinations_with_replacement, product
 import math
@@ -217,3 +221,125 @@ def brute_excess_risk(instance, row):
             risk += px * py * (f[i] != y)
             risk_star += px * py * (fstar[i] != y)
     return risk - risk_star
+
+
+# ---------------------------------------------------------------------------
+# reference packing routines (numpy fancy indexing, local bit positions)
+
+
+def ref_greedy_pack(dists, eps, subset=None):
+    """Maximal-by-inclusion packing by minimum-index elimination."""
+    if subset is None:
+        subset = np.arange(dists.shape[0])
+    chosen = []
+    cand = subset
+    while cand.size:
+        i = int(cand[0])
+        chosen.append(i)
+        cand = cand[dists[i, cand] > eps]
+    return chosen
+
+
+def ref_exact_pack(dists, eps, subset, node_budget):
+    """Maximum packing by branch and bound on subset-local bitsets, with the
+    greedy packing as incumbent; returns (witness, certified)."""
+    if subset is None:
+        subset = np.arange(dists.shape[0])
+    idx = np.asarray(subset)
+    k = idx.size
+    if k == 0:
+        return [], True
+    local = dists[np.ix_(idx, idx)]
+    conflict = local <= eps
+    np.fill_diagonal(conflict, False)
+    adj = [int.from_bytes(np.packbits(conflict[i], bitorder="little").tobytes(), "little")
+           for i in range(k)]
+    greedy = ref_greedy_pack(local, eps)
+    best_mask = 0
+    for i in greedy:
+        best_mask |= 1 << i
+    best_size = len(greedy)
+    full = (1 << k) - 1
+    nodes = 0
+    exhausted = True
+
+    def expand(cand, cur, cur_size):
+        nonlocal best_mask, best_size, nodes, exhausted
+        if not exhausted:
+            return
+        nodes += 1
+        if nodes > node_budget:
+            exhausted = False
+            return
+        if cand == 0:
+            if cur_size > best_size:
+                best_size, best_mask = cur_size, cur
+            return
+        if cur_size + cand.bit_count() <= best_size:
+            return
+        rest = cand
+        v, vdeg = -1, -1
+        while rest:
+            b = rest & -rest
+            u = b.bit_length() - 1
+            deg = (adj[u] & cand).bit_count()
+            if deg > vdeg:
+                v, vdeg = u, deg
+            rest ^= b
+        bit = 1 << v
+        expand(cand & ~(adj[v] | bit), cur | bit, cur_size + 1)
+        expand(cand & ~bit, cur, cur_size)
+
+    expand(full, 0, 0)
+    out = [int(idx[i]) for i in range(k) if best_mask >> i & 1]
+    return out, exhausted
+
+
+def ref_local_profile(proj, h, eps_values, exact, node_budget=None):
+    """Best packing per radius, eps -> (size, center, witness), re-solving
+    every (center, radius) pair; returns (profile, all_certified)."""
+    from locent.geometry import _center_indices
+    from locent.util import env_budget
+
+    out = {}
+    certified_all = True
+    if not eps_values:
+        return out, certified_all
+    dists = proj.dists
+    total = proj.size
+    u = proj.n_patterns
+    centers = _center_indices(u, exact)
+    budget = env_budget("PACK_NODE_BUDGET", 200_000) if node_budget is None else node_budget
+    discr = [(eps, min(int(math.floor(eps / h + 1e-12)), total),
+              int(math.ceil(eps / 2 - 1e-12))) for eps in eps_values]
+    max_dist = int(dists.max()) if u > 1 else 0
+    full_cache = {}
+    for f in centers:
+        drow = dists[f]
+        for eps, radius, sep in discr:
+            prev = out.get(eps)
+            if radius >= max_dist:
+                if not exact:
+                    if sep not in full_cache:
+                        full_cache[sep] = ref_greedy_pack(dists, sep)
+                        certified_all = False
+                    witness = full_cache[sep]
+                    if prev is None or len(witness) > prev[0]:
+                        out[eps] = (len(witness), int(f), tuple(int(w) for w in witness))
+                    continue
+                ball = np.arange(u)
+            else:
+                ball = np.nonzero(drow <= radius)[0]
+            if prev is not None and ball.size <= prev[0]:
+                continue
+            if exact:
+                witness, certified = ref_exact_pack(dists, sep, ball, budget)
+                if not certified:
+                    certified_all = False
+                    witness = ref_greedy_pack(dists, sep, ball)
+            else:
+                witness = ref_greedy_pack(dists, sep, ball)
+                certified_all = False
+            if prev is None or len(witness) > prev[0]:
+                out[eps] = (len(witness), int(f), tuple(int(w) for w in witness))
+    return out, certified_all

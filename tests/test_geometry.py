@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from locent.classes import (DomainDistribution, HypothesisClass, PointDomain,
                             make_massart_instance, make_star_class)
-from locent.geometry import (alexander_capacity, doubling_dimension, gamma_loc,
-                             gamma_star, global_packing_number,
+from locent.geometry import (_BitRows, _exact_pack, _greedy_pack, _local_profile,
+                             _members, alexander_capacity, doubling_dimension,
+                             gamma_loc, gamma_star, global_packing_number,
                              local_packing_number, max_packing,
                              packing_log_vc_bound, project,
                              pseudoconvexity_constant, verify_packing)
@@ -68,6 +69,74 @@ class TestMaxPacking:
         pats = random_class(rng, max_points=8, max_rows=12).patterns
         res = max_packing(pats, 1, node_budget=1)
         assert res.mode == "greedy" and res.budget_hit
+
+
+def weighted_projection(seed, max_points=6, max_rows=12, max_draws=9):
+    """Projection of a random class onto a random multiset (repeats give weights)."""
+    rng = np.random.default_rng(seed)
+    cls = random_class(rng, max_points=max_points, max_rows=max_rows)
+    draws = rng.integers(0, cls.n_points, size=int(rng.integers(1, max_draws + 1)))
+    return project(cls, draws, cache=False), rng
+
+
+class TestPackingCore:
+    """The conflict-bitset core against the numpy routines it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_greedy_and_exact_match_reference(self, seed):
+        proj, rng = weighted_projection(seed)
+        d = proj.dists
+        for eps in range(proj.size + 1):
+            subset = np.nonzero(rng.random(proj.n_patterns) < 0.7)[0]
+            ball = sum(1 << int(i) for i in subset)
+            conflicts = _BitRows(d <= eps)
+            assert _members(ball) == subset.tolist()
+            assert _greedy_pack(conflicts, ball) == oracles.ref_greedy_pack(d, eps, subset)
+            for budget in (1, 4, 200_000):
+                assert (_exact_pack(conflicts, ball, budget)
+                        == oracles.ref_exact_pack(d, eps, subset, budget))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_local_profile_matches_reference(self, seed):
+        # radii run past the largest distance, so every grid has saturated balls
+        proj, _ = weighted_projection(seed)
+        grid = list(range(1, proj.size + 2))
+        for h in (1.0, 0.5, 0.3):
+            for exact in (True, False):
+                for budget in (None, 1):
+                    got = _local_profile(proj, h, grid, exact, node_budget=budget)
+                    want = oracles.ref_local_profile(proj, h, grid, exact, node_budget=budget)
+                    assert list(got[0].items()) == list(want[0].items())
+                    assert got[1] == want[1]
+
+    def test_max_packing_greedy_is_reference_greedy(self, rng):
+        for _ in range(10):
+            pats = random_class(rng).patterns
+            d = hamming_matrix(pats)
+            for eps in (0, 1, 2):
+                res = max_packing(pats, eps, mode="greedy")
+                assert list(res.witness) == oracles.ref_greedy_pack(d, eps)
+
+    def test_zero_node_budget_is_not_the_default(self):
+        # an explicit budget of 0 stops every branch and bound at its root
+        proj = project(make_star_class("F1", 2, 6), range(6), cache=False)
+        _, certified = _local_profile(proj, 1.0, [1, 2, 3], exact=True)
+        assert certified
+        _, certified = _local_profile(proj, 1.0, [1, 2, 3], exact=True, node_budget=0)
+        assert not certified
+
+
+class TestProjectCache:
+    def test_reused_multiset_survives_later_insertions(self):
+        cls = threshold_class(16)
+        first = project(cls, (0, 1, 2))
+        for k in range(3, 7):
+            project(cls, (k,))
+            assert project(cls, (0, 1, 2)) is first  # a hit refreshes recency
+        project(cls, (9,))
+        assert project(cls, (0, 1, 2)) is first
 
 
 class TestGlobalPacking:
