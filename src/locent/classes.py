@@ -128,7 +128,8 @@ class HypothesisClass:
         return bool(np.array_equal(self.patterns, other.patterns))
 
     def cache(self) -> dict:
-        """Mutable scratch space for derived artifacts (projections, metrics)."""
+        """Mutable scratch space for derived per-class values (measure bitmasks,
+        sweep fixed points)."""
         return self._caches
 
 

@@ -7,11 +7,12 @@ all checks green, 1 usage error, 2 check failures (reports still written).
 
 Precedence of settings: command-line flags > config file keys > defaults.
 The config file is INI-style: keys for a subcommand live in a section of
-the same name (a [run] section applies to any subcommand).  Search budgets
-are also overridable through LOCENT_* environment variables (see util.env_budget
-call sites: PACK_NODE_BUDGET, MULTISET_CAP, RESTARTS, SWAP_TRIES, EPS_DENSE,
-CENTER_CAP, VC_BUDGET, GROWTH_BUDGET, STAR_BUDGET, STAR_CAP, COVER_NODE_BUDGET,
-POSITION_CAP).
+the same name; a [run] section applies to every subcommand, which skips the
+[run] keys it does not take.  Search budgets are also overridable through
+LOCENT_* environment variables (see util.env_budget call sites:
+PACK_NODE_BUDGET, MULTISET_CAP, MULTISET_WORK, RESTARTS, SWAP_TRIES,
+EPS_DENSE, CENTER_CAP, VC_BUDGET, GROWTH_BUDGET, STAR_BUDGET, STAR_CAP,
+COVER_NODE_BUDGET, POSITION_CAP).
 """
 
 from __future__ import annotations
@@ -83,41 +84,37 @@ def _build_instance(cls, desc, opts) -> classes.MassartInstance:
 # option resolution
 
 
-_OPTION_DEFAULTS = {
-    "measures": {"generator": "thresholds", "points": 16, "d": 2, "s": 8, "grid": 8,
-                 "class_file": None, "growth_max": 8, "out": None},
-    "packing": {"generator": "thresholds", "points": 16, "d": 2, "s": 8, "grid": 8,
-                "class_file": None, "kind": "global", "gamma": 1, "n": 8,
-                "h": 1.0, "search": "auto", "seed": 0, "out": None},
-    "fixed-point": {"generator": "thresholds", "points": 16, "d": 2, "s": 8, "grid": 8,
-                    "class_file": None, "kind": "loc", "c": 0.5, "h": 1.0,
-                    "h_prime": None, "n": 16, "search": "auto", "seed": 0,
-                    "format": "json", "out": None},
-    "capacity": {"generator": "thresholds", "points": 16, "d": 2, "s": 8, "grid": 8,
-                 "class_file": None, "target": None, "eps": "0.25", "out": None},
-    "verify-lemmas": {"generator": "thresholds", "points": 12, "d": 2, "s": 8, "grid": 8,
-                      "class_file": None, "h": 0.5, "c": 0.25, "n": 12,
-                      "trials": 200, "seed": 7, "k_loc": 64.0, "out": None},
-    "erm-run": {"generator": "thresholds", "points": 16, "d": 2, "s": 8, "grid": 8,
-                "class_file": None, "target": None, "h": 1.0, "n": 16,
-                "trials": 100, "policy": "first_index", "seed": 0, "out": None},
-    "erm-sweep": {"generator": "thresholds", "points": None, "d": 2, "s": 8, "grid": 8,
-                  "class_file": None, "h_grid": "1.0", "n_grid": "32,64",
-                  "trials": 200, "policy": "first_index", "seed": 0,
-                  "search": "auto", "workers": 1, "out": None},
-    "lower-bound-family": {"generator": "f1", "points": 16, "d": 2, "s": 8, "grid": 8,
-                           "class_file": None, "h": 0.5, "n_budget": 32,
-                           "trials": 0, "search": "auto", "seed": 0, "out": None},
-    "star-theorem": {"generator": "f1", "points": 16, "d": 2, "s": 8, "grid": 8,
-                     "class_file": None, "n": 32, "trials": 500, "seed": 0,
+# class-generator options every subcommand takes; a subcommand's own table
+# may override their defaults
+_CLASS_DEFAULTS = {"generator": "thresholds", "points": 16, "d": 2, "s": 8, "grid": 8,
+                   "class_file": None}
+
+_OPTION_DEFAULTS = {sub: {**_CLASS_DEFAULTS, **own} for sub, own in {
+    "measures": {"growth_max": 8, "out": None},
+    "packing": {"kind": "global", "gamma": 1, "n": 8, "h": 1.0, "search": "auto",
+                "seed": 0, "out": None},
+    "fixed-point": {"kind": "loc", "c": 0.5, "h": 1.0, "h_prime": None, "n": 16,
+                    "search": "auto", "seed": 0, "format": "json", "out": None},
+    "capacity": {"target": None, "eps": "0.25", "out": None},
+    "verify-lemmas": {"points": 12, "h": 0.5, "c": 0.25, "n": 12, "trials": 200,
+                      "seed": 7, "k_loc": 64.0, "out": None},
+    "erm-run": {"target": None, "h": 1.0, "n": 16, "trials": 100,
+                "policy": "first_index", "seed": 0, "out": None},
+    "erm-sweep": {"points": None, "h_grid": "1.0", "n_grid": "32,64", "trials": 200,
+                  "policy": "first_index", "seed": 0, "search": "auto", "out": None},
+    "lower-bound-family": {"generator": "f1", "h": 0.5, "n_budget": 32, "trials": 0,
+                           "search": "auto", "seed": 0, "out": None},
+    "star-theorem": {"generator": "f1", "n": 32, "trials": 500, "seed": 0,
                      "target": None, "out": None},
-    "sandwich": {"generator": "thresholds", "points": 32, "d": 2, "s": 8, "grid": 8,
-                 "class_file": None, "h": 1.0, "n": 32, "search": "auto",
-                 "seed": 0, "out": None},
-}
+    "sandwich": {"points": 32, "h": 1.0, "n": 32, "search": "auto", "seed": 0,
+                 "out": None},
+}.items()}
+
+# keys some subcommand takes: a [run] config key outside this set is a typo
+_ALL_KEYS = set().union(*_OPTION_DEFAULTS.values())
 
 _INT_KEYS = {"points", "d", "s", "grid", "growth_max", "gamma", "n", "trials",
-             "seed", "n_budget", "workers"}
+             "seed", "n_budget"}
 _FLOAT_KEYS = {"h", "c", "h_prime", "k_loc"}
 
 
@@ -143,6 +140,8 @@ def _resolve(sub: str, cli_args: dict, config_path: str | None) -> dict:
                 for key, value in ini.items(section):
                     key = key.replace("-", "_")
                     if key not in opts:
+                        if section == "run" and key in _ALL_KEYS:
+                            continue  # another subcommand's key
                         raise ValueError(f"unknown config key {key!r} in [{section}]")
                     opts[key] = _coerce(key, value)
     for key, value in cli_args.items():
@@ -344,7 +343,7 @@ def _cmd_erm_sweep(opts, config) -> int:
         instance_factory=factory, h_grid=h_grid, n_grid=n_grid,
         trials=int(opts["trials"]), policy=opts["policy"], seed=int(opts["seed"]),
         search=opts["search"], spec={k: v for k, v in config.items()})
-    table = experiments.run_rate_sweep(sweep, workers=int(opts["workers"]))
+    table = experiments.run_rate_sweep(sweep)
     _emit_csv(table.to_csv_lines(), config, opts["out"])
     if opts["out"]:
         for h in h_grid:  # gnuplot-ready two-column series per curve

@@ -13,7 +13,7 @@ from .classes import (DomainDistribution, HypothesisClass, LabeledSample,
                       MassartInstance, make_massart_instance, sample)
 from .geometry import _pseudoconvexity
 from .measures import vc_dimension
-from .util import env_budget, make_rng
+from .util import env_budget, make_rng, mean_ci99
 
 __all__ = [
     "ErmPolicy",
@@ -31,8 +31,6 @@ __all__ = [
     "kl_closed_form",
     "kl_exact",
 ]
-
-NORMAL_99 = 2.5758293035489004
 
 
 @dataclass(frozen=True)
@@ -136,9 +134,7 @@ def version_space_disagreement(instance: MassartInstance, n: int, trials: int,
         members = pats[agree.all(axis=1)]
         dis = members.max(axis=0) != members.min(axis=0)
         masses[t] = px[dis].sum()
-    mean = float(masses.mean())
-    ci = NORMAL_99 * float(masses.std(ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
-    return mean, ci
+    return mean_ci99(masses)
 
 
 # ---------------------------------------------------------------------------

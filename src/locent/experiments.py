@@ -19,7 +19,7 @@ from .erm import ErmPolicy, build_adversarial_family, erm, excess_risk_all
 from .classes import sample
 from .geometry import gamma_loc, gamma_star, packing_log_vc_bound
 from .measures import growth_function, star_number, vc_dimension
-from .util import make_rng, tlog
+from .util import make_rng, mean_ci99, tlog
 
 __all__ = [
     "SweepConfig",
@@ -36,7 +36,6 @@ __all__ = [
     "circle_separator_class",
 ]
 
-NORMAL_99 = 2.5758293035489004
 CSV_HEADER = "h,n,trials,mean_excess,ci,gamma_loc,gamma_star,ratio,d,s,exact_flags"
 
 
@@ -45,7 +44,7 @@ _THRESHOLD_CLASSES: dict[int, HypothesisClass] = {}
 
 def threshold_class(n: int) -> HypothesisClass:
     """Threshold class on n evenly spaced points (memoized so derived caches
-    such as projections and measures are shared across sweep cells)."""
+    such as fixed points and measures are shared across sweep cells)."""
     if n not in _THRESHOLD_CLASSES:
         _THRESHOLD_CLASSES[n] = make_thresholds(
             PointDomain.from_coords(np.arange(1.0, n + 1.0)))
@@ -133,9 +132,7 @@ def _cell_mean_excess(instance: MassartInstance, n: int, trials: int,
         s = int(make_rng(seed, *cell_key, t).integers(2 ** 31))
         smp = sample(instance, n, s)
         out[t] = exc_all[erm(instance.cls, smp, policy, seed=s)]
-    mean = float(out.mean())
-    ci = NORMAL_99 * float(out.std(ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
-    return mean, ci, out
+    return *mean_ci99(out), out
 
 
 def _sweep_cell(config: SweepConfig, hi: int, h, ni: int, n) -> dict:
@@ -180,21 +177,15 @@ def _sweep_cell(config: SweepConfig, hi: int, h, ni: int, n) -> dict:
             "exact_flags": "|".join(flags)}
 
 
-def run_rate_sweep(config: SweepConfig, workers: int = 1) -> SweepTable:
+def run_rate_sweep(config: SweepConfig) -> SweepTable:
     """Mean excess risk per (h, n) cell with the matching entropy fixed points.
 
     Cells are deterministic given the config seed (per-cell seeds are
-    derived independently, so worker count cannot change any value); a cell
-    whose fixed-point computation fails is flagged and the sweep continues.
+    derived independently); a cell whose fixed-point computation fails is
+    flagged and the sweep continues.
     """
-    cells = [(hi, h, ni, n) for hi, h in enumerate(config.h_grid)
-             for ni, n in enumerate(config.n_grid)]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda c: _sweep_cell(config, *c), cells))
-    else:
-        rows = [_sweep_cell(config, *c) for c in cells]
+    rows = [_sweep_cell(config, hi, h, ni, n) for hi, h in enumerate(config.h_grid)
+            for ni, n in enumerate(config.n_grid)]
     rows.sort(key=lambda r: (r["h"], r["n"]))
     return SweepTable(rows=tuple(rows), config_spec=dict(config.spec))
 

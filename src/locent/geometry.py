@@ -69,18 +69,13 @@ class Projection:
         return self.patterns.shape[0]
 
 
-def project(cls: HypothesisClass, multiset, cache: bool = True) -> Projection:
+def project(cls: HypothesisClass, multiset) -> Projection:
     """Restrict the class to a multiset of domain points (given as indices)."""
     ms = tuple(sorted(int(i) for i in multiset))
     if not ms:
         raise ValueError("multiset must be nonempty")
     if ms[0] < 0 or ms[-1] >= cls.n_points:
         raise ValueError("multiset index out of range")
-    store = cls.cache().setdefault("proj_lru", {})
-    if cache and ms in store:
-        proj = store.pop(ms)  # re-insert: dict order is recency order
-        store[ms] = proj
-        return proj
     support, counts = np.unique(np.asarray(ms, dtype=np.int64), return_counts=True)
     sub = cls.patterns[:, support]
     first: dict[bytes, int] = {}
@@ -88,14 +83,8 @@ def project(cls: HypothesisClass, multiset, cache: bool = True) -> Projection:
         first.setdefault(row.tobytes(), i)
     reps = np.array(sorted(first.values()), dtype=np.int64)
     pats = sub[reps]
-    dists = hamming_matrix(pats, weights=counts)
-    proj = Projection(multiset=ms, support=support, weights=counts,
-                      patterns=pats, row_map=reps, dists=dists)
-    if cache:
-        if len(store) >= 4:  # distance matrices can be large; keep a tiny LRU
-            store.pop(next(iter(store)))
-        store[ms] = proj
-    return proj
+    return Projection(multiset=ms, support=support, weights=counts, patterns=pats,
+                      row_map=reps, dists=hamming_matrix(pats, weights=counts))
 
 
 # ---------------------------------------------------------------------------
@@ -317,35 +306,35 @@ def _exhaustive_multisets(cls: HypothesisClass, n: int, search: str,
     return count * max(eval_work, 1) <= env_budget("MULTISET_WORK", 120_000)
 
 
-def _maximize_over_multisets(cls: HypothesisClass, n: int, objective, search: str,
-                             seed: int, exhaustive: bool):
-    """Maximize objective(Projection) -> (score, payload) over n-point multisets.
+def _maximize_over_multisets(cls: HypothesisClass, n: int, objective, seed: int,
+                             exhaustive: bool):
+    """Maximize objective(Projection) -> (score, payload, certified) over
+    n-point multisets.
 
     exhaustive=True enumerates every multiset; otherwise canonical + random
     starts are evaluated and the incumbent is refined by single-point
-    swaps.  Returns (score, payload, multiset, exhausted, evals).
+    swaps.  Returns (score, payload, multiset, exact): the result is exact
+    only when the search was exhaustive and every evaluation was certified,
+    since an uncertified evaluation may have missed a larger score.
     """
     m = cls.n_points
-    use_exact = exhaustive
-
     best = (None, None, None)  # score, payload, multiset
-    evals = 0
+    certified_all = True
 
-    def consider(ms, cache=True):
-        nonlocal best, evals
-        proj = project(cls, ms, cache=cache)
-        score, payload = objective(proj)
-        evals += 1
+    def consider(ms):
+        nonlocal best, certified_all
+        proj = project(cls, ms)
+        score, payload, certified = objective(proj)
+        certified_all = certified_all and certified
         if best[0] is None or score > best[0]:
             best = (score, payload, proj.multiset)
         return score
 
-    if use_exact:
+    if exhaustive:
         for ms in combinations_with_replacement(range(m), n):
-            consider(ms, cache=False)
-        return best[0], best[1], best[2], True, evals
+            consider(ms)
+        return *best, certified_all
 
-    # cap exceeded for search="exact": automatic hill climb, reported via exhausted=False
     restarts, swap_tries = _search_scale(cls)
     rng = make_rng(seed, m, n, 101)
     for start in _start_multisets(cls, n, seed, restarts):
@@ -363,7 +352,7 @@ def _maximize_over_multisets(cls: HypothesisClass, n: int, objective, search: st
         s = consider(tuple(sorted(cand)))
         if s > cur_score:
             current, cur_score = cand, s
-    return best[0], best[1], best[2], False, evals
+    return *best, False
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +363,7 @@ def _maximize_over_multisets(cls: HypothesisClass, n: int, objective, search: st
 class GlobalPackingResult:
     packing: PackingResult
     multiset: tuple[int, ...]
-    exact: bool                  # multiset search exhausted and packing certified
+    exact: bool                  # multiset search exhausted and every packing certified
 
     @property
     def size(self) -> int:
@@ -397,12 +386,11 @@ def global_packing_number(cls: HypothesisClass, gamma: int, n: int,
 
     def objective(proj: Projection):
         res = _pack_on_projection(proj, gamma, exact=want_exact)
-        return res.size, res
+        return res.size, res, res.mode == "exact"
 
-    score, payload, ms, exhausted, _ = _maximize_over_multisets(
-        cls, n, objective, search, seed, exhaustive=want_exact)
-    exact = exhausted and payload.mode == "exact"
-    return GlobalPackingResult(packing=payload, multiset=ms, exact=exact)
+    _, packing, ms, exact = _maximize_over_multisets(cls, n, objective, seed,
+                                                     exhaustive=want_exact)
+    return GlobalPackingResult(packing=packing, multiset=ms, exact=exact)
 
 
 @dataclass(frozen=True)
@@ -436,24 +424,21 @@ def gamma_star(cls: HypothesisClass, c: float, n: int, search: str = "auto",
     want_exact = _exhaustive_multisets(cls, n, search,
                                        eval_work=cls.n_rows * max(g_cap, 1))
     per_gamma: dict[int, PackingResult] = {}
-    all_exact = True
 
     def objective(proj: Projection):
-        nonlocal all_exact
         best_gamma = 0
+        certified = True
         for g in range(1, g_cap + 1):
             res = _pack_on_projection(proj, g, exact=want_exact)
-            if res.mode != "exact":
-                all_exact = False
+            certified = certified and res.mode == "exact"
             prev = per_gamma.get(g)
             if prev is None or res.size > prev.size:
                 per_gamma[g] = res
             if c * g <= tlog(res.size) + 1e-12:
                 best_gamma = g
-        return best_gamma, None
+        return best_gamma, None, certified
 
-    _, _, _, exhausted, _ = _maximize_over_multisets(
-        cls, n, objective, search, seed, exhaustive=want_exact)
+    _, _, _, exact = _maximize_over_multisets(cls, n, objective, seed, exhaustive=want_exact)
 
     rows = []
     best = 0
@@ -468,7 +453,7 @@ def gamma_star(cls: HypothesisClass, c: float, n: int, search: str = "auto",
     gamma = max(best, floor_gamma, 1)
     return FixedPointResult(gamma=gamma, scan=tuple(rows),
                             params={"c": c, "n": n, "search": search, "seed": seed},
-                            exact=exhausted and all_exact)
+                            exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -587,29 +572,18 @@ def local_packing_number(cls: HypothesisClass, gamma: int, n: int, h: float,
     want_exact = _exhaustive_multisets(cls, n, search,
                                        eval_work=cls.n_rows * (hi - gamma + 1))
     eps_values = _eps_grid(gamma, hi, want_exact)
-    grid_complete = eps_values == list(range(gamma, hi + 1))
-    packs_certified = True
 
     def objective(proj: Projection):
-        nonlocal packs_certified
         prof, certified = _local_profile(proj, h, eps_values, exact=want_exact)
-        packs_certified = packs_certified and certified
-        if not prof:
-            return (1, 0), None
         # lexicographic score: largest packing, then smallest achieving
         # radius, so the recorded argmax is the tightest certificate
         best_eps = max(prof, key=lambda e: (prof[e][0], -e))
         size, center, witness = prof[best_eps]
-        return (size, -best_eps), (best_eps, center, witness, proj)
+        return (size, -best_eps), (best_eps, center, witness, proj), certified
 
-    score, payload, ms, exhausted, _ = _maximize_over_multisets(
-        cls, n, objective, search, seed, exhaustive=want_exact)
-    if payload is None:
-        return LocalPackingResult(value=1, center_row=None, eps=None, multiset=ms,
-                                  witness=(), ball_radius=None, separation=None,
-                                  mode="exact" if exhausted else "greedy", exact=exhausted)
+    score, payload, ms, exact = _maximize_over_multisets(cls, n, objective, seed,
+                                                         exhaustive=want_exact)
     eps, center, witness, proj = payload
-    exact = exhausted and want_exact and grid_complete and packs_certified
     return LocalPackingResult(
         value=score[0],
         center_row=int(proj.row_map[center]),
@@ -643,16 +617,11 @@ def gamma_loc(cls: HypothesisClass, h: float, h_prime: float, n: int,
 
     want_exact = _exhaustive_multisets(cls, n, search,
                                        eval_work=cls.n_rows * max(hi, 1))
-    eps_values = _eps_grid(1, hi, want_exact) if hi >= 1 else []
-    grid_complete = eps_values == list(range(1, hi + 1))
-    packs_certified = True
-
+    eps_values = _eps_grid(1, hi, want_exact)
     best_profile: dict[int, tuple[int, int, tuple, tuple]] = {}
 
     def objective(proj: Projection):
-        nonlocal packs_certified
         prof, certified = _local_profile(proj, h_prime, eps_values, exact=want_exact)
-        packs_certified = packs_certified and certified
         for eps, (size, center, witness) in prof.items():
             prev = best_profile.get(eps)
             if prev is None or size > prev[0]:
@@ -666,13 +635,11 @@ def gamma_loc(cls: HypothesisClass, h: float, h_prime: float, n: int,
             suffix = max(suffix, prof[eps][0])
             if eps <= g_cap and h * eps <= tlog(suffix) + 1e-12:
                 best_gamma = max(best_gamma, eps)
-        return best_gamma, None
+        return best_gamma, None, certified
 
-    _, _, _, exhausted, _ = _maximize_over_multisets(
-        cls, n, objective, search, seed, exhaustive=want_exact)
+    _, _, _, exact = _maximize_over_multisets(cls, n, objective, seed, exhaustive=want_exact)
 
     # suffix maxima of the pooled profile give M_loc(gamma) for every gamma
-    fully_exact = exhausted and want_exact and grid_complete and packs_certified
     rows = []
     best = 0
     eps_sorted = sorted(best_profile)
@@ -685,7 +652,7 @@ def gamma_loc(cls: HypothesisClass, h: float, h_prime: float, n: int,
         lg = tlog(size)
         ok = h * g <= lg + 1e-12
         rows.append({"gamma": g, "log_packing": lg, "satisfied": ok,
-                     "witness_size": size, "mode": "exact" if fully_exact else "greedy",
+                     "witness_size": size, "mode": "exact" if exact else "greedy",
                      "eps": argmax_eps, "center_row": center,
                      "ball_radius": None if argmax_eps is None else min(int(math.floor(argmax_eps / h_prime + 1e-12)), n),
                      "separation": None if argmax_eps is None else int(math.ceil(argmax_eps / 2 - 1e-12)),
@@ -697,7 +664,7 @@ def gamma_loc(cls: HypothesisClass, h: float, h_prime: float, n: int,
     return FixedPointResult(gamma=gamma, scan=tuple(rows),
                             params={"h": h, "h_prime": h_prime, "n": n,
                                     "search": search, "seed": seed},
-                            exact=fully_exact)
+                            exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -815,10 +782,8 @@ def doubling_dimension(cls: HypothesisClass, px: DomainDistribution, gamma_frac:
             if ball.size <= best.cover_size:
                 continue
             half = eps / 2.0
-            masks = []
-            for c in ball:
-                covered = rho[c, ball] <= half + tol
-                masks.append(int.from_bytes(np.packbits(covered, bitorder="little").tobytes(), "little"))
+            covers = _BitRows(rho[np.ix_(ball, ball)] <= half + tol)
+            masks = [covers[i] for i in range(ball.size)]
             universe = (1 << ball.size) - 1
             if exact:
                 size, certified = _exact_cover_size(masks, universe, budget)

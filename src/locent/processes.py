@@ -15,7 +15,7 @@ import numpy as np
 
 from .classes import HypothesisClass, LabeledSample, MassartInstance, sample
 from .geometry import gamma_loc
-from .util import make_rng, tlog
+from .util import NORMAL_99, make_rng, tlog
 
 __all__ = [
     "ProcessEstimate",
@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 ENUM_CAP = 16
-NORMAL_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Shared numeric helpers: truncated logarithm, Hamming kernels, seeded RNG."""
+"""Shared numeric helpers: truncated logarithm, Hamming kernels, seeded RNG,
+Monte Carlo confidence intervals."""
 
 from __future__ import annotations
 
@@ -13,12 +14,23 @@ __all__ = [
     "hamming_matrix",
     "frozen_array",
     "env_budget",
+    "NORMAL_99",
+    "mean_ci99",
 ]
+
+NORMAL_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
 def tlog(x: float) -> float:
     """Truncated natural logarithm ln(max(x, e)); always >= 1."""
     return math.log(max(x, math.e))
+
+
+def mean_ci99(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and 99% normal CI half-width (0 for a single sample)."""
+    trials = len(values)
+    ci = NORMAL_99 * float(values.std(ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
+    return float(values.mean()), ci
 
 
 def make_rng(seed: int, *key: int) -> np.random.Generator:

@@ -77,6 +77,20 @@ class TestConfigFile:
         cfg.write_text("[measures]\nbogus = 1\n")
         assert run(["measures", "--config", str(cfg)]) == 1
 
+    def test_run_section_skips_keys_the_subcommand_lacks(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[run]\nseed = 7\n")
+        out = tmp_path / "m.json"
+        assert run(["measures", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "seed" not in json.loads(out.read_text())["config"]["args"]
+        assert run(["packing", "--config", str(cfg), "--n", "3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["args"]["seed"] == 7
+
+    def test_run_section_unknown_key_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[run]\nbogus = 1\n")
+        assert run(["measures", "--config", str(cfg)]) == 1
+
     def test_missing_config(self):
         assert run(["measures", "--config", "/nonexistent.cfg"]) == 1
 

@@ -76,7 +76,7 @@ def weighted_projection(seed, max_points=6, max_rows=12, max_draws=9):
     rng = np.random.default_rng(seed)
     cls = random_class(rng, max_points=max_points, max_rows=max_rows)
     draws = rng.integers(0, cls.n_points, size=int(rng.integers(1, max_draws + 1)))
-    return project(cls, draws, cache=False), rng
+    return project(cls, draws), rng
 
 
 class TestPackingCore:
@@ -121,22 +121,11 @@ class TestPackingCore:
 
     def test_zero_node_budget_is_not_the_default(self):
         # an explicit budget of 0 stops every branch and bound at its root
-        proj = project(make_star_class("F1", 2, 6), range(6), cache=False)
+        proj = project(make_star_class("F1", 2, 6), range(6))
         _, certified = _local_profile(proj, 1.0, [1, 2, 3], exact=True)
         assert certified
         _, certified = _local_profile(proj, 1.0, [1, 2, 3], exact=True, node_budget=0)
         assert not certified
-
-
-class TestProjectCache:
-    def test_reused_multiset_survives_later_insertions(self):
-        cls = threshold_class(16)
-        first = project(cls, (0, 1, 2))
-        for k in range(3, 7):
-            project(cls, (k,))
-            assert project(cls, (0, 1, 2)) is first  # a hit refreshes recency
-        project(cls, (9,))
-        assert project(cls, (0, 1, 2)) is first
 
 
 class TestGlobalPacking:
@@ -153,13 +142,31 @@ class TestGlobalPacking:
         assert res.exact
         assert res.size == oracles.brute_global_packing(cls, 1, 4) == 4
 
-    def test_random_matches_brute(self, rng):
+    def test_random_matches_brute(self, rng, monkeypatch):
         for _ in range(6):
             cls = random_class(rng, max_points=5, max_rows=8)
             for gamma, n in ((1, 2), (2, 3)):
+                brute = oracles.brute_global_packing(cls, gamma, n)
                 res = global_packing_number(cls, gamma, n, search="exact")
                 assert res.exact
-                assert res.size == oracles.brute_global_packing(cls, gamma, n)
+                assert res.size == brute
+                # starved packings may lose certification, but exact stays a proof
+                with monkeypatch.context() as m:
+                    m.setenv("LOCENT_PACK_NODE_BUDGET", "1")
+                    res = global_packing_number(cls, gamma, n, search="exact")
+                assert not res.exact or res.size == brute
+
+    def test_uncertified_loser_is_not_exact(self, monkeypatch):
+        # with one node per branch and bound, the winning multiset's packing
+        # (size 2) is certified by its bound, but another multiset's packing
+        # of true size 3 runs out of budget at its greedy size 2
+        pats = np.array([[1, 1, -1], [-1, 1, -1], [-1, -1, -1], [1, 1, 1], [1, -1, -1]],
+                        dtype=np.int8)
+        cls = HypothesisClass(PointDomain.of_size(3), pats)
+        assert oracles.brute_global_packing(cls, 1, 3) == 3
+        monkeypatch.setenv("LOCENT_PACK_NODE_BUDGET", "1")
+        res = global_packing_number(cls, 1, 3, search="exact")
+        assert not res.exact or res.size == 3
 
     def test_thresholds_order_n_over_gamma(self):
         # chain structure: max gamma-packing on n distinct points is
