@@ -8,11 +8,7 @@ all checks green, 1 usage error, 2 check failures (reports still written).
 Precedence of settings: command-line flags > config file keys > defaults.
 The config file is INI-style: keys for a subcommand live in a section of
 the same name; a [run] section applies to every subcommand, which skips the
-[run] keys it does not take.  Search budgets are also overridable through
-LOCENT_* environment variables (see util.env_budget call sites:
-PACK_NODE_BUDGET, MULTISET_CAP, MULTISET_WORK, RESTARTS, SWAP_TRIES,
-EPS_DENSE, CENTER_CAP, VC_BUDGET, GROWTH_BUDGET, STAR_BUDGET, STAR_CAP,
-COVER_NODE_BUDGET, POSITION_CAP).
+[run] keys it does not take.
 """
 
 from __future__ import annotations
@@ -237,7 +233,8 @@ def _cmd_packing(opts, config) -> int:
                 "center_row": res.center_row,
                 "multiset": None if res.multiset is None else list(res.multiset),
                 "witness": list(res.witness), "ball_radius": res.ball_radius,
-                "separation": res.separation, "mode": res.mode, "exact": res.exact}
+                "separation": res.separation,
+                "mode": "exact" if res.exact else "greedy", "exact": res.exact}
     else:
         raise ValueError(f"unknown packing kind {opts['kind']!r}")
     _emit_json({"config": config, "results": {"class": desc, **body}}, opts["out"])
@@ -371,8 +368,7 @@ def _cmd_lower_bound_family(opts, config) -> int:
             "kl_first_pair": None if kl01 is None else
             {"closed_form": kl01.closed_form, "exact": kl01.exact, "rho": kl01.rho}}
     if trials > 0:
-        body["experiment"] = experiments.lower_bound_report(
-            cls, h, n_budget, trials, seed, search=opts["search"])
+        body["experiment"] = experiments.lower_bound_report(spec, n_budget, trials, seed)
     _emit_json({"config": config, "results": body}, opts["out"])
     return 0
 

@@ -13,7 +13,7 @@ from .classes import (DomainDistribution, HypothesisClass, LabeledSample,
                       MassartInstance, make_massart_instance, sample)
 from .geometry import _pseudoconvexity
 from .measures import vc_dimension
-from .util import env_budget, make_rng, mean_ci99
+from .util import make_rng, mean_ci99
 
 __all__ = [
     "ErmPolicy",
@@ -31,6 +31,10 @@ __all__ = [
     "kl_closed_form",
     "kl_exact",
 ]
+
+# Most positions N an adversarial family spans.  Read when the family is
+# built, so a test can patch it; nothing else sets it.
+POSITION_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -190,10 +194,9 @@ class AdversarialSpec:
 
 
 def build_adversarial_family(cls: HypothesisClass, h: float, n_budget: int,
-                             search: str = "auto", seed: int = 0,
-                             position_cap: int | None = None) -> AdversarialSpec:
+                             search: str = "auto", seed: int = 0) -> AdversarialSpec:
     """Separated bounded-noise family realizing the local packing at the
-    fixed point, sized by N = ceil(6 n c h / (1-h)) (capped).
+    fixed point, sized by N = ceil(6 n c h / (1-h)) (capped at POSITION_CAP).
 
     Rejected for h = 1, where the construction degenerates; h must also
     exceed sqrt(d / n_budget).
@@ -203,14 +206,13 @@ def build_adversarial_family(cls: HypothesisClass, h: float, n_budget: int,
     d = vc_dimension(cls).value
     if h * h * n_budget <= d:
         raise ValueError(f"need h > sqrt(d/n) = sqrt({d}/{n_budget})")
-    cap = env_budget("POSITION_CAP", 512) if position_cap is None else position_cap
-
-    n0 = min(int(math.ceil(6.0 * n_budget * 1.0 * h / (1.0 - h))), cap)
+    n0 = min(int(math.ceil(6.0 * n_budget * 1.0 * h / (1.0 - h))), POSITION_CAP)
     first = _pseudoconvexity(cls, h, n0, search, seed)
-    big_n = min(int(math.ceil(6.0 * n_budget * first[0].constant * h / (1.0 - h))), cap)
+    big_n = min(int(math.ceil(6.0 * n_budget * first[0].constant * h / (1.0 - h))),
+                POSITION_CAP)
     cf, fp, lp = _pseudoconvexity(cls, h, big_n, search, seed) if big_n != n0 else first
     if lp.eps is None or lp.multiset is None:
-        raise ValueError("local packing degenerated; increase n_budget or the position cap")
+        raise ValueError("local packing degenerated; increase n_budget")
 
     support, counts = np.unique(np.asarray(lp.multiset), return_counts=True)
     px_weights = np.zeros(cls.n_points)

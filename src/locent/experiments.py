@@ -15,7 +15,7 @@ import numpy as np
 from .classes import (DomainDistribution, HypothesisClass, MassartInstance,
                       PointDomain, make_linear_separators, make_massart_instance,
                       make_star_class, make_thresholds)
-from .erm import ErmPolicy, build_adversarial_family, erm, excess_risk_all
+from .erm import AdversarialSpec, ErmPolicy, erm, excess_risk_all
 from .classes import sample
 from .geometry import gamma_loc, gamma_star, packing_log_vc_bound
 from .measures import growth_function, star_number, vc_dimension
@@ -297,19 +297,18 @@ def star_class_separation(d: int, s: int, n: int, trials: int, seed: int) -> dic
     return out
 
 
-def lower_bound_report(cls: HypothesisClass, h: float, n_budget: int, trials: int,
-                       seed: int, search: str = "auto") -> dict:
-    """Max over the adversarial family of mean ERM excess risk, against the
-    reference level (1-h) gamma / (n c); informational, since the bound
-    quantifies over all learners."""
-    spec = build_adversarial_family(cls, h, n_budget, search=search, seed=seed)
+def lower_bound_report(spec: AdversarialSpec, n_budget: int, trials: int,
+                       seed: int) -> dict:
+    """Max over the adversarial family of mean ERM excess risk at n_budget
+    samples, against the reference level (1-h) gamma / (n c); informational,
+    since the bound quantifies over all learners."""
     worst = (None, -1.0)
     for i, instance in enumerate(spec.instances):
         mean, _, _ = _cell_mean_excess(instance, n_budget, trials, "first_index",
                                        seed, (i,))
         if mean > worst[1]:
             worst = (i, mean)
-    reference = (1.0 - h) * spec.gamma / (n_budget * spec.pseudoconvexity)
+    reference = (1.0 - spec.h) * spec.gamma / (n_budget * spec.pseudoconvexity)
     return {"family_size": spec.size, "family_size_with_center": spec.size_with_center,
             "eps": spec.eps, "gamma": spec.gamma, "n_positions": spec.n_positions,
             "pseudoconvexity": spec.pseudoconvexity, "worst_member": worst[0],

@@ -22,7 +22,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .classes import DomainDistribution, HypothesisClass, MassartInstance
-from .util import env_budget, hamming_matrix, make_rng, tlog
+from .util import hamming_matrix, make_rng, tlog
 
 __all__ = [
     "Projection",
@@ -43,6 +43,19 @@ __all__ = [
     "pseudoconvexity_constant",
     "packing_log_vc_bound",
 ]
+
+# Search budgets.  Each is read when its function runs, so a test can patch
+# it; nothing else sets them, so a result depends only on its arguments.
+PACK_NODE_BUDGET = 200_000   # branch-and-bound nodes per exact packing
+COVER_NODE_BUDGET = 100_000  # branch-and-bound nodes per exact cover
+MULTISET_CAP = 1_000_000     # most multisets an exhaustive search enumerates
+MULTISET_WORK = 120_000      # most multisets times per-evaluation work it spends
+RESTARTS = 32                # hill-climb starts on small classes
+SWAP_TRIES = 8               # hill-climb single-point swaps on small classes
+EPS_DENSE = 64               # radii a heuristic scan takes one by one
+CENTER_CAP = 96              # most ball centers a heuristic local profile tries
+
+_SEARCHES = ("exact", "auto", "hill_climb")
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +214,7 @@ def _exact_pack(conflicts: _BitRows, ball: int, node_budget: int) -> tuple[list[
 
 
 def max_packing(patterns, eps: int, mode: str = "exact", weights=None,
-                node_budget: int | None = None, dists: np.ndarray | None = None) -> PackingResult:
+                dists: np.ndarray | None = None) -> PackingResult:
     """Maximal subset with pairwise (weighted) Hamming distance > eps.
 
     Exact mode solves the conflict-graph maximum independent set by branch
@@ -223,8 +236,7 @@ def max_packing(patterns, eps: int, mode: str = "exact", weights=None,
         return PackingResult(size=len(chosen), witness=tuple(chosen), radius=eps, mode="greedy")
     if mode != "exact":
         raise ValueError(f"unknown packing mode {mode!r}")
-    budget = env_budget("PACK_NODE_BUDGET", 200_000) if node_budget is None else node_budget
-    witness, certified = _exact_pack(conflicts, everything, budget)
+    witness, certified = _exact_pack(conflicts, everything, PACK_NODE_BUDGET)
     if not certified:
         return PackingResult(size=len(witness), witness=tuple(witness), radius=eps,
                              mode="greedy", budget_hit=True)
@@ -263,8 +275,7 @@ def _canonical_multiset(m: int, n: int) -> tuple[int, ...]:
 def _search_scale(cls: HypothesisClass) -> tuple[int, int]:
     """(restarts, swap tries) scaled down for large pattern matrices."""
     size = cls.n_rows * cls.n_points
-    restarts = env_budget("RESTARTS", 32)
-    swaps = env_budget("SWAP_TRIES", 8)
+    restarts, swaps = RESTARTS, SWAP_TRIES
     if size >= 1 << 23:
         return min(restarts, 2), 0
     if size >= 1 << 21:
@@ -296,14 +307,17 @@ def _exhaustive_multisets(cls: HypothesisClass, n: int, search: str,
 
     Enumeration must fit both the count cap and a total-work cap (count
     times the caller's per-evaluation cost estimate); past either, the
-    search hill-climbs and results are flagged heuristic.
+    search hill-climbs and results are flagged heuristic.  "exact" and
+    "auto" both enumerate when the caps allow; "hill_climb" never does.
     """
-    if search not in ("exact", "auto"):
+    if search not in _SEARCHES:
+        raise ValueError(f"unknown search {search!r}; expected one of {', '.join(_SEARCHES)}")
+    if search == "hill_climb":
         return False
     count = math.comb(cls.n_points + n - 1, n)
-    if count > env_budget("MULTISET_CAP", 1_000_000):
+    if count > MULTISET_CAP:
         return False
-    return count * max(eval_work, 1) <= env_budget("MULTISET_WORK", 120_000)
+    return count * max(eval_work, 1) <= MULTISET_WORK
 
 
 def _maximize_over_multisets(cls: HypothesisClass, n: int, objective, seed: int,
@@ -370,12 +384,6 @@ class GlobalPackingResult:
         return self.packing.size
 
 
-def _pack_on_projection(proj: Projection, eps: int, exact: bool,
-                        node_budget: int | None = None) -> PackingResult:
-    mode = "exact" if exact else "greedy"
-    return max_packing(None, eps, mode=mode, dists=proj.dists, node_budget=node_budget)
-
-
 def global_packing_number(cls: HypothesisClass, gamma: int, n: int,
                           search: str = "auto", seed: int = 0) -> GlobalPackingResult:
     """Worst case over n-point multisets of the maximal gamma-packing size."""
@@ -383,9 +391,10 @@ def global_packing_number(cls: HypothesisClass, gamma: int, n: int,
         raise ValueError("need gamma >= 0 and n >= 1")
 
     want_exact = _exhaustive_multisets(cls, n, search, eval_work=cls.n_rows)
+    mode = "exact" if want_exact else "greedy"
 
     def objective(proj: Projection):
-        res = _pack_on_projection(proj, gamma, exact=want_exact)
+        res = max_packing(None, gamma, mode=mode, dists=proj.dists)
         return res.size, res, res.mode == "exact"
 
     _, packing, ms, exact = _maximize_over_multisets(cls, n, objective, seed,
@@ -423,13 +432,14 @@ def gamma_star(cls: HypothesisClass, c: float, n: int, search: str = "auto",
 
     want_exact = _exhaustive_multisets(cls, n, search,
                                        eval_work=cls.n_rows * max(g_cap, 1))
+    mode = "exact" if want_exact else "greedy"
     per_gamma: dict[int, PackingResult] = {}
 
     def objective(proj: Projection):
         best_gamma = 0
         certified = True
         for g in range(1, g_cap + 1):
-            res = _pack_on_projection(proj, g, exact=want_exact)
+            res = max_packing(None, g, mode=mode, dists=proj.dists)
             certified = certified and res.mode == "exact"
             prev = per_gamma.get(g)
             if prev is None or res.size > prev.size:
@@ -469,7 +479,6 @@ class LocalPackingResult:
     witness: tuple[int, ...]     # class-row indices of the packing
     ball_radius: int | None
     separation: int | None
-    mode: str
     exact: bool
 
 
@@ -478,11 +487,10 @@ def _eps_grid(lo: int, hi: int, exact: bool) -> list[int]:
     plus a geometric tail (always including hi)."""
     if lo > hi:
         return []
-    dense = env_budget("EPS_DENSE", 64)
-    if exact or hi - lo + 1 <= dense:
+    if exact or hi - lo + 1 <= EPS_DENSE:
         return list(range(lo, hi + 1))
-    grid = list(range(lo, lo + dense))
-    e = float(lo + dense - 1)
+    grid = list(range(lo, lo + EPS_DENSE))
+    e = float(lo + EPS_DENSE - 1)
     while e < hi:
         e = max(e * 1.25, e + 1)
         grid.append(min(hi, int(round(e))))
@@ -492,14 +500,12 @@ def _eps_grid(lo: int, hi: int, exact: bool) -> list[int]:
 def _center_indices(u: int, exact: bool) -> np.ndarray:
     if exact:
         return np.arange(u)
-    cap = env_budget("CENTER_CAP", 96)
-    if u <= cap:
+    if u <= CENTER_CAP:
         return np.arange(u)
-    return np.unique(np.round(np.linspace(0, u - 1, cap)).astype(int))
+    return np.unique(np.round(np.linspace(0, u - 1, CENTER_CAP)).astype(int))
 
 
-def _local_profile(proj: Projection, h: float, eps_values: list[int], exact: bool,
-                   node_budget: int | None = None):
+def _local_profile(proj: Projection, h: float, eps_values: list[int], exact: bool):
     """Best packing per radius: eps -> (size, center_pattern_idx, witness_pattern_idxs).
 
     For a center f and radius eps the ball holds patterns within
@@ -514,14 +520,13 @@ def _local_profile(proj: Projection, h: float, eps_values: list[int], exact: boo
     u = proj.n_patterns
     centers = _center_indices(u, exact).tolist()
     center_rows = dists[centers]
-    budget = env_budget("PACK_NODE_BUDGET", 200_000) if node_budget is None else node_budget
     max_dist = int(dists.max()) if u > 1 else 0
     certified_all = True
 
     def pack(conflicts: _BitRows, ball: int) -> tuple[int, ...]:
         nonlocal certified_all
         if exact:
-            witness, certified = _exact_pack(conflicts, ball, budget)
+            witness, certified = _exact_pack(conflicts, ball, PACK_NODE_BUDGET)
             if certified:
                 return tuple(witness)
         certified_all = False
@@ -565,12 +570,12 @@ def local_packing_number(cls: HypothesisClass, gamma: int, n: int, h: float,
     if gamma < 1 or n < 1 or not (0 < h <= 1):
         raise ValueError("need gamma >= 1, n >= 1, h in (0, 1]")
     hi = int(math.floor(n * h + 1e-12))
+    want_exact = _exhaustive_multisets(cls, n, search,
+                                       eval_work=cls.n_rows * (hi - gamma + 1))
     if gamma > hi:
         return LocalPackingResult(value=1, center_row=None, eps=None, multiset=None,
                                   witness=(), ball_radius=None, separation=None,
-                                  mode="exact", exact=True)
-    want_exact = _exhaustive_multisets(cls, n, search,
-                                       eval_work=cls.n_rows * (hi - gamma + 1))
+                                  exact=True)
     eps_values = _eps_grid(gamma, hi, want_exact)
 
     def objective(proj: Projection):
@@ -592,7 +597,6 @@ def local_packing_number(cls: HypothesisClass, gamma: int, n: int, h: float,
         witness=tuple(int(proj.row_map[w]) for w in witness),
         ball_radius=min(int(math.floor(eps / h + 1e-12)), proj.size),
         separation=int(math.ceil(eps / 2 - 1e-12)),
-        mode="exact" if exact else "greedy",
         exact=exact,
     )
 
@@ -755,8 +759,8 @@ def _exact_cover_size(cover_masks: list[int], universe: int, node_budget: int) -
     return best, exhausted
 
 
-def doubling_dimension(cls: HypothesisClass, px: DomainDistribution, gamma_frac: float,
-                       exact: bool = True, node_budget: int | None = None) -> DoublingResult:
+def doubling_dimension(cls: HypothesisClass, px: DomainDistribution,
+                       gamma_frac: float) -> DoublingResult:
     """Max over centers f and radii eps >= gamma_frac of the truncated log of
     the minimal (eps/2)-cover of the px-ball of radius eps around f.
 
@@ -766,7 +770,6 @@ def doubling_dimension(cls: HypothesisClass, px: DomainDistribution, gamma_frac:
     """
     if not (0 < gamma_frac <= 1):
         raise ValueError("gamma_frac must lie in (0, 1]")
-    budget = env_budget("COVER_NODE_BUDGET", 100_000) if node_budget is None else node_budget
     a = cls.patterns.astype(np.float64)
     w = px.weights.astype(np.float64)
     gram = (a * w) @ a.T
@@ -785,14 +788,8 @@ def doubling_dimension(cls: HypothesisClass, px: DomainDistribution, gamma_frac:
             covers = _BitRows(rho[np.ix_(ball, ball)] <= half + tol)
             masks = [covers[i] for i in range(ball.size)]
             universe = (1 << ball.size) - 1
-            if exact:
-                size, certified = _exact_cover_size(masks, universe, budget)
-                if not certified:
-                    all_exact = False
-            else:
-                size = len(_greedy_cover(masks, universe))
-                certified = False
-                all_exact = False
+            size, certified = _exact_cover_size(masks, universe, COVER_NODE_BUDGET)
+            all_exact = all_exact and certified
             if size > best.cover_size:
                 best = DoublingResult(value=tlog(size), exact=True, center_row=f,
                                       eps=eps, cover_size=size)

@@ -15,7 +15,6 @@ from itertools import combinations
 import numpy as np
 
 from .classes import HypothesisClass
-from .util import env_budget
 
 __all__ = [
     "MeasureResult",
@@ -26,13 +25,24 @@ __all__ = [
     "verify_star_witness",
 ]
 
+# Search budgets.  Each is read when its function runs, so a test can patch
+# it; nothing else sets them, so a result depends only on its arguments.
+VC_BUDGET = 500_000      # shatter checks from level 3 on
+GROWTH_BUDGET = 200_000  # most point subsets growth_function enumerates
+STAR_CAP = 64            # star_number's default value cap
+STAR_BUDGET = 200_000    # star_number's default search-node budget
+
 
 @dataclass(frozen=True)
 class MeasureResult:
     value: int
     witness: tuple
     exact: bool
-    search_budget_hit: bool = False
+
+    @property
+    def search_budget_hit(self) -> bool:
+        """A budget or cap stopped the search; the value is a lower bound."""
+        return not self.exact
 
 
 def _support_ints(cls: HypothesisClass) -> np.ndarray | None:
@@ -78,16 +88,15 @@ def _shattered_pairs(cls: HypothesisClass) -> list[tuple[int, int]]:
     return list(zip(i.tolist(), j.tolist()))
 
 
-def vc_dimension(cls: HypothesisClass, budget: int | None = None) -> MeasureResult:
+def vc_dimension(cls: HypothesisClass) -> MeasureResult:
     """Largest cardinality of a shattered point set, by level-wise extension.
 
     Every subset of a shattered set is shattered, so level k only extends
     shattered (k-1)-sets by larger indices (Apriori); levels 1 and 2 are
-    fully vectorized.  `budget` caps the number of shatter checks from
+    fully vectorized.  VC_BUDGET caps the number of shatter checks from
     level 3 on; on exhaustion the best witness so far is returned with
     exact=False.
     """
-    budget = env_budget("VC_BUDGET", 500_000) if budget is None else budget
     supports = _support_ints(cls)
     p = cls.n_points
     max_level = min(p, int(math.floor(math.log2(cls.n_rows))) if cls.n_rows > 1 else 0)
@@ -114,7 +123,7 @@ def vc_dimension(cls: HypothesisClass, budget: int | None = None) -> MeasureResu
             for j in range(s[-1] + 1, p):
                 cand = s + (j,)
                 checks += 1
-                if checks > budget:
+                if checks > VC_BUDGET:
                     stop = True
                     break
                 if _distinct_restrictions(cls, cand, supports) == 2 ** (k + 1):
@@ -131,27 +140,25 @@ def vc_dimension(cls: HypothesisClass, budget: int | None = None) -> MeasureResu
             best = nxt[0]
         current = nxt
         k += 1
-    return MeasureResult(value=len(best), witness=best, exact=exact,
-                         search_budget_hit=not exact)
+    return MeasureResult(value=len(best), witness=best, exact=exact)
 
 
-def growth_function(cls: HypothesisClass, m: int, budget: int | None = None) -> MeasureResult:
+def growth_function(cls: HypothesisClass, m: int) -> MeasureResult:
     """Maximum number of distinct labelings of m points realized by the class.
 
     Repetitions never increase the count, so distinct subsets suffice; for
-    m >= |domain| the full point set is optimal.  Exhaustive below the
-    budget, otherwise a greedy forward selection flagged exact=False.
+    m >= |domain| the full point set is optimal.  Exhaustive when at most
+    GROWTH_BUDGET subsets, otherwise a greedy forward selection flagged exact=False.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    budget = env_budget("GROWTH_BUDGET", 200_000) if budget is None else budget
     supports = _support_ints(cls)
     p = cls.n_points
     if m >= p:
         full = tuple(range(p))
         return MeasureResult(value=_distinct_restrictions(cls, full, supports),
                              witness=full, exact=True)
-    if math.comb(p, m) <= budget:
+    if math.comb(p, m) <= GROWTH_BUDGET:
         best_v, best_s = -1, None
         for s in combinations(range(p), m):
             v = _distinct_restrictions(cls, s, supports)
@@ -169,7 +176,7 @@ def growth_function(cls: HypothesisClass, m: int, budget: int | None = None) -> 
                 best_v, best_j = v, j
         chosen.append(best_j)
     return MeasureResult(value=_distinct_restrictions(cls, tuple(chosen), supports),
-                         witness=tuple(chosen), exact=False, search_budget_hit=True)
+                         witness=tuple(chosen), exact=False)
 
 
 def verify_star_witness(cls: HypothesisClass, center: int, points: tuple[int, ...],
@@ -196,12 +203,13 @@ def star_number(cls: HypothesisClass, cap: int | None = None,
     point in index order, maintaining for every chosen point the rows still
     able to witness it; a point whose witness pool empties prunes the
     branch.  `cap` truncates the reported value (exact=False once the
-    search proves >= cap); `budget` caps search nodes.
+    search proves >= cap); `budget` caps search nodes.  They default to
+    STAR_CAP and STAR_BUDGET.
     """
-    cap = env_budget("STAR_CAP", 64) if cap is None else cap
+    cap = STAR_CAP if cap is None else cap
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    budget = env_budget("STAR_BUDGET", 200_000) if budget is None else budget
+    budget = STAR_BUDGET if budget is None else budget
     p = cls.n_points
     patterns = cls.patterns
 
@@ -261,4 +269,4 @@ def star_number(cls: HypothesisClass, cap: int | None = None,
     exact = not (budget_hit or capped)
     return MeasureResult(value=value,
                          witness=(best_center, best_set, best_witnesses),
-                         exact=exact, search_budget_hit=budget_hit or capped)
+                         exact=exact)

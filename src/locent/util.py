@@ -4,7 +4,6 @@ Monte Carlo confidence intervals."""
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -13,7 +12,6 @@ __all__ = [
     "make_rng",
     "hamming_matrix",
     "frozen_array",
-    "env_budget",
     "NORMAL_99",
     "mean_ci99",
 ]
@@ -64,13 +62,3 @@ def hamming_matrix(patterns: np.ndarray, weights=None) -> np.ndarray:
         gram = (a64 * weights) @ a64.T if weights is not None else a64 @ a64.T
     return np.rint((total - gram) / 2.0).astype(np.int32)
 
-
-def env_budget(name: str, default: int) -> int:
-    """Integer budget knob overridable via the LOCENT_<NAME> environment variable."""
-    raw = os.environ.get(f"LOCENT_{name}")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"LOCENT_{name} must be an integer, got {raw!r}") from exc

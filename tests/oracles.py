@@ -298,8 +298,7 @@ def ref_exact_pack(dists, eps, subset, node_budget):
 def ref_local_profile(proj, h, eps_values, exact, node_budget=None):
     """Best packing per radius, eps -> (size, center, witness), re-solving
     every (center, radius) pair; returns (profile, all_certified)."""
-    from locent.geometry import _center_indices
-    from locent.util import env_budget
+    from locent import geometry
 
     out = {}
     certified_all = True
@@ -308,8 +307,8 @@ def ref_local_profile(proj, h, eps_values, exact, node_budget=None):
     dists = proj.dists
     total = proj.size
     u = proj.n_patterns
-    centers = _center_indices(u, exact)
-    budget = env_budget("PACK_NODE_BUDGET", 200_000) if node_budget is None else node_budget
+    centers = geometry._center_indices(u, exact)
+    budget = geometry.PACK_NODE_BUDGET if node_budget is None else node_budget
     discr = [(eps, min(int(math.floor(eps / h + 1e-12)), total),
               int(math.ceil(eps / 2 - 1e-12))) for eps in eps_values]
     max_dist = int(dists.max()) if u > 1 else 0

@@ -52,6 +52,19 @@ class TestDeterminism:
         assert run(["replay", str(a), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_replay_ignores_budget_environment(self, tmp_path, monkeypatch):
+        # no environment variable changes a search budget, so replay under
+        # variables that once starved the hill climb reproduces the artifact
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(["fixed-point", "--generator", "f1", "--d", "2", "--s", "12",
+                    "--kind", "loc", "--h", "0.5", "--n", "24", "--search", "hill_climb",
+                    "--seed", "0", "--out", str(a)]) == 0
+        for name, value in (("RESTARTS", "1"), ("SWAP_TRIES", "0"),
+                            ("PACK_NODE_BUDGET", "0")):
+            monkeypatch.setenv(f"LOCENT_{name}", value)
+        assert run(["replay", str(a), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_replay_csv(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(["erm-run", "--generator", "thresholds", "--points", "8", "--h", "0.5",
@@ -101,6 +114,12 @@ class TestErrorPaths:
         code = run(["erm-sweep", "--generator", "thresholds", "--h-grid", "",
                     "--n-grid", "8", "--trials", "5", "--out", str(out)])
         assert code == 1 and not out.exists()
+
+    def test_unknown_search(self, tmp_path):
+        out = tmp_path / "p.json"
+        assert run(["packing", "--search", "exactt", "--n", "3", "--points", "8",
+                    "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_unknown_generator(self):
         assert run(["measures", "--generator", "mystery"]) == 1
@@ -196,6 +215,20 @@ class TestPipelines:
         payload = json.loads(out.read_text())
         assert payload["results"]["family_size"] >= 2
         assert payload["results"]["kl_first_pair"] is not None
+
+    def test_lower_bound_family_builds_the_family_once(self, tmp_path, monkeypatch):
+        # one gamma_loc per distinct N (144, then 512), shared by the report
+        from locent import geometry
+        calls = []
+        solve = geometry.gamma_loc
+        monkeypatch.setattr(geometry, "gamma_loc",
+                            lambda *a, **k: calls.append(a[3]) or solve(*a, **k))
+        out = tmp_path / "lb.json"
+        assert run(["lower-bound-family", "--generator", "f1", "--d", "2", "--s", "6",
+                    "--h", "0.5", "--n-budget", "24", "--seed", "1", "--trials", "20",
+                    "--out", str(out)]) == 0
+        assert calls == [144, 512]
+        assert "experiment" in json.loads(out.read_text())["results"]
 
     def test_star_theorem(self, tmp_path):
         out = tmp_path / "st.json"

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -129,10 +130,16 @@ class TestVersionSpace:
             assert rep.excess <= rep.dis_mass + 1e-12
 
 
+@pytest.fixture
+def position_cap_10(monkeypatch):
+    # the package attribute locent.erm is the function erm, not the module
+    monkeypatch.setattr(importlib.import_module("locent.erm"), "POSITION_CAP", 10)
+
+
 class TestAdversarialFamily:
-    def test_family_margins_and_separation(self):
+    def test_family_margins_and_separation(self, position_cap_10):
         cls = make_star_class("F1", 2, 6)
-        spec = build_adversarial_family(cls, 0.5, 24, seed=1, position_cap=10)
+        spec = build_adversarial_family(cls, 0.5, 24, seed=1)
         assert spec.size >= 2
         for inst in spec.instances:
             assert np.all(np.abs(inst.eta) == pytest.approx(0.5))
@@ -142,9 +149,9 @@ class TestAdversarialFamily:
         for i in range(spec.size):
             assert spec.rho_to_center(i) <= spec.eps
 
-    def test_family_size_matches_local_packing(self):
+    def test_family_size_matches_local_packing(self, position_cap_10):
         cls = make_star_class("F1", 2, 6)
-        spec = build_adversarial_family(cls, 0.5, 24, seed=1, position_cap=10)
+        spec = build_adversarial_family(cls, 0.5, 24, seed=1)
         lp = local_packing_number(cls, spec.gamma, spec.n_positions, 1.0, seed=1)
         assert spec.size == lp.value
 
@@ -186,9 +193,9 @@ class TestKl:
             brute = oracles.brute_kl_joint(b1, b2, w, h, big_n, n)
             assert closed == pytest.approx(brute, rel=1e-9, abs=1e-12)
 
-    def test_family_kl_report(self):
+    def test_family_kl_report(self, position_cap_10):
         cls = make_star_class("F1", 2, 6)
-        spec = build_adversarial_family(cls, 0.5, 24, seed=1, position_cap=10)
+        spec = build_adversarial_family(cls, 0.5, 24, seed=1)
         rep = kl_product(spec, 0, spec.size - 1, 24)
         assert rep.relative_gap <= 1e-9
 

@@ -5,6 +5,7 @@ import pytest
 
 from locent.classes import (HypothesisClass, PointDomain,
                             make_massart_instance, make_star_class)
+from locent.erm import build_adversarial_family
 from locent.experiments import (SweepConfig, check_sandwich, check_star_theorem,
                                 circle_domain, fit_loglog_slope,
                                 lower_bound_report, run_rate_sweep,
@@ -106,8 +107,8 @@ class TestSeparation:
 
 class TestLowerBoundReport:
     def test_reports_fields(self):
-        rep = lower_bound_report(make_star_class("F1", 2, 6), 0.5, 24, trials=40,
-                                 seed=3)
+        spec = build_adversarial_family(make_star_class("F1", 2, 6), 0.5, 24, seed=3)
+        rep = lower_bound_report(spec, 24, trials=40, seed=3)
         assert rep["family_size"] >= 2
         assert rep["worst_mean_excess"] >= 0.0
         assert rep["reference_level"] > 0.0
@@ -120,7 +121,8 @@ class TestLowerBoundReport:
         solve = geometry.gamma_loc
         monkeypatch.setattr(geometry, "gamma_loc",
                             lambda *a, **k: calls.append(a[3]) or solve(*a, **k))
-        rep = lower_bound_report(make_star_class("F1", 2, 6), 0.5, 24, trials=20, seed=1)
+        spec = build_adversarial_family(make_star_class("F1", 2, 6), 0.5, 24, seed=1)
+        rep = lower_bound_report(spec, 24, trials=20, seed=1)
         assert calls == [144, 512]
         assert rep == {"family_size": 16, "family_size_with_center": 16, "eps": 208,
                        "gamma": 5, "n_positions": 512, "pseudoconvexity": 41.6,

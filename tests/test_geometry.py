@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locent import geometry
 from locent.classes import (DomainDistribution, HypothesisClass, PointDomain,
                             make_massart_instance, make_star_class)
 from locent.geometry import (_BitRows, _exact_pack, _greedy_pack, _local_profile,
@@ -65,9 +66,10 @@ class TestMaxPacking:
         sizes = [max_packing(pats, e).size for e in range(0, pats.shape[1] + 1)]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
-    def test_budget_downgrades_to_greedy(self, rng):
+    def test_budget_downgrades_to_greedy(self, rng, monkeypatch):
         pats = random_class(rng, max_points=8, max_rows=12).patterns
-        res = max_packing(pats, 1, node_budget=1)
+        monkeypatch.setattr(geometry, "PACK_NODE_BUDGET", 1)
+        res = max_packing(pats, 1)
         assert res.mode == "greedy" and res.budget_hit
 
 
@@ -106,7 +108,10 @@ class TestPackingCore:
         for h in (1.0, 0.5, 0.3):
             for exact in (True, False):
                 for budget in (None, 1):
-                    got = _local_profile(proj, h, grid, exact, node_budget=budget)
+                    with pytest.MonkeyPatch.context() as m:
+                        if budget is not None:
+                            m.setattr(geometry, "PACK_NODE_BUDGET", budget)
+                        got = _local_profile(proj, h, grid, exact)
                     want = oracles.ref_local_profile(proj, h, grid, exact, node_budget=budget)
                     assert list(got[0].items()) == list(want[0].items())
                     assert got[1] == want[1]
@@ -119,12 +124,13 @@ class TestPackingCore:
                 res = max_packing(pats, eps, mode="greedy")
                 assert list(res.witness) == oracles.ref_greedy_pack(d, eps)
 
-    def test_zero_node_budget_is_not_the_default(self):
-        # an explicit budget of 0 stops every branch and bound at its root
+    def test_zero_node_budget_is_not_the_default(self, monkeypatch):
+        # a budget of 0 stops every branch and bound at its root
         proj = project(make_star_class("F1", 2, 6), range(6))
         _, certified = _local_profile(proj, 1.0, [1, 2, 3], exact=True)
         assert certified
-        _, certified = _local_profile(proj, 1.0, [1, 2, 3], exact=True, node_budget=0)
+        monkeypatch.setattr(geometry, "PACK_NODE_BUDGET", 0)
+        _, certified = _local_profile(proj, 1.0, [1, 2, 3], exact=True)
         assert not certified
 
 
@@ -152,7 +158,7 @@ class TestGlobalPacking:
                 assert res.size == brute
                 # starved packings may lose certification, but exact stays a proof
                 with monkeypatch.context() as m:
-                    m.setenv("LOCENT_PACK_NODE_BUDGET", "1")
+                    m.setattr(geometry, "PACK_NODE_BUDGET", 1)
                     res = global_packing_number(cls, gamma, n, search="exact")
                 assert not res.exact or res.size == brute
 
@@ -164,7 +170,7 @@ class TestGlobalPacking:
                         dtype=np.int8)
         cls = HypothesisClass(PointDomain.of_size(3), pats)
         assert oracles.brute_global_packing(cls, 1, 3) == 3
-        monkeypatch.setenv("LOCENT_PACK_NODE_BUDGET", "1")
+        monkeypatch.setattr(geometry, "PACK_NODE_BUDGET", 1)
         res = global_packing_number(cls, 1, 3, search="exact")
         assert not res.exact or res.size == 3
 
@@ -175,6 +181,22 @@ class TestGlobalPacking:
         for gamma in (1, 2, 4, 8):
             res = global_packing_number(cls, gamma, 32, search="hill_climb", seed=3)
             assert res.size == 32 // (gamma + 1) + 1
+
+
+class TestSearchNames:
+    def test_unknown_search_rejected(self):
+        cls = make_star_class("F1", 1, 4)
+        calls = [lambda s: global_packing_number(cls, 1, 3, search=s),
+                 lambda s: gamma_star(cls, 0.5, 3, search=s),
+                 lambda s: local_packing_number(cls, 1, 3, 1.0, search=s),
+                 # gamma > n*h: the radius range is empty
+                 lambda s: local_packing_number(cls, 3, 3, 0.5, search=s),
+                 lambda s: gamma_loc(cls, 0.5, 0.5, 3, search=s)]
+        for call in calls:
+            for search in ("exact", "auto", "hill_climb"):
+                call(search)
+            with pytest.raises(ValueError, match="unknown search 'exactt'"):
+                call("exactt")
 
 
 class TestGammaStar:
@@ -344,6 +366,13 @@ class TestDoublingDimension:
                 px = DomainDistribution.from_counts(counts)
                 dd = doubling_dimension(cls, px, gamma / n)
                 assert tlog(lp.value) <= 2.0 * dd.value + 1e-9
+
+    def test_starved_cover_budget_is_not_exact(self, monkeypatch):
+        cls = make_star_class("F1", 2, 10)
+        px = DomainDistribution.uniform(10)
+        assert doubling_dimension(cls, px, 0.1).exact
+        monkeypatch.setattr(geometry, "COVER_NODE_BUDGET", 1)
+        assert not doubling_dimension(cls, px, 0.1).exact
 
 
 class TestPseudoconvexity:

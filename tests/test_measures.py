@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locent import measures
 from locent.classes import HypothesisClass, PointDomain, make_star_class
 from locent.measures import (growth_function, star_number, vc_dimension,
                              verify_shattered, verify_star_witness)
@@ -36,9 +37,10 @@ class TestVcDimension:
             res = vc_dimension(cls)
             assert verify_shattered(cls, res.witness)
 
-    def test_budget_flagging(self):
+    def test_budget_flagging(self, monkeypatch):
         cls = make_star_class("F1", 2, 10)
-        res = vc_dimension(cls, budget=3)
+        monkeypatch.setattr(measures, "VC_BUDGET", 3)
+        res = vc_dimension(cls)
         assert not res.exact and res.search_budget_hit
         assert res.value <= 2
 
@@ -73,6 +75,16 @@ class TestGrowthFunction:
             for m in (1, 2, 4):
                 assert growth_function(cls, m).value == oracles.brute_growth(cls, m)
 
+    def test_starved_budget_falls_back_to_greedy(self, monkeypatch):
+        cls = make_star_class("F1", 2, 6)
+        brute = oracles.brute_growth(cls, 3)
+        res = growth_function(cls, 3)
+        assert res.exact and res.value == brute
+        monkeypatch.setattr(measures, "GROWTH_BUDGET", 0)
+        res = growth_function(cls, 3)
+        assert not res.exact and res.search_budget_hit
+        assert res.value <= brute
+
 
 class TestStarNumber:
     def test_thresholds(self):
@@ -93,6 +105,16 @@ class TestStarNumber:
     def test_cap_truncates(self):
         res = star_number(make_star_class("F1", 1, 6), cap=3)
         assert res.value == 3 and not res.exact
+
+    def test_starved_budget_keeps_a_valid_witness(self, monkeypatch):
+        cls = make_star_class("F1", 1, 5)
+        assert star_number(cls, cap=8).exact
+        monkeypatch.setattr(measures, "STAR_BUDGET", 1)
+        res = star_number(cls, cap=8)
+        assert not res.exact and res.search_budget_hit
+        center, pts, rows = res.witness
+        assert len(pts) == res.value
+        assert verify_star_witness(cls, center, pts, rows)
 
     def test_witness_replays(self, rng):
         for _ in range(20):
