@@ -234,10 +234,6 @@ class LabeledSample:
     def size(self) -> int:
         return self.xs.size
 
-    @property
-    def entries(self) -> list[tuple[int, int]]:
-        return list(zip(self.xs.tolist(), self.ys.tolist()))
-
 
 # ---------------------------------------------------------------------------
 # generators
@@ -366,9 +362,10 @@ def make_linear_separators(domain: PointDomain,
                            cap: int = DEFAULT_SEPARATOR_POINT_CAP) -> HypothesisClass:
     """All sign vectors realizable by affine separators on the domain points.
 
-    Feasibility of each candidate labeling is decided by an exact rational
-    LP (floats are rationals, so there is no tolerance).  The enumeration
-    walks prefixes, so the cost is near-linear in the number of realizable
+    Exact rational arithmetic throughout (floats are rationals, so there is
+    no tolerance).  Planar points are enumerated from the lines through
+    pairs of points, in O(n^3); other dimensions walk label prefixes with
+    an LP, so the cost is near-linear in the number of realizable
     dichotomies rather than 2^n.
     """
     if domain.coords is None:

@@ -339,7 +339,7 @@ def _cmd_erm_sweep(opts, config) -> int:
     sweep = experiments.SweepConfig(
         instance_factory=factory, h_grid=h_grid, n_grid=n_grid,
         trials=int(opts["trials"]), policy=opts["policy"], seed=int(opts["seed"]),
-        search=opts["search"], spec={k: v for k, v in config.items()})
+        search=opts["search"])
     table = experiments.run_rate_sweep(sweep)
     _emit_csv(table.to_csv_lines(), config, opts["out"])
     if opts["out"]:

@@ -102,24 +102,26 @@ class TrialReport:
     dis_mass: float
 
 
-def _version_space(instance: MassartInstance, smp: LabeledSample) -> np.ndarray:
-    """Rows with zero empirical disagreement with the target on the sample."""
+def _version_space(instance: MassartInstance, smp: LabeledSample) -> tuple[int, float]:
+    """Number of rows agreeing with the target on the sample, and the mass
+    of the points where two of those rows differ."""
     agree = instance.cls.patterns[:, smp.xs] == instance.fstar[smp.xs]
-    return agree.all(axis=1)
+    members = instance.cls.patterns[agree.all(axis=1)]
+    if not members.shape[0]:
+        return 0, 0.0
+    dis = members.max(axis=0) != members.min(axis=0)
+    return members.shape[0], float(instance.px.weights[dis].sum())
 
 
 def run_trial(instance: MassartInstance, n: int, policy: ErmPolicy, seed: int) -> TrialReport:
     smp = sample(instance, n, seed)
     chosen = erm(instance.cls, smp, policy, seed=seed)
     risks = empirical_risks(instance.cls, smp)
-    vs = _version_space(instance, smp)
-    members = instance.cls.patterns[vs]
-    dis = members.max(axis=0) != members.min(axis=0) if members.shape[0] else np.zeros(instance.cls.n_points, bool)
+    size, dis_mass = _version_space(instance, smp)
     return TrialReport(n=n, seed=seed, chosen=chosen,
                        empirical_risk=float(risks[chosen]),
                        excess=excess_risk(instance, chosen),
-                       version_space_size=int(vs.sum()),
-                       dis_mass=float(instance.px.weights[dis].sum()))
+                       version_space_size=size, dis_mass=dis_mass)
 
 
 def version_space_disagreement(instance: MassartInstance, n: int, trials: int,
@@ -129,15 +131,9 @@ def version_space_disagreement(instance: MassartInstance, n: int, trials: int,
     if not instance.realizable:
         raise ValueError("version-space diagnostics need a realizable instance (h = 1)")
     masses = np.empty(trials)
-    px = instance.px.weights
-    pats = instance.cls.patterns
-    fstar = instance.fstar
     for t in range(trials):
         smp = sample(instance, n, seed=int(make_rng(seed, t, 31).integers(2 ** 31)))
-        agree = pats[:, smp.xs] == fstar[smp.xs]
-        members = pats[agree.all(axis=1)]
-        dis = members.max(axis=0) != members.min(axis=0)
-        masses[t] = px[dis].sum()
+        masses[t] = _version_space(instance, smp)[1]
     return mean_ci99(masses)
 
 

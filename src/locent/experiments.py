@@ -8,7 +8,7 @@ the grid, with the ratio tolerance recorded in the report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,23 +59,18 @@ def threshold_instance(n: int, h: float, target: int | None = None) -> MassartIn
     return make_massart_instance(cls, target, h)
 
 
-_CIRCLE_CLASSES: dict[int, HypothesisClass] = {}
-
-
 def circle_separator_class(n: int) -> HypothesisClass:
-    """Affine-separator dichotomies of circle_domain(n), memoized (the exact
-    enumeration is the expensive step)."""
-    if n not in _CIRCLE_CLASSES:
-        _CIRCLE_CLASSES[n] = make_linear_separators(circle_domain(n))
-    return _CIRCLE_CLASSES[n]
+    """Affine-separator dichotomies of circle_domain(n)."""
+    return make_linear_separators(circle_domain(n))
 
 
 def circle_domain(n: int, radius: int = 10_000) -> PointDomain:
     """n integer points near a circle (convex, hence general, position).
 
-    Integer coordinates keep the exact-rational separability oracle fast;
-    the rounding is tiny against the vertex gaps, and strict convexity
-    (hence no collinear triple) is verified before returning.
+    Integer coordinates keep the exact rational arithmetic of the separator
+    enumeration small; the rounding is tiny against the vertex gaps, and
+    strict convexity (hence no collinear triple) is verified before
+    returning, so the class has exactly n(n-1)+2 dichotomies.
     """
     theta = 2.0 * math.pi * (np.arange(n) + 0.3) / n
     pts = np.rint(np.c_[radius * np.cos(theta), radius * np.sin(theta)])
@@ -96,8 +91,6 @@ class SweepConfig:
     policy: str = "first_index"
     seed: int = 0
     search: str = "auto"
-    bounds: tuple = ("gamma_loc", "gamma_star")
-    spec: dict = field(default_factory=dict)  # serializable description for replay
 
     def __post_init__(self):
         if not self.h_grid or not self.n_grid:
@@ -109,7 +102,6 @@ class SweepConfig:
 @dataclass(frozen=True)
 class SweepTable:
     rows: tuple
-    config_spec: dict
 
     def to_csv_lines(self) -> list[str]:
         lines = [CSV_HEADER]
@@ -139,28 +131,19 @@ def _sweep_cell(config: SweepConfig, hi: int, h, ni: int, n) -> dict:
     instance = config.instance_factory(h, n)
     mean, ci, _ = _cell_mean_excess(instance, n, config.trials,
                                     config.policy, config.seed, (hi, ni))
-    flags = []
-    g_loc = g_star = None
     memo = instance.cls.cache()
-    try:
-        if "gamma_loc" in config.bounds:
-            key = ("sweep_gamma_loc", h, n, config.search, config.seed)
-            if key not in memo:
-                memo[key] = gamma_loc(instance.cls, h, h, n, search=config.search,
-                                      seed=config.seed)
-            fp = memo[key]
-            g_loc = fp.gamma
-            flags.append("loc_exact" if fp.exact else "loc_heuristic")
-        if "gamma_star" in config.bounds:
-            key = ("sweep_gamma_star", n, config.search, config.seed)
-            if key not in memo:
-                memo[key] = gamma_star(instance.cls, 0.5, n, search=config.search,
-                                       seed=config.seed)
-            fs = memo[key]
-            g_star = fs.gamma
-            flags.append("star_exact" if fs.exact else "star_heuristic")
-    except (ValueError, MemoryError) as exc:
-        flags.append(f"fixed_point_failed:{type(exc).__name__}")
+    key = ("sweep_gamma_loc", h, n, config.search, config.seed)
+    if key not in memo:
+        memo[key] = gamma_loc(instance.cls, h, h, n, search=config.search,
+                              seed=config.seed)
+    fp = memo[key]
+    key = ("sweep_gamma_star", n, config.search, config.seed)
+    if key not in memo:
+        memo[key] = gamma_star(instance.cls, 0.5, n, search=config.search,
+                               seed=config.seed)
+    fs = memo[key]
+    flags = ["loc_exact" if fp.exact else "loc_heuristic",
+             "star_exact" if fs.exact else "star_heuristic"]
     # d and s are per-class diagnostics; sweeps bound them tightly and flag
     # non-exhausted searches rather than spending the cell budget on them
     if "sweep_measures" not in memo:
@@ -169,10 +152,10 @@ def _sweep_cell(config: SweepConfig, hi: int, h, ni: int, n) -> dict:
     d, s = memo["sweep_measures"]
     flags.append("d_exact" if d.exact else "d_lower")
     flags.append("s_exact" if s.exact else "s_lower")
-    ratio = mean * n / g_loc if g_loc else float("nan")
+    ratio = mean * n / fp.gamma if fp.gamma else float("nan")
     return {"h": h, "n": n, "trials": config.trials,
             "mean_excess": mean, "ci": ci,
-            "gamma_loc": g_loc, "gamma_star": g_star,
+            "gamma_loc": fp.gamma, "gamma_star": fs.gamma,
             "ratio": ratio, "d": d.value, "s": s.value,
             "exact_flags": "|".join(flags)}
 
@@ -181,13 +164,13 @@ def run_rate_sweep(config: SweepConfig) -> SweepTable:
     """Mean excess risk per (h, n) cell with the matching entropy fixed points.
 
     Cells are deterministic given the config seed (per-cell seeds are
-    derived independently); a cell whose fixed-point computation fails is
-    flagged and the sweep continues.
+    derived independently).  Errors propagate: an unknown search name
+    raises ValueError from the first cell's fixed point.
     """
     rows = [_sweep_cell(config, hi, h, ni, n) for hi, h in enumerate(config.h_grid)
             for ni, n in enumerate(config.n_grid)]
     rows.sort(key=lambda r: (r["h"], r["n"]))
-    return SweepTable(rows=tuple(rows), config_spec=dict(config.spec))
+    return SweepTable(rows=tuple(rows))
 
 
 @dataclass(frozen=True)

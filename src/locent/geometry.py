@@ -409,9 +409,6 @@ class FixedPointResult:
     params: dict
     exact: bool
 
-    def scan_rows(self) -> list[dict]:
-        return [dict(r) for r in self.scan]
-
 
 def gamma_star(cls: HypothesisClass, c: float, n: int, search: str = "auto",
                seed: int = 0) -> FixedPointResult:

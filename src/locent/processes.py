@@ -77,10 +77,6 @@ class LossClassView:
         if not (0 <= self.target < self.base.n_rows):
             raise ValueError("target row out of range")
 
-    @property
-    def uses_labels(self) -> bool:
-        return self.view == "excess_loss"
-
     def domain_values(self) -> np.ndarray:
         """Per-point values for the x-only views; the halved difference for excess_loss."""
         fstar = self.base.row(self.target).astype(np.float64)

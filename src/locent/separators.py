@@ -3,8 +3,10 @@
 A labeling v in {-1,+1}^n is realizable iff some (w, b) has
 v_i * (<w, x_i> + b) > 0 for every i, which after rescaling is the LP
 feasibility question v_i * (<w, x_i> + b) >= 1.  Coordinates are converted
-to exact rationals (floats are rationals), so the oracle has no tolerance:
-near-degenerate labelings are classified exactly.
+to exact rationals (floats are rationals), so there is no tolerance:
+near-degenerate labelings are classified exactly.  In the plane the
+dichotomies are read off the lines through pairs of points, with exact
+cross products; elsewhere the LP decides each label prefix.
 """
 
 from __future__ import annotations
@@ -101,135 +103,67 @@ def _feasible(aug: list[list[Fraction]], labels) -> list[Fraction] | None:
     return _phase1_witness(rows)
 
 
-# ---------------------------------------------------------------------------
-# exact planar route: strict separability == disjoint convex hulls
+def _planar_patterns(coords: np.ndarray) -> np.ndarray:
+    """Dichotomies of planar points, read off the lines through point pairs.
 
-
-def _cross(o, a, b) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _hull(points: list[tuple]) -> list[tuple]:
-    """Monotone-chain convex hull; collinear inputs collapse to a segment."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower: list[tuple] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _on_segment(p, a, b) -> bool:
-    if _cross(a, b, p) != 0:
-        return False
-    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-
-
-def _segments_meet(a, b, c, d) -> bool:
-    """Closed segment intersection (touching counts)."""
-    o1, o2 = _cross(a, b, c), _cross(a, b, d)
-    o3, o4 = _cross(c, d, a), _cross(c, d, b)
-    if ((o1 > 0) != (o2 > 0) and o1 != 0 and o2 != 0
-            and (o3 > 0) != (o4 > 0) and o3 != 0 and o4 != 0):
-        return True
-    return (_on_segment(c, a, b) or _on_segment(d, a, b)
-            or _on_segment(a, c, d) or _on_segment(b, c, d))
-
-
-def _point_in_hull(p, hull: list[tuple]) -> bool:
-    """Closed membership: boundary counts as inside."""
-    if len(hull) == 1:
-        return p == hull[0]
-    if len(hull) == 2:
-        return _on_segment(p, hull[0], hull[1])
-    sign = 0
-    for i in range(len(hull)):
-        c = _cross(hull[i], hull[(i + 1) % len(hull)], p)
-        if c == 0:
-            continue
-        s = 1 if c > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            return False
-    return True
-
-
-def _hulls_disjoint(h1: list[tuple], h2: list[tuple]) -> bool:
-    if not h1 or not h2:
-        return True
-    for p in h1:
-        if _point_in_hull(p, h2):
-            return False
-    for p in h2:
-        if _point_in_hull(p, h1):
-            return False
-    e1 = [(h1[i], h1[(i + 1) % len(h1)]) for i in range(len(h1))] if len(h1) > 1 else []
-    e2 = [(h2[i], h2[(i + 1) % len(h2)]) for i in range(len(h2))] if len(h2) > 1 else []
-    for a, b in e1:
-        for c, d in e2:
-            if _segments_meet(a, b, c, d):
-                return False
-    return True
-
-
-def _separable_2d(pts: list[tuple], labels) -> bool:
-    pos = [p for p, v in zip(pts, labels) if v > 0]
-    neg = [p for p, v in zip(pts, labels) if v < 0]
-    return _hulls_disjoint(_hull(pos), _hull(neg))
-
-
-def _exact_points_2d(coords: np.ndarray) -> list[tuple]:
-    return [(Fraction(float(x)), Fraction(float(y))) for x, y in coords]
+    A strictly separating line can be translated until it touches a point,
+    then rotated about that point until it touches a second, distinct one,
+    with no point crossing it; call the final line L.  A line close to L
+    still realizes the dichotomy and meets L at one point, so the dichotomy
+    labels each point off L by its side of L and splits the points on L at
+    one cut along L.  Conversely, tilting L about a point at the cut (or
+    shifting it, for a cut at either end) realizes each such labeling.  The
+    realizable labelings are therefore the two constants plus, for every L,
+    both side labelings combined with every cut in both orientations.
+    """
+    pts = [(Fraction(float(x)), Fraction(float(y))) for x, y in coords]
+    n = len(pts)
+    found = {(1,) * n, (-1,) * n}
+    distinct = sorted(set(pts))
+    for i, (ax, ay) in enumerate(distinct):
+        for bx, by in distinct[i + 1:]:
+            dx, dy = bx - ax, by - ay
+            side = [dx * (y - ay) - dy * (x - ax) for x, y in pts]
+            along = [dx * x + dy * y for x, y in pts]
+            # points on L before position `cut` get u, the rest -u; the
+            # first position leaves them all on one side, which with both
+            # signs of u also stands for the cut after the last position
+            for cut in {t for t, c in zip(along, side) if c == 0}:
+                for u in (1, -1):
+                    lab = tuple((u if t < cut else -u) if c == 0 else (1 if c > 0 else -1)
+                                for t, c in zip(along, side))
+                    found.add(lab)
+                    found.add(tuple(-v for v in lab))
+    return np.array(sorted(found, reverse=True), dtype=np.int8)
 
 
 def is_affinely_separable(coords: np.ndarray, labels) -> bool:
     """Whether labels in {-1,+1} are realized by sign(<w,x>+b) with no point
-    on the boundary.
-
-    In the plane this is decided by exact convex-hull disjointness (compact
-    convex sets admit a strictly separating line iff they are disjoint);
-    other dimensions go through the exact-rational LP.
-    """
-    coords = np.asarray(coords, dtype=float)
-    labels = list(labels)
-    if coords.shape[1] == 2:
-        return _separable_2d(_exact_points_2d(coords), labels)
-    return _feasible(_to_fractions(coords), labels) is not None
+    on the boundary, decided by the exact-rational LP in every dimension."""
+    return _feasible(_to_fractions(coords), list(labels)) is not None
 
 
 def enumerate_separator_patterns(coords: np.ndarray) -> np.ndarray:
     """All sign vectors realizable by affine separators on the given points.
 
-    Incremental prefix extension: a labeling is realizable only if every
-    prefix is, so infeasible prefixes prune whole subtrees.  Returns the
-    patterns as an int8 matrix in lexicographic order (+1 before -1).
+    Planar points are enumerated from the lines through pairs of distinct
+    points, in O(n^3) exact cross products.  Other dimensions extend label
+    prefixes one point at a time and keep those the LP accepts (a labeling
+    is realizable only if every prefix is, so infeasible prefixes prune
+    whole subtrees).  Returns the patterns as an int8 matrix in
+    lexicographic order (+1 before -1).
     """
     coords = np.asarray(coords, dtype=float)
-    n = coords.shape[0]
-    planar = coords.shape[1] == 2
-    pts = _exact_points_2d(coords) if planar else None
-    aug = None if planar else _to_fractions(coords)
+    if coords.shape[1] == 2:
+        return _planar_patterns(coords)
+    aug = _to_fractions(coords)
     prefixes: list[tuple[int, ...]] = [()]
-    for i in range(n):
+    for i in range(len(aug)):
         nxt = []
         for p in prefixes:
             for s in (1, -1):
                 cand = p + (s,)
-                if planar:
-                    ok = _separable_2d(pts[: i + 1], cand)
-                else:
-                    ok = _feasible(aug[: i + 1], cand) is not None
-                if ok:
+                if _feasible(aug[: i + 1], cand) is not None:
                     nxt.append(cand)
         prefixes = nxt
     return np.array(prefixes, dtype=np.int8)

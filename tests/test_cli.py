@@ -121,6 +121,12 @@ class TestErrorPaths:
                     "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_unknown_search_in_sweep(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run(["erm-sweep", "--search", "exactt", "--n-grid", "8",
+                    "--trials", "5", "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_unknown_generator(self):
         assert run(["measures", "--generator", "mystery"]) == 1
 

@@ -1,23 +1,59 @@
-"""The planar hull route must agree with the exact-rational LP on every labeling."""
+"""The planar pair-line enumeration must return exactly the labelings the
+exact-rational LP accepts, in lexicographic order (+1 before -1)."""
 
 from itertools import product
 
 import numpy as np
 import pytest
 
-from locent.separators import _feasible, _to_fractions, is_affinely_separable
+from locent.experiments import circle_domain
+from locent.separators import enumerate_separator_patterns, is_affinely_separable
 
 
-def lp_separable(coords, labels):
-    return _feasible(_to_fractions(coords), list(labels)) is not None
+def assert_matches_lp(pts):
+    want = [lab for lab in product((1, -1), repeat=len(pts))
+            if is_affinely_separable(pts, lab)]
+    got = enumerate_separator_patterns(pts)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, np.array(want, dtype=np.int8))
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_hull_matches_lp_random(seed):
     rng = np.random.default_rng(seed)
-    pts = rng.integers(-5, 6, size=(5, 2)).astype(float)
-    for lab in product((1, -1), repeat=5):
-        assert is_affinely_separable(pts, lab) == lp_separable(pts, lab)
+    assert_matches_lp(rng.integers(-5, 6, size=(5, 2)).astype(float))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_degenerate_sets_match_lp(n):
+    # nine integer positions in [-1,1]^2: many collinear triples and
+    # coincident points
+    rng = np.random.default_rng(n)
+    for _ in range(6):
+        assert_matches_lp(rng.integers(-1, 2, size=(n, 2)).astype(float))
+
+
+def test_circle_domain_has_all_convex_dichotomies():
+    for n in range(3, 21):
+        pats = enumerate_separator_patterns(circle_domain(n).coords)
+        assert pats.shape == (n * (n - 1) + 2, n)
+        rows = [tuple(r) for r in pats]
+        assert all(a > b for a, b in zip(rows, rows[1:]))  # strictly descending
+
+
+def test_all_collinear_set():
+    # four distinct positions on one line, unsorted, one of them doubled
+    pts = np.array([[3.0, 6.0], [0.0, 0.0], [2.0, 4.0], [1.0, 2.0], [0.0, 0.0]])
+    pats = enumerate_separator_patterns(pts)
+    assert pats.shape == (8, 5)  # 3 inner cuts x 2 orientations + 2 constants
+    assert np.array_equal(pats[:, 1], pats[:, 4])
+    assert_matches_lp(pts)
+
+
+def test_all_coincident_set():
+    pts = np.array([[1.5, -2.0]] * 4)
+    assert np.array_equal(enumerate_separator_patterns(pts),
+                          np.array([[1] * 4, [-1] * 4], dtype=np.int8))
 
 
 def test_collinear_points():
