@@ -383,25 +383,12 @@ def make_linear_separators(domain: PointDomain,
 
 
 def make_massart_instance(cls: HypothesisClass, target: int, h: float,
-                          px: DomainDistribution | None = None,
-                          noise_profile: str = "uniform_margin",
-                          eta_abs=None) -> MassartInstance:
-    """Bounded-noise instance around a target row.
-
-    uniform_margin sets |eta| = h everywhere; per_point takes |eta| values
-    (all within [h, 1]) from `eta_abs`.
-    """
+                          px: DomainDistribution | None = None) -> MassartInstance:
+    """Bounded-noise instance around a target row with |eta| = h everywhere
+    (build a MassartInstance directly for per-point margins)."""
     if px is None:
         px = DomainDistribution.uniform(cls.n_points)
-    fstar = cls.row(target).astype(float)
-    if noise_profile == "uniform_margin":
-        eta = h * fstar
-    elif noise_profile == "per_point":
-        if eta_abs is None:
-            raise ValueError("per_point profile needs eta_abs values")
-        eta = np.asarray(eta_abs, dtype=float) * fstar
-    else:
-        raise ValueError(f"unknown noise profile {noise_profile!r}")
+    eta = h * cls.row(target).astype(float)
     return MassartInstance(cls=cls, px=px, target=target, eta=eta, margin=h)
 
 

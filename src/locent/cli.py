@@ -328,13 +328,14 @@ def _cmd_erm_run(opts, config) -> int:
 def _cmd_erm_sweep(opts, config) -> int:
     h_grid = _grid(opts["h_grid"], float)
     n_grid = _grid(opts["n_grid"], int)
-    gen = opts["generator"]
-
-    def factory(h, n):
-        if gen == "thresholds" and opts["points"] is None:
+    if opts["generator"] == "thresholds" and opts["points"] is None:
+        def factory(h, n):  # one memoized class per n
             return experiments.threshold_instance(n, h)
-        cls, desc = _build_class(opts)
-        return _build_instance(cls, desc, {**opts, "h": h})
+    else:
+        cls, desc = _build_class(opts)  # once, so every cell shares its caches
+
+        def factory(h, n):
+            return _build_instance(cls, desc, {**opts, "h": h})
 
     sweep = experiments.SweepConfig(
         instance_factory=factory, h_grid=h_grid, n_grid=n_grid,

@@ -206,22 +206,21 @@ def build_adversarial_family(cls: HypothesisClass, h: float, n_budget: int,
     first = _pseudoconvexity(cls, h, n0, search, seed)
     big_n = min(int(math.ceil(6.0 * n_budget * first[0].constant * h / (1.0 - h))),
                 POSITION_CAP)
-    cf, fp, lp = _pseudoconvexity(cls, h, big_n, search, seed) if big_n != n0 else first
-    if lp.eps is None or lp.multiset is None:
+    cf, row = _pseudoconvexity(cls, h, big_n, search, seed) if big_n != n0 else first
+    if row["eps"] is None:
         raise ValueError("local packing degenerated; increase n_budget")
 
-    support, counts = np.unique(np.asarray(lp.multiset), return_counts=True)
+    support, counts = np.unique(np.asarray(row["multiset"]), return_counts=True)
     px_weights = np.zeros(cls.n_points)
     px_weights[support] = counts / counts.sum()
     px = DomainDistribution(px_weights)
-    instances = tuple(make_massart_instance(cls, row, h, px=px) for row in lp.witness)
-    center_in = lp.center_row in lp.witness
+    instances = tuple(make_massart_instance(cls, r, h, px=px) for r in row["witness"])
     return AdversarialSpec(
-        n_positions=int(counts.sum()), h=h, center_row=lp.center_row,
-        multiset=lp.multiset, support=tuple(int(s) for s in support),
-        weights=tuple(int(c) for c in counts), rows=lp.witness, eps=lp.eps,
-        pseudoconvexity=cf.constant, gamma=fp.gamma, instances=instances,
-        center_in_family=center_in, exact=lp.exact and fp.exact and cf.exact)
+        n_positions=int(counts.sum()), h=h, center_row=row["center_row"],
+        multiset=row["multiset"], support=tuple(int(s) for s in support),
+        weights=tuple(int(c) for c in counts), rows=row["witness"], eps=row["eps"],
+        pseudoconvexity=cf.constant, gamma=cf.gamma, instances=instances,
+        center_in_family=row["center_row"] in row["witness"], exact=cf.exact)
 
 
 @dataclass(frozen=True)

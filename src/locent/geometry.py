@@ -502,6 +502,11 @@ def _center_indices(u: int, exact: bool) -> np.ndarray:
     return np.unique(np.round(np.linspace(0, u - 1, CENTER_CAP)).astype(int))
 
 
+def _discretize(eps: int, h: float, total: int) -> tuple[int, int]:
+    """Ball radius floor(eps/h), capped at total, and strict separation ceil(eps/2)."""
+    return min(int(math.floor(eps / h + 1e-12)), total), int(math.ceil(eps / 2 - 1e-12))
+
+
 def _local_profile(proj: Projection, h: float, eps_values: list[int], exact: bool):
     """Best packing per radius: eps -> (size, center_pattern_idx, witness_pattern_idxs).
 
@@ -513,7 +518,6 @@ def _local_profile(proj: Projection, h: float, eps_values: list[int], exact: boo
     """
     out: dict[int, tuple[int, int, tuple]] = {}
     dists = proj.dists
-    total = proj.size
     u = proj.n_patterns
     centers = _center_indices(u, exact).tolist()
     center_rows = dists[centers]
@@ -533,8 +537,7 @@ def _local_profile(proj: Projection, h: float, eps_values: list[int], exact: boo
     # are adjacent and only one separation's conflict rows are alive at a time
     sep_now, conflicts, saturated = None, None, None
     for eps in eps_values:
-        radius = min(int(math.floor(eps / h + 1e-12)), total)
-        sep = int(math.ceil(eps / 2 - 1e-12))
+        radius, sep = _discretize(eps, h, proj.size)
         if sep != sep_now:
             sep_now, conflicts, saturated = sep, _BitRows(dists <= sep), None
         if radius >= max_dist:
@@ -555,6 +558,45 @@ def _local_profile(proj: Projection, h: float, eps_values: list[int], exact: boo
     return out, certified_all
 
 
+def _pooled_search(cls: HypothesisClass, n: int, h: float, eps_values: list[int],
+                   exhaustive: bool, seed: int, score):
+    """Search the n-point multisets for the largest score(profile) and pool
+    their local profiles; returns (pooled, exact), pooled mapping each radius
+    to (size, center_row, witness_rows, multiset) of the first visited
+    multiset with the largest packing there."""
+    pooled: dict[int, tuple[int, int, tuple, tuple]] = {}
+
+    def objective(proj: Projection):
+        prof, certified = _local_profile(proj, h, eps_values, exact=exhaustive)
+        for eps, (size, center, witness) in prof.items():
+            if size > pooled.get(eps, (0,))[0]:
+                pooled[eps] = (size, int(proj.row_map[center]),
+                               tuple(int(proj.row_map[w]) for w in witness),
+                               proj.multiset)
+        return score(prof), None, certified
+
+    *_, exact = _maximize_over_multisets(cls, n, objective, seed, exhaustive=exhaustive)
+    return pooled, exact
+
+
+_NO_PACKING = {"eps": None, "center_row": None, "multiset": None, "witness": (),
+               "ball_radius": None, "separation": None}
+
+
+def _packing_at(pooled: dict, gamma: int, h: float, n: int, beat: int) -> tuple[int, dict]:
+    """The local packing number at gamma: the largest pooled packing over
+    radii >= gamma, at its smallest radius, as (size, certificate fields).
+    A packing no larger than beat reads (beat, empty fields)."""
+    size, neg_eps = max(((s, -e) for e, (s, *_) in pooled.items() if e >= gamma),
+                        default=(beat, 0))
+    if size <= beat:
+        return beat, _NO_PACKING
+    _, center, witness, ms = pooled[-neg_eps]
+    radius, sep = _discretize(-neg_eps, h, n)
+    return size, {"eps": -neg_eps, "center_row": center, "multiset": ms, "witness": witness,
+                  "ball_radius": radius, "separation": sep}
+
+
 def local_packing_number(cls: HypothesisClass, gamma: int, n: int, h: float,
                          search: str = "auto", seed: int = 0) -> LocalPackingResult:
     """Worst-case local packing: max over n-point multisets, centers f, and
@@ -570,32 +612,15 @@ def local_packing_number(cls: HypothesisClass, gamma: int, n: int, h: float,
     want_exact = _exhaustive_multisets(cls, n, search,
                                        eval_work=cls.n_rows * (hi - gamma + 1))
     if gamma > hi:
-        return LocalPackingResult(value=1, center_row=None, eps=None, multiset=None,
-                                  witness=(), ball_radius=None, separation=None,
-                                  exact=True)
-    eps_values = _eps_grid(gamma, hi, want_exact)
+        return LocalPackingResult(value=1, exact=True, **_NO_PACKING)
 
-    def objective(proj: Projection):
-        prof, certified = _local_profile(proj, h, eps_values, exact=want_exact)
-        # lexicographic score: largest packing, then smallest achieving
-        # radius, so the recorded argmax is the tightest certificate
-        best_eps = max(prof, key=lambda e: (prof[e][0], -e))
-        size, center, witness = prof[best_eps]
-        return (size, -best_eps), (best_eps, center, witness, proj), certified
+    def score(prof):  # largest packing, then smallest radius: _packing_at's order
+        return max((size, -eps) for eps, (size, _, _) in prof.items())
 
-    score, payload, ms, exact = _maximize_over_multisets(cls, n, objective, seed,
-                                                         exhaustive=want_exact)
-    eps, center, witness, proj = payload
-    return LocalPackingResult(
-        value=score[0],
-        center_row=int(proj.row_map[center]),
-        eps=eps,
-        multiset=ms,
-        witness=tuple(int(proj.row_map[w]) for w in witness),
-        ball_radius=min(int(math.floor(eps / h + 1e-12)), proj.size),
-        separation=int(math.ceil(eps / 2 - 1e-12)),
-        exact=exact,
-    )
+    pooled, exact = _pooled_search(cls, n, h, _eps_grid(gamma, hi, want_exact),
+                                   want_exact, seed, score)
+    value, fields = _packing_at(pooled, gamma, h, n, beat=0)
+    return LocalPackingResult(value=value, exact=exact, **fields)
 
 
 def gamma_loc(cls: HypothesisClass, h: float, h_prime: float, n: int,
@@ -606,7 +631,8 @@ def gamma_loc(cls: HypothesisClass, h: float, h_prime: float, n: int,
     so it equals the suffix maximum of the per-radius profile; one profile
     pass per candidate multiset serves the whole scan.  gamma values up to
     floor(1/h) always satisfy the inequality (truncated log >= 1), hence
-    h * gamma_loc >= 1/2 always.
+    h * gamma_loc >= 1/2 always.  A scan row whose packing is a single
+    pattern carries empty certificate fields.
     """
     if not (0 < h <= 1) or not (0 < h_prime <= 1):
         raise ValueError("h and h' must lie in (0, 1]")
@@ -615,52 +641,26 @@ def gamma_loc(cls: HypothesisClass, h: float, h_prime: float, n: int,
     g_cap = min(n, int(math.floor(tlog(cls.n_rows) / h + 1e-12)))
     floor_gamma = max(1, int(math.floor(1.0 / h + 1e-12)))
     hi = int(math.floor(n * h_prime + 1e-12))
-
     want_exact = _exhaustive_multisets(cls, n, search,
                                        eval_work=cls.n_rows * max(hi, 1))
-    eps_values = _eps_grid(1, hi, want_exact)
-    best_profile: dict[int, tuple[int, int, tuple, tuple]] = {}
 
-    def objective(proj: Projection):
-        prof, certified = _local_profile(proj, h_prime, eps_values, exact=want_exact)
-        for eps, (size, center, witness) in prof.items():
-            prev = best_profile.get(eps)
-            if prev is None or size > prev[0]:
-                best_profile[eps] = (size, int(proj.row_map[center]),
-                                     tuple(int(proj.row_map[w]) for w in witness),
-                                     proj.multiset)
-        # score a candidate multiset by the fixed point it certifies alone
-        best_gamma = 0
+    def score(prof):  # the fixed point the multiset certifies alone
         suffix = 0
         for eps in sorted(prof, reverse=True):
             suffix = max(suffix, prof[eps][0])
             if eps <= g_cap and h * eps <= tlog(suffix) + 1e-12:
-                best_gamma = max(best_gamma, eps)
-        return best_gamma, None, certified
+                return eps
+        return 0
 
-    _, _, _, exact = _maximize_over_multisets(cls, n, objective, seed, exhaustive=want_exact)
-
-    # suffix maxima of the pooled profile give M_loc(gamma) for every gamma
+    pooled, exact = _pooled_search(cls, n, h_prime, _eps_grid(1, hi, want_exact),
+                                   want_exact, seed, score)
     rows = []
-    best = 0
-    eps_sorted = sorted(best_profile)
     for g in range(1, g_cap + 1):
-        size, argmax_eps, center, witness, ms = 1, None, None, (), None
-        for eps in eps_sorted:
-            if eps >= g and best_profile[eps][0] > size:
-                size, center, witness, ms = best_profile[eps]
-                argmax_eps = eps
+        size, fields = _packing_at(pooled, g, h_prime, n, beat=1)
         lg = tlog(size)
-        ok = h * g <= lg + 1e-12
-        rows.append({"gamma": g, "log_packing": lg, "satisfied": ok,
-                     "witness_size": size, "mode": "exact" if exact else "greedy",
-                     "eps": argmax_eps, "center_row": center,
-                     "ball_radius": None if argmax_eps is None else min(int(math.floor(argmax_eps / h_prime + 1e-12)), n),
-                     "separation": None if argmax_eps is None else int(math.ceil(argmax_eps / 2 - 1e-12)),
-                     "witness": witness, "multiset": ms})
-        if ok:
-            best = g
-    gamma = max(best, floor_gamma)
+        rows.append({"gamma": g, "log_packing": lg, "satisfied": h * g <= lg + 1e-12,
+                     "witness_size": size, "mode": "exact" if exact else "greedy", **fields})
+    gamma = max([floor_gamma] + [r["gamma"] for r in rows if r["satisfied"]])
     assert h * gamma >= 0.5 - 1e-12, "fixed point dropped below its guaranteed floor"
     return FixedPointResult(gamma=gamma, scan=tuple(rows),
                             params={"h": h, "h_prime": h_prime, "n": n,
@@ -812,16 +812,17 @@ def pseudoconvexity_constant(cls: HypothesisClass, h: float, n: int,
 
 
 def _pseudoconvexity(cls: HypothesisClass, h: float, n: int, search: str,
-                     seed: int) -> tuple[PseudoconvexityReport, FixedPointResult,
-                                         LocalPackingResult]:
-    """pseudoconvexity_constant plus the fixed point gamma_loc(h, 1, n) and the
-    local packing at it that the constant was read from."""
+                     seed: int) -> tuple[PseudoconvexityReport, dict]:
+    """pseudoconvexity_constant plus the scan row of gamma_loc(h, 1, n) at
+    its fixed point, whose packing certificate the constant is read from."""
     fp = gamma_loc(cls, h, 1.0, n, search=search, seed=seed)
-    lp = local_packing_number(cls, fp.gamma, n, 1.0, search=search, seed=seed)
-    constant = 1.0 if lp.eps is None else max(1.0, lp.eps / fp.gamma)
-    report = PseudoconvexityReport(constant=constant, gamma=fp.gamma, eps=lp.eps, n=n,
-                                   exact=fp.exact and lp.exact)
-    return report, fp, lp
+    # the fixed point lies past the scan only when floor(1/h) > n, where no
+    # radius reaches it and the local packing is the center alone
+    row = fp.scan[fp.gamma - 1] if fp.gamma <= len(fp.scan) else _NO_PACKING
+    eps = row["eps"]
+    constant = 1.0 if eps is None else max(1.0, eps / fp.gamma)
+    return PseudoconvexityReport(constant=constant, gamma=fp.gamma, eps=eps, n=n,
+                                 exact=fp.exact), row
 
 
 def packing_log_vc_bound(d: int, s: int, n: int, gamma: int, h: float) -> float:

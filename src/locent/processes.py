@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 ENUM_CAP = 16
+INNER_REPS = 256             # Monte Carlo sign draws per trial past ENUM_CAP
 
 
 @dataclass(frozen=True)
@@ -176,8 +177,7 @@ def shifted_process_sup(view: LossClassView, instance: MassartInstance,
 
 
 def check_symmetrization_expectation(view: LossClassView, instance: MassartInstance,
-                                     c: float, n: int, trials: int, seed: int,
-                                     inner_reps: int = 256) -> InequalityReport:
+                                     c: float, n: int, trials: int, seed: int) -> InequalityReport:
     """Shifted symmetrization in expectation:
     E sup (P - (1+c)P_n) g  <=  ((c+2)/n) E E_eps sup (sum eps_i g_i - (c/(c+2)) g_i).
     """
@@ -191,7 +191,7 @@ def check_symmetrization_expectation(view: LossClassView, instance: MassartInsta
         lhs[t] = shifted_process_sup(view, instance, smp, c)
         vals = view.values(smp.xs, smp.ys)
         penalties = shift * vals.sum(axis=1)
-        mean, _, _, _ = _sup_mean(vals, penalties, _auto_mode(n), inner_reps,
+        mean, _, _, _ = _sup_mean(vals, penalties, _auto_mode(n), INNER_REPS,
                                   make_rng(seed, t, 2))
         rhs[t] = (c + 2.0) / n * mean
     lhs_m, rhs_m = float(lhs.mean()), float(rhs.mean())
@@ -206,7 +206,7 @@ def check_symmetrization_expectation(view: LossClassView, instance: MassartInsta
 
 
 def check_contraction(instance: MassartInstance, c: float, n: int, trials: int,
-                      seed: int, inner_reps: int = 256) -> InequalityReport:
+                      seed: int) -> InequalityReport:
     """Excess-loss contraction: the offset Rademacher expectation of the
     excess loss class is at most the halved-difference term plus (3c/2)
     times a multiplier term over the disagreement class, the multipliers
@@ -224,12 +224,12 @@ def check_contraction(instance: MassartInstance, c: float, n: int, trials: int,
         smp = sample(instance, n, seed=int(make_rng(seed, t, 3).integers(2 ** 31)))
         xs, ys = smp.xs, smp.ys
         gy = excess.values(xs, ys)
-        mean, _, _, _ = _sup_mean(gy, c * gy.sum(axis=1), _auto_mode(n), inner_reps,
+        mean, _, _, _ = _sup_mean(gy, c * gy.sum(axis=1), _auto_mode(n), INNER_REPS,
                                   make_rng(seed, t, 4))
         lhs[t] = mean
         fv = halved.values(xs)
         mean1, _, _, _ = _sup_mean(fv, 0.5 * h * c * np.abs(fv).sum(axis=1),
-                                   _auto_mode(n), inner_reps, make_rng(seed, t, 5))
+                                   _auto_mode(n), INNER_REPS, make_rng(seed, t, 5))
         hp = instance.abs_eta[xs]
         flip = (instance.fstar[xs] != ys)
         xi = (2.0 / 3.0) * (hp + np.where(flip, 1.0, -1.0))
@@ -248,9 +248,8 @@ def check_contraction(instance: MassartInstance, c: float, n: int, trials: int,
 
 
 def check_localization_bound(instance: MassartInstance, view_kind: str, c: float,
-                             n: int, trials: int, seed: int, k_loc: float = 64.0,
-                             inner_reps: int = 256,
-                             search: str = "auto") -> InequalityReport:
+                             n: int, trials: int, seed: int,
+                             k_loc: float = 64.0) -> InequalityReport:
     """Localized multiplier bound: (1/n) E_xi sup (sum xi_i g_i - 4c|g_i|)
     against the fixed point gamma_loc(c, c, n) / n, with Rademacher xi.
 
@@ -271,9 +270,9 @@ def check_localization_bound(instance: MassartInstance, view_kind: str, c: float
                                          p=instance.px.weights)
         vals = vals_domain[:, xs]
         mean, _, _, _ = _sup_mean(vals, 4.0 * c * np.abs(vals).sum(axis=1),
-                                  _auto_mode(n), inner_reps, make_rng(seed, t, 7))
+                                  _auto_mode(n), INNER_REPS, make_rng(seed, t, 7))
         totals[t] = mean / n
-    fp = gamma_loc(instance.cls, c, c, n, search=search, seed=seed)
+    fp = gamma_loc(instance.cls, c, c, n, seed=seed)
     bound = fp.gamma / n
     value = float(totals.mean())
     se = float(totals.std(ddof=1) / math.sqrt(trials))

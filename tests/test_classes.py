@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locent.classes import (ClassFormatError, DomainDistribution,
-                            HypothesisClass, PatternCountError, PointDomain,
-                            load_class, make_linear_separators,
+                            HypothesisClass, MassartInstance, PatternCountError,
+                            PointDomain, load_class, make_linear_separators,
                             make_massart_instance, make_star_class,
                             make_thresholds, sample, save_class)
 from locent.separators import is_affinely_separable
@@ -106,12 +106,12 @@ class TestMassartInstance:
 
     def test_per_point_margin_check(self):
         cls = thresholds_on([1.0, 2.0, 3.0])
-        ok = make_massart_instance(cls, 1, 0.6, noise_profile="per_point",
-                                   eta_abs=[1.0, 0.6, 0.6])
+        px = DomainDistribution.uniform(3)
+        eta = np.array([1.0, 0.6, 0.6]) * cls.row(1)
+        ok = MassartInstance(cls=cls, px=px, target=1, eta=eta, margin=0.6)
         assert ok.margin == 0.6
         with pytest.raises(ValueError, match="eta"):
-            make_massart_instance(cls, 1, 0.7, noise_profile="per_point",
-                                  eta_abs=[1.0, 0.6, 0.6])
+            MassartInstance(cls=cls, px=px, target=1, eta=eta, margin=0.7)
 
     def test_same_seed_same_sample(self):
         inst = make_massart_instance(thresholds_on(np.arange(6.0)), 3, 0.5)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -223,18 +224,35 @@ class TestPipelines:
         assert payload["results"]["kl_first_pair"] is not None
 
     def test_lower_bound_family_builds_the_family_once(self, tmp_path, monkeypatch):
-        # one gamma_loc per distinct N (144, then 512), shared by the report
+        # one gamma_loc per distinct N (144, then 512), shared by the report;
+        # the family is read off its scan, with no second search
         from locent import geometry
         calls = []
         solve = geometry.gamma_loc
         monkeypatch.setattr(geometry, "gamma_loc",
                             lambda *a, **k: calls.append(a[3]) or solve(*a, **k))
+        monkeypatch.setattr(geometry, "local_packing_number",
+                            lambda *a, **k: pytest.fail("second multiset search"))
         out = tmp_path / "lb.json"
         assert run(["lower-bound-family", "--generator", "f1", "--d", "2", "--s", "6",
                     "--h", "0.5", "--n-budget", "24", "--seed", "1", "--trials", "20",
                     "--out", str(out)]) == 0
         assert calls == [144, 512]
         assert "experiment" in json.loads(out.read_text())["results"]
+
+    def test_erm_sweep_builds_the_class_once(self, tmp_path, monkeypatch):
+        # the class is built before the cells, so its per-class memo serves
+        # d and s once and gamma_star once per n across the h grid
+        from locent import experiments
+        calls = []
+        for name in ("vc_dimension", "star_number", "gamma_star"):
+            fn = getattr(experiments, name)
+            monkeypatch.setattr(experiments, name, lambda *a, _fn=fn, _name=name, **k:
+                                calls.append(_name) or _fn(*a, **k))
+        assert run(["erm-sweep", "--generator", "f1", "--d", "2", "--s", "8",
+                    "--h-grid", "1.0,0.5", "--n-grid", "16,32", "--trials", "5",
+                    "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert Counter(calls) == {"vc_dimension": 1, "star_number": 1, "gamma_star": 2}
 
     def test_star_theorem(self, tmp_path):
         out = tmp_path / "st.json"

@@ -114,21 +114,25 @@ class TestLowerBoundReport:
         assert rep["reference_level"] > 0.0
 
     def test_report_frozen_and_fixed_points_solved_once(self, monkeypatch):
-        # frozen from the build that solved each fixed point twice; the
-        # family is built at N = 144 and then N = 512, one gamma_loc each
+        # the family is built at N = 144 and then N = 512, one gamma_loc
+        # each, and read off the scan row at the fixed point with no second
+        # multiset search; frozen from that build
         from locent import geometry
-        calls = []
-        solve = geometry.gamma_loc
+        calls, local = [], []
+        solve, pack = geometry.gamma_loc, geometry.local_packing_number
         monkeypatch.setattr(geometry, "gamma_loc",
                             lambda *a, **k: calls.append(a[3]) or solve(*a, **k))
+        monkeypatch.setattr(geometry, "local_packing_number",
+                            lambda *a, **k: local.append(a[2]) or pack(*a, **k))
         spec = build_adversarial_family(make_star_class("F1", 2, 6), 0.5, 24, seed=1)
         rep = lower_bound_report(spec, 24, trials=20, seed=1)
         assert calls == [144, 512]
-        assert rep == {"family_size": 16, "family_size_with_center": 16, "eps": 208,
-                       "gamma": 5, "n_positions": 512, "pseudoconvexity": 41.6,
+        assert local == []
+        assert rep == {"family_size": 16, "family_size_with_center": 16, "eps": 195,
+                       "gamma": 5, "n_positions": 512, "pseudoconvexity": 39.0,
                        "worst_member": 10, "worst_mean_excess": 0.08330078125,
-                       "reference_level": 0.00250400641025641,
-                       "implied_constant": 33.267, "exact": False}
+                       "reference_level": 0.002670940170940171,
+                       "implied_constant": 31.1878125, "exact": False}
 
 
 class TestCircleDomain:

@@ -302,6 +302,25 @@ class TestGammaLoc:
             sizes = [r["witness_size"] for r in fp.scan]
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_scan_row_is_the_local_packing(self, seed):
+        # one pooled search serves both entry points: where both are exact,
+        # row g holds local_packing_number at g, certificate included when
+        # the packing has more than the center
+        rng = np.random.default_rng(seed)
+        cls = random_class(rng, max_points=5, max_rows=8)
+        n = int(rng.integers(1, 5))
+        h = float(rng.choice([1.0, 0.5, 0.3]))
+        fp = gamma_loc(cls, float(rng.choice([1.0, 0.5, 0.25])), h, n, search="exact")
+        fields = ("eps", "center_row", "multiset", "witness", "ball_radius", "separation")
+        for row in fp.scan:
+            lp = local_packing_number(cls, row["gamma"], n, h, search="exact")
+            if fp.exact and lp.exact:
+                assert lp.value == row["witness_size"]
+                if row["witness_size"] > 1:
+                    assert {k: getattr(lp, k) for k in fields} == {k: row[k] for k in fields}
+
     def test_explicit_entropy_bound(self):
         # hard form of the VC/star envelope on an exactly solved class
         cls = make_star_class("F1", 2, 6)
@@ -394,6 +413,12 @@ class TestPseudoconvexity:
                               np.array([[1, 1, 1, 1], [-1, -1, -1, -1]], dtype=np.int8))
         rep = pseudoconvexity_constant(cls, 0.5, 4, search="exact")
         assert rep.constant == 2.0 and rep.gamma == 2 and rep.eps == 4
+
+    def test_fixed_point_past_the_scan(self):
+        # floor(1/h) = 4 exceeds n = 2, so the fixed point lies past the scan
+        # and no radius reaches it: the packing is the center alone
+        rep = pseudoconvexity_constant(cube_class(2), 0.25, 2, search="exact")
+        assert (rep.constant, rep.gamma, rep.eps, rep.exact) == (1.0, 4, None, True)
 
     def test_f1_reported(self):
         rep = pseudoconvexity_constant(make_star_class("F1", 2, 8), 0.5, 16,
