@@ -9,7 +9,7 @@ finite representation loses nothing at the scales we target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 
 import numpy as np
@@ -138,6 +138,7 @@ class DomainDistribution:
     """Probability weights over domain points (sum to 1 within 1e-12)."""
 
     weights: np.ndarray
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -148,6 +149,8 @@ class DomainDistribution:
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {w.sum()!r}, expected 1 within 1e-12")
         object.__setattr__(self, "weights", frozen_array(w))
+        cdf = w.cumsum()  # normalized as rng.choice(p=w) does, so draws match it
+        object.__setattr__(self, "cdf", frozen_array(cdf / cdf[-1]))
 
     @classmethod
     def uniform(cls, n: int) -> "DomainDistribution":
@@ -397,7 +400,7 @@ def sample(instance: MassartInstance, n: int, seed: int) -> LabeledSample:
     if n < 1:
         raise ValueError("sample size must be >= 1")
     rng = make_rng(seed)
-    xs = rng.choice(instance.cls.n_points, size=n, p=instance.px.weights)
+    xs = instance.px.cdf.searchsorted(rng.random(n), side="right")
     flips = rng.random(n) < instance.flip_prob[xs]
     ys = instance.fstar[xs].astype(np.int8)
     ys[flips] = -ys[flips]

@@ -80,7 +80,10 @@ def excess_risk_all(instance: MassartInstance) -> np.ndarray:
 def erm(cls: HypothesisClass, smp: LabeledSample, policy: ErmPolicy,
         seed: int = 0) -> int:
     """A row minimizing empirical risk, ties broken per policy."""
-    risks = empirical_risks(cls, smp)
+    return _select(empirical_risks(cls, smp), policy, seed)
+
+
+def _select(risks: np.ndarray, policy: ErmPolicy, seed: int) -> int:
     best = risks.min()
     ties = np.nonzero(risks <= best + 1e-12)[0]
     if policy.kind == "first_index" or ties.size == 1:
@@ -115,8 +118,8 @@ def _version_space(instance: MassartInstance, smp: LabeledSample) -> tuple[int, 
 
 def run_trial(instance: MassartInstance, n: int, policy: ErmPolicy, seed: int) -> TrialReport:
     smp = sample(instance, n, seed)
-    chosen = erm(instance.cls, smp, policy, seed=seed)
     risks = empirical_risks(instance.cls, smp)
+    chosen = _select(risks, policy, seed)
     size, dis_mass = _version_space(instance, smp)
     return TrialReport(n=n, seed=seed, chosen=chosen,
                        empirical_risk=float(risks[chosen]),

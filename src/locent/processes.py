@@ -1,9 +1,11 @@
 """Offset Rademacher, shifted empirical, and multiplier processes for loss views.
 
-Exact enumeration over all sign vectors is used up to a size cap, Monte
-Carlo with per-replicate seeds beyond it.  The inequality checks are
-one-sided statistical tests with 3-sigma slack: they can refute but not
-prove, so they are calibrated to be stable under reseeding.
+Exact enumeration over all 2^n sign vectors is used up to a size cap, Monte
+Carlo with per-replicate seeds beyond it.  Enumeration adds the sums of two
+half sign tables a block of rows at a time: it holds buffers of 2^n floats,
+never the (2^n x rows) product.  The inequality checks are one-sided
+statistical tests with 3-sigma slack: they can refute but not prove, so
+they are calibrated to be stable under reseeding.
 """
 
 from __future__ import annotations
@@ -106,15 +108,9 @@ class LossClassView:
         return self.domain_values() @ px
 
 
-_SIGN_CACHE: dict[int, np.ndarray] = {}
-
-
-def _all_signs(n: int) -> np.ndarray:
-    if n not in _SIGN_CACHE:
-        k = np.arange(1 << n, dtype=np.uint32)
-        bits = (k[:, None] >> np.arange(n, dtype=np.uint32)) & 1
-        _SIGN_CACHE[n] = (2.0 * bits - 1.0).astype(np.float32)
-    return _SIGN_CACHE[n]
+def _half_signs(m: int) -> np.ndarray:
+    """(m, 2^m) signs: column k is +1 at position i when bit i of k is set."""
+    return (2.0 * ((np.arange(1 << m) >> np.arange(m)[:, None]) & 1) - 1.0).astype(np.float32)
 
 
 def _sup_mean(values: np.ndarray, penalties: np.ndarray, mode: str, reps: int,
@@ -127,9 +123,19 @@ def _sup_mean(values: np.ndarray, penalties: np.ndarray, mode: str, reps: int,
         if n > ENUM_CAP:
             raise ValueError(
                 f"exact enumeration is limited to n <= {ENUM_CAP}; use monte_carlo for n = {n}")
-        signs = _all_signs(n)
-        sups = (signs @ v.T - penalties.astype(np.float32)).max(axis=1)
-        return float(sups.mean()), 0.0, "exact_enumeration", signs.shape[0]
+        # sign vector k = hi * 2^lo + lo_k, so sups.ravel() is in sign-vector order
+        lo = n // 2
+        low, high = v[:, :lo] @ _half_signs(lo), v[:, lo:] @ _half_signs(n - lo)
+        pen = np.asarray(penalties, dtype=np.float32)
+        sups = np.full((1 << (n - lo), 1 << lo), -np.inf, dtype=np.float32)
+        block = max(1, (1 << 16) >> n)
+        work = np.empty((block, *sups.shape), dtype=np.float32)
+        for start in range(0, v.shape[0], block):
+            w, rows = work[:min(block, v.shape[0] - start)], slice(start, start + block)
+            np.add(high[rows, :, None], low[rows, None, :], out=w)
+            w -= pen[rows, None, None]
+            np.maximum(sups, w[0] if len(w) == 1 else w.max(axis=0), out=sups)
+        return float(sups.ravel().mean()), 0.0, "exact_enumeration", 1 << n
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
     signs = rng.choice(np.float32([-1.0, 1.0]), size=(reps, n))
@@ -213,6 +219,8 @@ def check_contraction(instance: MassartInstance, c: float, n: int, trials: int,
     being (2/3)(h'_i + 1[target != Y] - 1[target = Y])."""
     if not (0 <= c <= 1):
         raise ValueError("c must lie in [0, 1]")
+    if trials < 100:
+        raise ValueError("need at least 100 trials")
     cls, target = instance.cls, instance.target
     excess = LossClassView(cls, target, "excess_loss")
     halved = LossClassView(cls, target, "halved_difference")
@@ -258,6 +266,8 @@ def check_localization_bound(instance: MassartInstance, view_kind: str, c: float
     """
     if not (0 < c <= 0.25):
         raise ValueError("c must lie in (0, 1/4]")
+    if trials < 100:
+        raise ValueError("need at least 100 trials")
     if view_kind not in ("halved_difference", "disagreement"):
         raise ValueError("view must contain the zero function: use halved_difference or disagreement")
     view = LossClassView(instance.cls, instance.target, view_kind)
@@ -266,8 +276,7 @@ def check_localization_bound(instance: MassartInstance, view_kind: str, c: float
         vals_domain = np.vstack([vals_domain, np.zeros(vals_domain.shape[1])])
     totals = np.empty(trials)
     for t in range(trials):
-        xs = make_rng(seed, t, 6).choice(instance.cls.n_points, size=n,
-                                         p=instance.px.weights)
+        xs = instance.px.cdf.searchsorted(make_rng(seed, t, 6).random(n), side="right")
         vals = vals_domain[:, xs]
         mean, _, _, _ = _sup_mean(vals, 4.0 * c * np.abs(vals).sum(axis=1),
                                   _auto_mode(n), INNER_REPS, make_rng(seed, t, 7))

@@ -192,6 +192,19 @@ def brute_offset_sup(values, c):
     return total / (2 ** n) / n
 
 
+def ref_sup_mean(values, penalties):
+    """E_eps max_g (sum_i eps_i g_i - penalty_g) over the full (2^n x n) sign
+    matrix in float32, row k holding +1 at position i when bit i of k is
+    set: the enumeration the library's half-table kernel replaced, which
+    must reproduce its mean bit for bit on integer-valued inputs."""
+    v = np.asarray(values, dtype=np.float32)
+    k = np.arange(1 << v.shape[1], dtype=np.uint32)
+    bits = (k[:, None] >> np.arange(v.shape[1], dtype=np.uint32)) & 1
+    signs = (2.0 * bits - 1.0).astype(np.float32)
+    sups = (signs @ v.T - np.asarray(penalties).astype(np.float32)).max(axis=1)
+    return float(sups.mean())
+
+
 def brute_kl_joint(b1, b2, weights, h, big_n, n):
     """Product KL via the explicit joint law over (point, label) outcomes."""
     b1 = np.asarray(b1)

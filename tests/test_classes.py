@@ -9,6 +9,7 @@ from locent.classes import (ClassFormatError, DomainDistribution,
                             make_massart_instance, make_star_class,
                             make_thresholds, sample, save_class)
 from locent.separators import is_affinely_separable
+from locent.util import make_rng
 
 from conftest import random_class
 
@@ -117,6 +118,22 @@ class TestMassartInstance:
         inst = make_massart_instance(thresholds_on(np.arange(6.0)), 3, 0.5)
         a, b = sample(inst, 40, 123), sample(inst, 40, 123)
         assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 64), st.integers(0, 2 ** 31 - 1), st.integers(1, 400),
+           st.booleans())
+    def test_sample_draws_as_choice_does(self, points, seed, n, skewed):
+        # sample() draws points from the stored CDF; those must be the points
+        # rng.choice(p=weights) draws, with the same flip draw after them
+        w = np.random.default_rng(seed).random(points) ** (8 if skewed else 1)
+        inst = make_massart_instance(thresholds_on(np.arange(float(points))), 0, 0.5,
+                                     px=DomainDistribution(w / w.sum()))
+        smp = sample(inst, n, seed)
+        rng = make_rng(seed)
+        xs = rng.choice(points, size=n, p=inst.px.weights)
+        flips = rng.random(n) < inst.flip_prob[xs]
+        assert np.array_equal(smp.xs, xs)
+        assert np.array_equal(smp.ys, np.where(flips, -inst.fstar[xs], inst.fstar[xs]))
 
     def test_distribution_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -203,6 +204,15 @@ class TestPipelines:
         assert {c["name"] for c in checks} == {
             "shifted_symmetrization", "excess_loss_contraction",
             "localization_bound", "sudakov_minoration"}
+
+    def test_verify_lemmas_artifact_frozen(self, tmp_path):
+        # every check here sums over all 2^12 sign vectors; a kernel that
+        # shifts a single float32 rounding changes these bytes
+        out = tmp_path / "v.json"
+        assert run(["verify-lemmas", "--generator", "thresholds", "--points", "12",
+                    "--n", "12", "--trials", "100", "--seed", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "e1b133b24b7f2ee027fcf9cd6a3902be1123a7d4d690ba9b830d76ffaaca9aca")
 
     def test_erm_sweep_with_curves(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -121,6 +121,19 @@ class TestVersionSpace:
         assert rep.version_space_size >= 1
         assert 0.0 <= rep.dis_mass <= 1.0
 
+    def test_trial_picks_what_erm_picks(self, rng):
+        # run_trial shares erm's tie-breaking on one computation of the risks
+        for _ in range(10):
+            cls = random_class(rng)
+            inst = make_massart_instance(cls, int(rng.integers(cls.n_rows)), 0.5)
+            seed = int(rng.integers(10_000))
+            smp = sample(inst, 8, seed)
+            for kind in ("first_index", "seeded_random", "pessimistic"):
+                pol = ErmPolicy(kind, inst if kind == "pessimistic" else None)
+                rep = run_trial(inst, 8, pol, seed)
+                assert rep.chosen == erm(cls, smp, pol, seed=seed)
+                assert rep.empirical_risk == empirical_risks(cls, smp)[rep.chosen]
+
     def test_realizable_excess_dominated_by_dis_mass(self):
         # chosen minimizer and target both sit in the version space when
         # h = 1, so the excess risk is at most the disagreement mass

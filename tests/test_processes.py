@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locent.classes import (HypothesisClass, PointDomain,
                             make_massart_instance, make_star_class, sample)
-from locent.processes import (LossClassView, check_contraction,
+from locent.processes import (LossClassView, _sup_mean, check_contraction,
                               check_localization_bound,
                               check_symmetrization_expectation,
                               offset_rademacher_sup, shifted_process_sup,
@@ -23,11 +27,13 @@ class TestOffsetRademacher:
             assert est.value == 0.0 and est.ci_halfwidth == 0.0
 
     def test_matches_brute(self, rng):
-        for _ in range(6):
-            v = rng.choice(np.array([-1, 0, 1]), size=(4, 6))
-            for c in (0.25, 1.0):
-                est = offset_rademacher_sup(v, c)
-                assert est.value == pytest.approx(oracles.brute_offset_sup(v, c))
+        # n = 1 leaves the low half of the sign table empty; n = 3 splits it 1 + 2
+        for n in (6, 1, 3):
+            for _ in range(6):
+                v = rng.choice(np.array([-1, 0, 1]), size=(4, n))
+                for c in (0.25, 1.0):
+                    est = offset_rademacher_sup(v, c)
+                    assert est.value == pytest.approx(oracles.brute_offset_sup(v, c))
 
     def test_finite_set_bound(self, rng):
         # exact enumeration against log(N)/(2 c n) for sign-valued vectors
@@ -53,6 +59,38 @@ class TestOffsetRademacher:
     def test_enum_cap(self):
         with pytest.raises(ValueError, match="monte_carlo"):
             offset_rademacher_sup(np.zeros((1, 20)), 1.0)
+
+
+class TestExactEnumeration:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 16), st.integers(1, 300), st.sampled_from([0, 0.25, 1 / 3, 0.5, 1]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_bit_identical_to_full_sign_matrix(self, n, rows, c, seed):
+        v = np.random.default_rng(seed).choice(np.array([-1.0, 0.0, 1.0]), size=(rows, n))
+        pen = c * np.abs(v).sum(axis=1)
+        mean, sd, mode, terms = _sup_mean(v, pen, "exact_enumeration", 0, None)
+        assert mean == oracles.ref_sup_mean(v, pen)
+        assert (sd, mode, terms) == (0.0, "exact_enumeration", 2 ** n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 16), st.integers(1, 100), st.integers(0, 2 ** 32 - 1))
+    def test_real_values_agree_to_float32_rounding(self, n, rows, seed):
+        g = np.random.default_rng(seed)
+        v = g.normal(size=(rows, n))
+        pen = g.random() * (v ** 2).sum(axis=1)
+        mean = _sup_mean(v, pen, "exact_enumeration", 0, None)[0]
+        assert mean == pytest.approx(oracles.ref_sup_mean(v, pen), rel=1e-6, abs=1e-6)
+
+    def test_memory_bounded_at_the_cap(self, rng):
+        v = rng.choice(np.array([-1.0, 0.0, 1.0]), size=(300, 16))
+        pen = 0.25 * np.abs(v).sum(axis=1)
+        tracemalloc.start()
+        try:
+            _sup_mean(v, pen, "exact_enumeration", 0, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 class TestLossViews:
@@ -155,6 +193,15 @@ class TestInequalityChecks:
     def test_contraction_c0(self):
         rep = check_contraction(threshold_instance(10, 0.5), 0.0, 10, 120, seed=6)
         assert rep.passed
+
+    def test_contraction_needs_100_trials(self):
+        with pytest.raises(ValueError, match="at least 100 trials"):
+            check_contraction(threshold_instance(10, 0.5), 0.25, 10, 0, seed=6)
+
+    def test_localization_needs_100_trials(self):
+        with pytest.raises(ValueError, match="at least 100 trials"):
+            check_localization_bound(threshold_instance(10, 0.5), "halved_difference",
+                                     0.25, 10, 1, seed=2)
 
     def test_localization_zero_view(self):
         cls = HypothesisClass(PointDomain.of_size(4),
