@@ -18,6 +18,7 @@ from .classes import (DomainDistribution, HypothesisClass, MassartInstance,
 from .erm import AdversarialSpec, ErmPolicy, erm, excess_risk_all
 from .classes import sample
 from .geometry import gamma_loc, gamma_star, packing_log_vc_bound
+from . import measures
 from .measures import growth_function, star_number, vc_dimension
 from .util import make_rng, mean_ci99, tlog
 
@@ -148,7 +149,7 @@ def _sweep_cell(config: SweepConfig, hi: int, h, ni: int, n) -> dict:
     # non-exhausted searches rather than spending the cell budget on them
     if "sweep_measures" not in memo:
         memo["sweep_measures"] = (vc_dimension(instance.cls),
-                                  star_number(instance.cls, budget=3_000))
+                                  star_number(instance.cls, budget=measures.SWEEP_STAR_BUDGET))
     d, s = memo["sweep_measures"]
     flags.append("d_exact" if d.exact else "d_lower")
     flags.append("s_exact" if s.exact else "s_lower")

@@ -171,6 +171,10 @@ def _exact_pack(conflicts: _BitRows, ball: int, node_budget: int) -> tuple[list[
     (counts include the candidate itself, which shifts them all by one);
     returns (witness, certified).  certified=False when the node budget ran
     out, in which case the witness is the best packing found so far.
+    A node is pruned when the candidate count, or else the MCQ bound (Tomita
+    & Seki 2003: a greedy partition of the candidates into conflict cliques,
+    each holding at most one packed pattern), shows it cannot strictly beat
+    the incumbent; so the bound changes node counts, never a finished witness.
     """
     if not ball:
         return [], True
@@ -196,6 +200,17 @@ def _exact_pack(conflicts: _BitRows, ball: int, node_budget: int) -> tuple[list[
                 best_size, best_mask = cur_size, cur
             return
         if cur_size + cand.bit_count() <= best_size:
+            return
+        rest, k = cand, cur_size
+        while rest and k <= best_size:  # grow a clique from the lowest candidate
+            clique, grow = 0, rest & rows[(rest & -rest).bit_length() - 1]
+            while grow:
+                b = grow & -grow
+                clique |= b
+                grow &= rows[b.bit_length() - 1] & ~b
+            rest &= ~clique  # only the clique: its seed's other conflicts stay
+            k += 1
+        if k <= best_size:
             return
         rest = cand
         v, vdeg = -1, -1
@@ -716,13 +731,27 @@ def _greedy_cover(cover_masks: list[int], universe: int) -> list[int]:
     return chosen
 
 
-def _exact_cover_size(cover_masks: list[int], universe: int, node_budget: int) -> tuple[int, bool]:
-    """Minimal number of sets covering the universe (branch and bound)."""
-    ub = len(_greedy_cover(cover_masks, universe))
-    best = ub
+def _exact_cover_size(covers: np.ndarray, node_budget: int, beat: int) -> tuple[int, bool]:
+    """Fewest sets covering every element, covers[i, j] saying set i covers
+    element j, by branch and bound from the greedy cover; returns (size,
+    certified), certified=False when the node budget ran out.  A greedy
+    cover of at most beat sets (it cannot raise the caller's maximum) or one
+    meeting ceil(elements / largest set) is returned at once.  Nodes are
+    pruned by that bound and a dual one: uncovered elements picked so that
+    no set covers two of them each need a set of their own.
+    """
+    masks = _BitRows(covers)
+    cover_masks = [masks[i] for i in range(covers.shape[0])]
+    universe = (1 << covers.shape[1]) - 1
+    best = len(_greedy_cover(cover_masks, universe))
+    max_gain = max(m.bit_count() for m in cover_masks)
+    if best <= beat or math.ceil(covers.shape[1] / max_gain) >= best:
+        return best, True
+    f = covers.astype(np.float32)
+    near = _BitRows(f.T @ f > 0)   # element pairs some set covers together
+    n_covering = covers.sum(axis=0).tolist()
     nodes = 0
     exhausted = True
-    max_gain = max((m.bit_count() for m in cover_masks), default=1)
 
     def expand(left: int, used: int):
         nonlocal best, nodes, exhausted
@@ -737,15 +766,21 @@ def _exact_cover_size(cover_masks: list[int], universe: int, node_budget: int) -
             return
         if used + math.ceil(left.bit_count() / max_gain) >= best:
             return
+        picks, rest = used, left
+        while rest:
+            b = rest & -rest
+            rest &= ~(near[b.bit_length() - 1] | b)
+            picks += 1
+            if picks >= best:
+                return
         # branch on the uncovered element with the fewest covering sets
         elem, count = -1, None
         rest = left
         while rest:
             b = rest & -rest
             e = b.bit_length() - 1
-            c = sum(1 for m in cover_masks if m >> e & 1)
-            if count is None or c < count:
-                elem, count = e, c
+            if count is None or n_covering[e] < count:
+                elem, count = e, n_covering[e]
             rest ^= b
         options = [i for i, m in enumerate(cover_masks) if m >> elem & 1]
         options.sort(key=lambda i: -(cover_masks[i] & left).bit_count())
@@ -763,7 +798,8 @@ def doubling_dimension(cls: HypothesisClass, px: DomainDistribution,
 
     The px pseudo-metric is P_X(f != g); covers use centers from the ball
     itself.  Candidate radii are the attainable distance levels (the cover
-    is otherwise constant between levels).
+    is otherwise constant between levels).  _exact_cover_size's bounds
+    certify each cover; a greedy cover not above the best so far is final.
     """
     if not (0 < gamma_frac <= 1):
         raise ValueError("gamma_frac must lie in (0, 1]")
@@ -781,11 +817,8 @@ def doubling_dimension(cls: HypothesisClass, px: DomainDistribution,
             ball = np.nonzero(drow <= eps + tol)[0]
             if ball.size <= best.cover_size:
                 continue
-            half = eps / 2.0
-            covers = _BitRows(rho[np.ix_(ball, ball)] <= half + tol)
-            masks = [covers[i] for i in range(ball.size)]
-            universe = (1 << ball.size) - 1
-            size, certified = _exact_cover_size(masks, universe, COVER_NODE_BUDGET)
+            covers = rho[np.ix_(ball, ball)] <= eps / 2.0 + tol
+            size, certified = _exact_cover_size(covers, COVER_NODE_BUDGET, best.cover_size)
             all_exact = all_exact and certified
             if size > best.cover_size:
                 best = DoublingResult(value=tlog(size), exact=True, center_row=f,

@@ -31,6 +31,7 @@ VC_BUDGET = 500_000      # shatter checks from level 3 on
 GROWTH_BUDGET = 200_000  # most point subsets growth_function enumerates
 STAR_CAP = 64            # star_number's default value cap
 STAR_BUDGET = 200_000    # star_number's default search-node budget
+SWEEP_STAR_BUDGET = 3_000  # star_number's search-node budget in an erm sweep
 
 
 @dataclass(frozen=True)

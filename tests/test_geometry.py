@@ -66,10 +66,16 @@ class TestMaxPacking:
         sizes = [max_packing(pats, e).size for e in range(0, pats.shape[1] + 1)]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
-    def test_budget_downgrades_to_greedy(self, rng, monkeypatch):
-        pats = random_class(rng, max_points=8, max_rows=12).patterns
+    def test_budget_downgrades_to_greedy(self, monkeypatch):
+        # row i is +1 on points i and i+1 (mod 5), so at eps=2 the conflict
+        # graph is a 5-cycle: its maximum packing is 2 but its clique cover
+        # is 3, so the root bound cannot settle it in one node
+        pats = -np.ones((5, 5), dtype=np.int8)
+        for i in range(5):
+            pats[i, [i, (i + 1) % 5]] = 1
+        assert max_packing(pats, 2).size == 2
         monkeypatch.setattr(geometry, "PACK_NODE_BUDGET", 1)
-        res = max_packing(pats, 1)
+        res = max_packing(pats, 2)
         assert res.mode == "greedy" and res.budget_hit
 
 
@@ -79,6 +85,14 @@ def weighted_projection(seed, max_points=6, max_rows=12, max_draws=9):
     cls = random_class(rng, max_points=max_points, max_rows=max_rows)
     draws = rng.integers(0, cls.n_points, size=int(rng.integers(1, max_draws + 1)))
     return project(cls, draws), rng
+
+
+def brute_profile_size(proj, h, eps):
+    """Largest packing over every ball of one radius of a local profile."""
+    radius, sep = geometry._discretize(eps, h, proj.size)
+    d = proj.dists
+    balls = (np.nonzero(row <= radius)[0] for row in d)
+    return max(oracles.brute_max_packing(d[np.ix_(b, b)], sep) for b in balls)
 
 
 class TestPackingCore:
@@ -95,9 +109,19 @@ class TestPackingCore:
             conflicts = _BitRows(d <= eps)
             assert _members(ball) == subset.tolist()
             assert _greedy_pack(conflicts, ball) == oracles.ref_greedy_pack(d, eps, subset)
-            for budget in (1, 4, 200_000):
-                assert (_exact_pack(conflicts, ball, budget)
-                        == oracles.ref_exact_pack(d, eps, subset, budget))
+            assert (_exact_pack(conflicts, ball, 200_000)
+                    == oracles.ref_exact_pack(d, eps, subset, 200_000))
+            for budget in (1, 4):
+                # the bounds prune only what cannot beat the incumbent, so a
+                # starved search does no worse than the reference's
+                witness, certified = _exact_pack(conflicts, ball, budget)
+                ref_witness, ref_certified = oracles.ref_exact_pack(d, eps, subset, budget)
+                if ref_certified:
+                    assert (witness, certified) == (ref_witness, True)
+                assert len(witness) >= len(ref_witness)
+                if certified:
+                    assert len(witness) == oracles.brute_max_packing(
+                        d[np.ix_(subset, subset)], eps)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 100_000))
@@ -113,8 +137,15 @@ class TestPackingCore:
                             m.setattr(geometry, "PACK_NODE_BUDGET", budget)
                         got = _local_profile(proj, h, grid, exact)
                     want = oracles.ref_local_profile(proj, h, grid, exact, node_budget=budget)
-                    assert list(got[0].items()) == list(want[0].items())
-                    assert got[1] == want[1]
+                    if budget is None or not exact or want[1]:
+                        assert list(got[0].items()) == list(want[0].items())
+                        assert got[1] == want[1]
+                        continue
+                    # starved: never smaller, and what is certified is the maximum
+                    assert list(got[0]) == list(want[0])
+                    assert all(got[0][e][0] >= want[0][e][0] for e in grid)
+                    if got[1]:
+                        assert all(got[0][e][0] == brute_profile_size(proj, h, e) for e in grid)
 
     def test_max_packing_greedy_is_reference_greedy(self, rng):
         for _ in range(10):
@@ -132,6 +163,52 @@ class TestPackingCore:
         monkeypatch.setattr(geometry, "PACK_NODE_BUDGET", 0)
         _, certified = _local_profile(proj, 1.0, [1, 2, 3], exact=True)
         assert not certified
+
+
+class TestExactBounds:
+    """The clique-cover and dual cover bounds against the brute oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_max_packing_matches_brute(self, seed):
+        rng = np.random.default_rng(seed)
+        pats = np.unique(rng.choice(np.int8([-1, 1]), size=(int(rng.integers(5, 41)),
+                                                            int(rng.integers(3, 12)))), axis=0)
+        d = hamming_matrix(pats)
+        for eps in range(4):
+            res = max_packing(pats, eps)
+            assert res.mode == "exact"
+            assert res.size == oracles.brute_max_packing(d, eps)
+            assert verify_packing(d, eps, res.witness)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 100_000), st.sampled_from([0.1, 0.2, 0.3, 0.4, 0.5]))
+    def test_doubling_matches_brute(self, seed, gamma_frac):
+        # a starved budget leaves about one class in six uncertified here
+        cls = random_class(np.random.default_rng(seed), max_points=7, max_rows=20)
+        px = DomainDistribution.uniform(cls.n_points)
+        want = oracles.brute_doubling(cls, px, gamma_frac)
+        res = doubling_dimension(cls, px, gamma_frac)
+        assert res.exact and res.value == pytest.approx(want)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(geometry, "COVER_NODE_BUDGET", 1)
+            res = doubling_dimension(cls, px, gamma_frac)
+        assert not res.exact or res.value == pytest.approx(want)
+
+    def test_chain_501_is_certified(self):
+        # at eps=1 the threshold chain's conflict graph is a path; the node
+        # budget alone cannot certify it
+        pats = threshold_class(500).patterns
+        res = max_packing(pats, 1)
+        assert (res.mode, res.budget_hit, res.size) == ("exact", False, 251)
+        assert verify_packing(hamming_matrix(pats), 1, res.witness)
+
+    def test_threshold_profile_is_certified(self):
+        # every center and radius of the 65-pattern thresholds-64 projection
+        proj = project(threshold_class(64), range(64))
+        prof, certified = _local_profile(proj, 0.125, list(range(1, 9)), exact=True)
+        assert certified
+        assert [prof[eps][0] for eps in range(1, 9)] == [9, 17, 17, 22, 17, 17, 13, 13]
 
 
 class TestGlobalPacking:
@@ -387,11 +464,14 @@ class TestDoublingDimension:
                 assert tlog(lp.value) <= 2.0 * dd.value + 1e-9
 
     def test_starved_cover_budget_is_not_exact(self, monkeypatch):
+        # the greedy cover of the radius-0.2 ball around the all-minus row
+        # (10 sets, 9 at best) exceeds both root lower bounds, so one node
+        # cannot settle it
         cls = make_star_class("F1", 2, 10)
         px = DomainDistribution.uniform(10)
-        assert doubling_dimension(cls, px, 0.1).exact
+        assert doubling_dimension(cls, px, 0.2).exact
         monkeypatch.setattr(geometry, "COVER_NODE_BUDGET", 1)
-        assert not doubling_dimension(cls, px, 0.1).exact
+        assert not doubling_dimension(cls, px, 0.2).exact
 
 
 class TestPseudoconvexity:
