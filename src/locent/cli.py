@@ -432,10 +432,10 @@ def dispatch(argv) -> int:
     rp.add_argument("--out", default=None)
 
     ns = parser.parse_args(argv)
-    if ns.subcommand == "replay":
-        return _replay(ns.artifact, ns.out)
-    cli_args = {k: v for k, v in vars(ns).items() if k not in ("subcommand", "config")}
     try:
+        if ns.subcommand == "replay":
+            return _replay(ns.artifact, ns.out)
+        cli_args = {k: v for k, v in vars(ns).items() if k not in ("subcommand", "config")}
         opts = _resolve(ns.subcommand, cli_args, ns.config)
         config = {"subcommand": ns.subcommand,
                   "args": {k: v for k, v in sorted(opts.items()) if k != "out"}}
@@ -454,8 +454,14 @@ def _replay(artifact_path: str, out: str | None) -> int:
             config = json.loads(first[len("# config "):])
         else:
             fh.seek(0)
-            config = json.load(fh)["config"]
-    sub = config["subcommand"]
+            payload = json.load(fh)
+            config = payload.get("config") if isinstance(payload, dict) else None
+    sub = config.get("subcommand") if isinstance(config, dict) else None
+    if not (isinstance(sub, str) and sub in _BODIES and isinstance(config.get("args"), dict)):
+        raise ValueError(f"{artifact_path} embeds no config with a known subcommand and args")
+    unknown = sorted(set(config["args"]) - set(_OPTION_DEFAULTS[sub]))
+    if unknown:
+        raise ValueError(f"unknown {sub} option(s) in the embedded config: {', '.join(unknown)}")
     opts = dict(_OPTION_DEFAULTS[sub])
     opts.update(config["args"])
     opts["out"] = out

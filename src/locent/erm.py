@@ -11,7 +11,7 @@ import numpy as np
 
 from .classes import (DomainDistribution, HypothesisClass, LabeledSample,
                       MassartInstance, make_massart_instance, sample)
-from .geometry import _pseudoconvexity
+from .geometry import pseudoconvexity_constant
 from .measures import vc_dimension
 from .util import make_rng, mean_ci99
 
@@ -206,10 +206,12 @@ def build_adversarial_family(cls: HypothesisClass, h: float, n_budget: int,
     if h * h * n_budget <= d:
         raise ValueError(f"need h > sqrt(d/n) = sqrt({d}/{n_budget})")
     n0 = min(int(math.ceil(6.0 * n_budget * 1.0 * h / (1.0 - h))), POSITION_CAP)
-    first = _pseudoconvexity(cls, h, n0, search, seed)
-    big_n = min(int(math.ceil(6.0 * n_budget * first[0].constant * h / (1.0 - h))),
+    first = pseudoconvexity_constant(cls, h, n0, search=search, seed=seed)
+    big_n = min(int(math.ceil(6.0 * n_budget * first.constant * h / (1.0 - h))),
                 POSITION_CAP)
-    cf, row = _pseudoconvexity(cls, h, big_n, search, seed) if big_n != n0 else first
+    cf = (pseudoconvexity_constant(cls, h, big_n, search=search, seed=seed)
+          if big_n != n0 else first)
+    row = cf.row
     if row["eps"] is None:
         raise ValueError("local packing degenerated; increase n_budget")
 

@@ -228,9 +228,10 @@ def _exact_pack(conflicts: _BitRows, ball: int, node_budget: int) -> tuple[list[
     return _members(best_mask), exhausted
 
 
-def max_packing(patterns, eps: int, mode: str = "exact", weights=None,
+def max_packing(patterns, eps: int, mode: str = "exact",
                 dists: np.ndarray | None = None) -> PackingResult:
-    """Maximal subset with pairwise (weighted) Hamming distance > eps.
+    """Maximal subset of the patterns with pairwise Hamming distance > eps;
+    given dists (a weighted distance matrix, say), of its rows instead.
 
     Exact mode solves the conflict-graph maximum independent set by branch
     and bound (falling back to the greedy witness, flagged, when the node
@@ -243,7 +244,7 @@ def max_packing(patterns, eps: int, mode: str = "exact", weights=None,
         pats = np.asarray(patterns)
         if pats.ndim != 2 or pats.shape[0] < 1:
             raise ValueError("patterns must be a nonempty matrix")
-        dists = hamming_matrix(pats, weights=weights)
+        dists = hamming_matrix(pats)
     conflicts = _BitRows(dists <= eps)
     everything = (1 << dists.shape[0]) - 1
     if mode == "greedy":
@@ -335,42 +336,48 @@ def _exhaustive_multisets(cls: HypothesisClass, n: int, search: str,
     return count * max(eval_work, 1) <= MULTISET_WORK
 
 
-def _maximize_over_multisets(cls: HypothesisClass, n: int, objective, seed: int,
-                             exhaustive: bool):
-    """Maximize objective(Projection) -> (score, payload, certified) over
-    n-point multisets.
+def _pooled_search(cls: HypothesisClass, n: int, exhaustive: bool, seed: int, profile, score):
+    """Search the n-point multisets and pool their profiles.
 
-    exhaustive=True enumerates every multiset; otherwise canonical + random
-    starts are evaluated and the incumbent is refined by single-point
-    swaps.  Returns (score, payload, multiset, exact): the result is exact
-    only when the search was exhaustive and every evaluation was certified,
-    since an uncertified evaluation may have missed a larger score.
+    profile(Projection) returns ({key: (size, *payload)}, certified); the
+    pool maps each key to (size, *payload, multiset, row_map) of the first
+    visited multiset with the largest size there, row_map reading projected
+    rows as class rows.  exhaustive=True enumerates every multiset;
+    otherwise canonical + random starts are evaluated and the first one with
+    the largest score(profile) is refined by single-point swaps.  Returns
+    (pooled, exact): exact only when the search was exhaustive and every
+    profile was certified, since an uncertified profile may have missed a
+    larger size.
     """
     m = cls.n_points
-    best = (None, None, None)  # score, payload, multiset
+    pooled: dict = {}
+    best = (None, None)  # score, multiset
     certified_all = True
 
     def consider(ms):
         nonlocal best, certified_all
         proj = project(cls, ms)
-        score, payload, certified = objective(proj)
+        prof, certified = profile(proj)
         certified_all = certified_all and certified
-        if best[0] is None or score > best[0]:
-            best = (score, payload, proj.multiset)
-        return score
+        for key, entry in prof.items():
+            if key not in pooled or entry[0] > pooled[key][0]:
+                pooled[key] = (*entry, proj.multiset, proj.row_map)
+        s = score(prof)
+        if best[0] is None or s > best[0]:
+            best = (s, proj.multiset)
+        return s
 
     if exhaustive:
         for ms in combinations_with_replacement(range(m), n):
             consider(ms)
-        return *best, certified_all
+        return pooled, certified_all
 
     restarts, swap_tries = _search_scale(cls)
     rng = make_rng(seed, m, n, 101)
     for start in _start_multisets(cls, n, seed, restarts):
         consider(start)
     # refine only the incumbent: single-point swaps, first improvement
-    current = list(best[2])
-    cur_score = best[0]
+    cur_score, current = best[0], list(best[1])
     for _ in range(swap_tries):
         pos = int(rng.integers(0, n))
         new_pt = int(rng.integers(0, m))
@@ -381,40 +388,7 @@ def _maximize_over_multisets(cls: HypothesisClass, n: int, objective, seed: int,
         s = consider(tuple(sorted(cand)))
         if s > cur_score:
             current, cur_score = cand, s
-    return *best, False
-
-
-# ---------------------------------------------------------------------------
-# global packing numbers and their fixed point
-
-
-@dataclass(frozen=True)
-class GlobalPackingResult:
-    packing: PackingResult
-    multiset: tuple[int, ...]
-    exact: bool                  # multiset search exhausted and every packing certified
-
-    @property
-    def size(self) -> int:
-        return self.packing.size
-
-
-def global_packing_number(cls: HypothesisClass, gamma: int, n: int,
-                          search: str = "auto", seed: int = 0) -> GlobalPackingResult:
-    """Worst case over n-point multisets of the maximal gamma-packing size."""
-    if gamma < 0 or n < 1:
-        raise ValueError("need gamma >= 0 and n >= 1")
-
-    want_exact = _exhaustive_multisets(cls, n, search, eval_work=cls.n_rows)
-    mode = "exact" if want_exact else "greedy"
-
-    def objective(proj: Projection):
-        res = max_packing(None, gamma, mode=mode, dists=proj.dists)
-        return res.size, res, res.mode == "exact"
-
-    _, packing, ms, exact = _maximize_over_multisets(cls, n, objective, seed,
-                                                     exhaustive=want_exact)
-    return GlobalPackingResult(packing=packing, multiset=ms, exact=exact)
+    return pooled, False
 
 
 @dataclass(frozen=True)
@@ -425,57 +399,97 @@ class FixedPointResult:
     exact: bool
 
 
+def _satisfied(slope: float, gamma: int, size: int) -> bool:
+    """The fixed-point inequality slope*gamma <= log(size)."""
+    return slope * gamma <= tlog(size) + 1e-12
+
+
+def _fixed_point(cls: HypothesisClass, slope: float, n: int, params: dict,
+                 search) -> FixedPointResult:
+    """Largest gamma with slope*gamma <= log of the packing size at gamma.
+
+    The scan covers gamma in [1, g_cap], g_cap = min(n,
+    floor(tlog(#patterns)/slope)); larger gamma cannot satisfy the
+    inequality because no packing has more patterns than the class.  Values
+    of gamma up to floor(1/slope) always satisfy it (truncated log >= 1),
+    which also bounds the result from below past the scan, hence
+    slope * gamma >= 1/2 always.  search(g_cap) runs the multiset search
+    and returns (read, exact), read(g) giving (size, columns) of scan row g.
+    """
+    g_cap = min(n, int(math.floor(tlog(cls.n_rows) / slope + 1e-12)))
+    read, exact = search(g_cap)
+    rows = []
+    for g in range(1, g_cap + 1):
+        size, columns = read(g)
+        rows.append({"gamma": g, "log_packing": tlog(size),
+                     "satisfied": _satisfied(slope, g, size), "witness_size": size, **columns})
+    gamma = max([1, int(math.floor(1.0 / slope + 1e-12))]
+                + [r["gamma"] for r in rows if r["satisfied"]])
+    assert slope * gamma >= 0.5 - 1e-12, "fixed point dropped below its guaranteed floor"
+    return FixedPointResult(gamma=gamma, scan=tuple(rows), params=params, exact=exact)
+
+
+# ---------------------------------------------------------------------------
+# global packing numbers and their fixed point
+
+
+@dataclass(frozen=True)
+class GlobalPackingResult:
+    packing: PackingResult       # witness in the multiset's projected-row indices
+    multiset: tuple[int, ...]
+    exact: bool                  # multiset search exhausted and every packing certified
+
+    @property
+    def size(self) -> int:
+        return self.packing.size
+
+
+def _global_profile(gammas, exhaustive: bool):
+    """Profile of a projection's maximal gamma-packings, one key per gamma."""
+    mode = "exact" if exhaustive else "greedy"
+
+    def profile(proj: Projection):
+        packs = {g: max_packing(None, g, mode=mode, dists=proj.dists) for g in gammas}
+        return ({g: (res.size, res) for g, res in packs.items()},
+                all(res.mode == "exact" for res in packs.values()))
+    return profile
+
+
+def global_packing_number(cls: HypothesisClass, gamma: int, n: int,
+                          search: str = "auto", seed: int = 0) -> GlobalPackingResult:
+    """Worst case over n-point multisets of the maximal gamma-packing size."""
+    if gamma < 0 or n < 1:
+        raise ValueError("need gamma >= 0 and n >= 1")
+    exhaustive = _exhaustive_multisets(cls, n, search, eval_work=cls.n_rows)
+    pooled, exact = _pooled_search(cls, n, exhaustive, seed, _global_profile([gamma], exhaustive),
+                                   score=lambda prof: prof[gamma][0])
+    _, packing, ms, _ = pooled[gamma]
+    return GlobalPackingResult(packing=packing, multiset=ms, exact=exact)
+
+
 def gamma_star(cls: HypothesisClass, c: float, n: int, search: str = "auto",
                seed: int = 0) -> FixedPointResult:
     """Largest gamma with c*gamma <= log of the worst-case gamma-packing on n points.
 
-    The scan covers gamma in [1, min(n, floor(tlog(#patterns)/c))]; larger
-    gamma cannot satisfy the inequality because a projection never has more
-    patterns than the class.  Values of gamma up to floor(1/c) always
-    satisfy it (truncated log >= 1), which also bounds the result from
-    below when the scan window is empty.
+    One pooled multiset search serves the scan over gamma in [1, min(n,
+    floor(tlog(#patterns)/c))]; the result is never below floor(1/c).
     """
     if not (0 < c <= 1):
         raise ValueError("c must lie in (0, 1]")
     if n < 1:
         raise ValueError("n must be >= 1")
-    g_cap = min(n, int(math.floor(tlog(cls.n_rows) / c + 1e-12)))
-    floor_gamma = int(math.floor(1.0 / c + 1e-12))
 
-    want_exact = _exhaustive_multisets(cls, n, search,
-                                       eval_work=cls.n_rows * max(g_cap, 1))
-    mode = "exact" if want_exact else "greedy"
-    per_gamma: dict[int, PackingResult] = {}
+    def score(prof):  # the fixed point the multiset certifies alone
+        return max([0] + [g for g, (size, _) in prof.items() if _satisfied(c, g, size)])
 
-    def objective(proj: Projection):
-        best_gamma = 0
-        certified = True
-        for g in range(1, g_cap + 1):
-            res = max_packing(None, g, mode=mode, dists=proj.dists)
-            certified = certified and res.mode == "exact"
-            prev = per_gamma.get(g)
-            if prev is None or res.size > prev.size:
-                per_gamma[g] = res
-            if c * g <= tlog(res.size) + 1e-12:
-                best_gamma = g
-        return best_gamma, None, certified
+    def search_scan(g_cap):
+        exhaustive = _exhaustive_multisets(cls, n, search, eval_work=cls.n_rows * g_cap)
+        pooled, exact = _pooled_search(cls, n, exhaustive, seed,
+                                       _global_profile(range(1, g_cap + 1), exhaustive), score)
+        return (lambda g: (pooled[g][0], {"mode": pooled[g][1].mode})), exact
 
-    _, _, _, exact = _maximize_over_multisets(cls, n, objective, seed, exhaustive=want_exact)
-
-    rows = []
-    best = 0
-    for g in range(1, g_cap + 1):
-        res = per_gamma[g]
-        lg = tlog(res.size)
-        ok = c * g <= lg + 1e-12
-        rows.append({"gamma": g, "log_packing": lg, "satisfied": ok,
-                     "witness_size": res.size, "mode": res.mode})
-        if ok:
-            best = g
-    gamma = max(best, floor_gamma, 1)
-    return FixedPointResult(gamma=gamma, scan=tuple(rows),
-                            params={"c": c, "n": n, "search": search, "seed": seed},
-                            exact=exact)
+    return _fixed_point(cls, c, n, {"c": c, "n": n, "search": search, "seed": seed},
+                        search_scan)
 
 
 # ---------------------------------------------------------------------------
@@ -573,42 +587,22 @@ def _local_profile(proj: Projection, h: float, eps_values: list[int], exact: boo
     return out, certified_all
 
 
-def _pooled_search(cls: HypothesisClass, n: int, h: float, eps_values: list[int],
-                   exhaustive: bool, seed: int, score):
-    """Search the n-point multisets for the largest score(profile) and pool
-    their local profiles; returns (pooled, exact), pooled mapping each radius
-    to (size, center_row, witness_rows, multiset) of the first visited
-    multiset with the largest packing there."""
-    pooled: dict[int, tuple[int, int, tuple, tuple]] = {}
-
-    def objective(proj: Projection):
-        prof, certified = _local_profile(proj, h, eps_values, exact=exhaustive)
-        for eps, (size, center, witness) in prof.items():
-            if size > pooled.get(eps, (0,))[0]:
-                pooled[eps] = (size, int(proj.row_map[center]),
-                               tuple(int(proj.row_map[w]) for w in witness),
-                               proj.multiset)
-        return score(prof), None, certified
-
-    *_, exact = _maximize_over_multisets(cls, n, objective, seed, exhaustive=exhaustive)
-    return pooled, exact
-
-
 _NO_PACKING = {"eps": None, "center_row": None, "multiset": None, "witness": (),
                "ball_radius": None, "separation": None}
 
 
 def _packing_at(pooled: dict, gamma: int, h: float, n: int, beat: int) -> tuple[int, dict]:
     """The local packing number at gamma: the largest pooled packing over
-    radii >= gamma, at its smallest radius, as (size, certificate fields).
-    A packing no larger than beat reads (beat, empty fields)."""
+    radii >= gamma, at its smallest radius, as (size, certificate fields in
+    class rows).  A packing no larger than beat reads (beat, empty fields)."""
     size, neg_eps = max(((s, -e) for e, (s, *_) in pooled.items() if e >= gamma),
                         default=(beat, 0))
     if size <= beat:
         return beat, _NO_PACKING
-    _, center, witness, ms = pooled[-neg_eps]
+    _, center, witness, ms, row_map = pooled[-neg_eps]
     radius, sep = _discretize(-neg_eps, h, n)
-    return size, {"eps": -neg_eps, "center_row": center, "multiset": ms, "witness": witness,
+    return size, {"eps": -neg_eps, "center_row": int(row_map[center]), "multiset": ms,
+                  "witness": tuple(int(row_map[w]) for w in witness),
                   "ball_radius": radius, "separation": sep}
 
 
@@ -624,16 +618,17 @@ def local_packing_number(cls: HypothesisClass, gamma: int, n: int, h: float,
     if gamma < 1 or n < 1 or not (0 < h <= 1):
         raise ValueError("need gamma >= 1, n >= 1, h in (0, 1]")
     hi = int(math.floor(n * h + 1e-12))
-    want_exact = _exhaustive_multisets(cls, n, search,
+    exhaustive = _exhaustive_multisets(cls, n, search,
                                        eval_work=cls.n_rows * (hi - gamma + 1))
     if gamma > hi:
         return LocalPackingResult(value=1, exact=True, **_NO_PACKING)
+    grid = _eps_grid(gamma, hi, exhaustive)
 
     def score(prof):  # largest packing, then smallest radius: _packing_at's order
         return max((size, -eps) for eps, (size, _, _) in prof.items())
 
-    pooled, exact = _pooled_search(cls, n, h, _eps_grid(gamma, hi, want_exact),
-                                   want_exact, seed, score)
+    pooled, exact = _pooled_search(cls, n, exhaustive, seed,
+                                   lambda proj: _local_profile(proj, h, grid, exhaustive), score)
     value, fields = _packing_at(pooled, gamma, h, n, beat=0)
     return LocalPackingResult(value=value, exact=exact, **fields)
 
@@ -643,44 +638,42 @@ def gamma_loc(cls: HypothesisClass, h: float, h_prime: float, n: int,
     """Largest gamma with h*gamma <= log of the local packing number at gamma.
 
     The local packing number at gamma is the sup over radii eps >= gamma,
-    so it equals the suffix maximum of the per-radius profile; one profile
-    pass per candidate multiset serves the whole scan.  gamma values up to
-    floor(1/h) always satisfy the inequality (truncated log >= 1), hence
-    h * gamma_loc >= 1/2 always.  A scan row whose packing is a single
-    pattern carries empty certificate fields.
+    so it equals the suffix maximum of the per-radius profile; one pooled
+    search serves the whole scan over gamma in [1, min(n,
+    floor(tlog(#patterns)/h))], and the result is never below floor(1/h).
+    A scan row whose packing is a single pattern carries empty certificate
+    fields.
     """
     if not (0 < h <= 1) or not (0 < h_prime <= 1):
         raise ValueError("h and h' must lie in (0, 1]")
     if n < 1:
         raise ValueError("n must be >= 1")
-    g_cap = min(n, int(math.floor(tlog(cls.n_rows) / h + 1e-12)))
-    floor_gamma = max(1, int(math.floor(1.0 / h + 1e-12)))
     hi = int(math.floor(n * h_prime + 1e-12))
-    want_exact = _exhaustive_multisets(cls, n, search,
-                                       eval_work=cls.n_rows * max(hi, 1))
 
-    def score(prof):  # the fixed point the multiset certifies alone
-        suffix = 0
-        for eps in sorted(prof, reverse=True):
-            suffix = max(suffix, prof[eps][0])
-            if eps <= g_cap and h * eps <= tlog(suffix) + 1e-12:
-                return eps
-        return 0
+    def search_scan(g_cap):
+        exhaustive = _exhaustive_multisets(cls, n, search, eval_work=cls.n_rows * max(hi, 1))
+        grid = _eps_grid(1, hi, exhaustive)
 
-    pooled, exact = _pooled_search(cls, n, h_prime, _eps_grid(1, hi, want_exact),
-                                   want_exact, seed, score)
-    rows = []
-    for g in range(1, g_cap + 1):
-        size, fields = _packing_at(pooled, g, h_prime, n, beat=1)
-        lg = tlog(size)
-        rows.append({"gamma": g, "log_packing": lg, "satisfied": h * g <= lg + 1e-12,
-                     "witness_size": size, "mode": "exact" if exact else "greedy", **fields})
-    gamma = max([floor_gamma] + [r["gamma"] for r in rows if r["satisfied"]])
-    assert h * gamma >= 0.5 - 1e-12, "fixed point dropped below its guaranteed floor"
-    return FixedPointResult(gamma=gamma, scan=tuple(rows),
-                            params={"h": h, "h_prime": h_prime, "n": n,
-                                    "search": search, "seed": seed},
-                            exact=exact)
+        def score(prof):  # the fixed point the multiset certifies alone
+            suffix = 0
+            for eps in sorted(prof, reverse=True):
+                suffix = max(suffix, prof[eps][0])
+                if eps <= g_cap and _satisfied(h, eps, suffix):
+                    return eps
+            return 0
+
+        pooled, exact = _pooled_search(
+            cls, n, exhaustive, seed,
+            lambda proj: _local_profile(proj, h_prime, grid, exhaustive), score)
+        mode = "exact" if exact else "greedy"
+
+        def read(g):
+            size, fields = _packing_at(pooled, g, h_prime, n, beat=1)
+            return size, {"mode": mode, **fields}
+        return read, exact
+
+    return _fixed_point(cls, h, n, {"h": h, "h_prime": h_prime, "n": n,
+                                    "search": search, "seed": seed}, search_scan)
 
 
 # ---------------------------------------------------------------------------
@@ -834,20 +827,16 @@ class PseudoconvexityReport:
     eps: int | None
     n: int
     exact: bool
+    row: dict                    # gamma_loc(h, 1, n)'s scan row at the fixed point
 
 
 def pseudoconvexity_constant(cls: HypothesisClass, h: float, n: int,
                              search: str = "auto", seed: int = 0) -> PseudoconvexityReport:
     """Smallest c certifying pseudoconvexity at this n: the ratio between the
     radius achieving the local packing supremum (with unit ball scale) at
-    gamma_loc(h, 1) and the fixed point itself."""
-    return _pseudoconvexity(cls, h, n, search, seed)[0]
-
-
-def _pseudoconvexity(cls: HypothesisClass, h: float, n: int, search: str,
-                     seed: int) -> tuple[PseudoconvexityReport, dict]:
-    """pseudoconvexity_constant plus the scan row of gamma_loc(h, 1, n) at
-    its fixed point, whose packing certificate the constant is read from."""
+    gamma_loc(h, 1) and the fixed point itself.  The report carries that
+    fixed point's scan row, whose packing certificate the constant is read
+    from."""
     fp = gamma_loc(cls, h, 1.0, n, search=search, seed=seed)
     # the fixed point lies past the scan only when floor(1/h) > n, where no
     # radius reaches it and the local packing is the center alone
@@ -855,7 +844,7 @@ def _pseudoconvexity(cls: HypothesisClass, h: float, n: int, search: str,
     eps = row["eps"]
     constant = 1.0 if eps is None else max(1.0, eps / fp.gamma)
     return PseudoconvexityReport(constant=constant, gamma=fp.gamma, eps=eps, n=n,
-                                 exact=fp.exact), row
+                                 exact=fp.exact, row=row)
 
 
 def packing_log_vc_bound(d: int, s: int, n: int, gamma: int, h: float) -> float:

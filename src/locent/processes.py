@@ -182,6 +182,17 @@ def shifted_process_sup(view: LossClassView, instance: MassartInstance,
     return float((pg - (1.0 + c) * png).max())
 
 
+def _one_sided(name: str, lhs: np.ndarray, rhs: np.ndarray, details: dict) -> InequalityReport:
+    """E lhs <= E rhs from per-trial values, with 3-sigma slack: passes unless
+    the lhs mean exceeds the rhs mean by more than 3 hypot(lhs_se, rhs_se)."""
+    lhs_m, rhs_m = float(lhs.mean()), float(rhs.mean())
+    lhs_se = float(lhs.std(ddof=1) / math.sqrt(len(lhs)))
+    rhs_se = float(rhs.std(ddof=1) / math.sqrt(len(rhs)))
+    return InequalityReport(
+        name=name, lhs=lhs_m, rhs=rhs_m, lhs_ci=NORMAL_99 * lhs_se, rhs_ci=NORMAL_99 * rhs_se,
+        passed=lhs_m <= rhs_m + 3.0 * math.hypot(lhs_se, rhs_se), details=details)
+
+
 def check_symmetrization_expectation(view: LossClassView, instance: MassartInstance,
                                      c: float, n: int, trials: int, seed: int) -> InequalityReport:
     """Shifted symmetrization in expectation:
@@ -200,15 +211,8 @@ def check_symmetrization_expectation(view: LossClassView, instance: MassartInsta
         mean, _, _, _ = _sup_mean(vals, penalties, _auto_mode(n), INNER_REPS,
                                   make_rng(seed, t, 2))
         rhs[t] = (c + 2.0) / n * mean
-    lhs_m, rhs_m = float(lhs.mean()), float(rhs.mean())
-    lhs_se = float(lhs.std(ddof=1) / math.sqrt(trials))
-    rhs_se = float(rhs.std(ddof=1) / math.sqrt(trials))
-    slack = 3.0 * math.hypot(lhs_se, rhs_se)
-    return InequalityReport(
-        name="shifted_symmetrization", lhs=lhs_m, rhs=rhs_m,
-        lhs_ci=NORMAL_99 * lhs_se, rhs_ci=NORMAL_99 * rhs_se,
-        passed=lhs_m <= rhs_m + slack,
-        details={"c": c, "n": n, "trials": trials, "seed": seed, "view": view.view})
+    return _one_sided("shifted_symmetrization", lhs, rhs,
+                      {"c": c, "n": n, "trials": trials, "seed": seed, "view": view.view})
 
 
 def check_contraction(instance: MassartInstance, c: float, n: int, trials: int,
@@ -244,15 +248,8 @@ def check_contraction(instance: MassartInstance, c: float, n: int, trials: int,
         gv = disagree.values(xs)
         term2 = float((gv @ xi - (h / 3.0) * gv.sum(axis=1)).max())
         rhs[t] = mean1 + 1.5 * c * term2
-    lhs_m, rhs_m = float(lhs.mean()), float(rhs.mean())
-    lhs_se = float(lhs.std(ddof=1) / math.sqrt(trials))
-    rhs_se = float(rhs.std(ddof=1) / math.sqrt(trials))
-    slack = 3.0 * math.hypot(lhs_se, rhs_se)
-    return InequalityReport(
-        name="excess_loss_contraction", lhs=lhs_m, rhs=rhs_m,
-        lhs_ci=NORMAL_99 * lhs_se, rhs_ci=NORMAL_99 * rhs_se,
-        passed=lhs_m <= rhs_m + slack,
-        details={"c": c, "n": n, "h": h, "trials": trials, "seed": seed})
+    return _one_sided("excess_loss_contraction", lhs, rhs,
+                      {"c": c, "n": n, "h": h, "trials": trials, "seed": seed})
 
 
 def check_localization_bound(instance: MassartInstance, view_kind: str, c: float,

@@ -141,6 +141,53 @@ class TestErrorPaths:
             run(["frobnicate"])
         assert exc.value.code == 1
 
+    def _artifact(self, tmp_path):
+        a = tmp_path / "a.json"
+        assert run(["packing", "--generator", "f1", "--d", "1", "--s", "4", "--n", "3",
+                    "--search", "exact", "--out", str(a)]) == 0
+        return a, json.loads(a.read_text())
+
+    def _replay_fails(self, path, capsys, match):
+        out = path.parent / "replayed.json"
+        assert run(["replay", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("locent replay: error: ") and match in err
+        assert not out.exists()
+
+    def test_replay_missing_file(self, tmp_path, capsys):
+        self._replay_fails(tmp_path / "nope.json", capsys, "nope.json")
+
+    def test_replay_bad_json(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        self._replay_fails(bad, capsys, "Expecting property name")
+
+    def test_replay_unknown_subcommand(self, tmp_path, capsys):
+        a, payload = self._artifact(tmp_path)
+        payload["config"]["subcommand"] = "frobnicate"
+        a.write_text(json.dumps(payload))
+        self._replay_fails(a, capsys, "no config with a known subcommand")
+
+    def test_replay_config_without_args(self, tmp_path, capsys):
+        a, payload = self._artifact(tmp_path)
+        del payload["config"]["args"]
+        a.write_text(json.dumps(payload))
+        self._replay_fails(a, capsys, "no config with a known subcommand")
+        a.write_text(json.dumps([1, 2]))
+        self._replay_fails(a, capsys, "no config with a known subcommand")
+
+    def test_replay_unknown_option(self, tmp_path, capsys):
+        a, payload = self._artifact(tmp_path)
+        payload["config"]["args"]["serach"] = "exact"
+        a.write_text(json.dumps(payload))
+        self._replay_fails(a, capsys, "unknown packing option(s) in the embedded config: serach")
+
+    def test_replay_unknown_search(self, tmp_path, capsys):
+        a, payload = self._artifact(tmp_path)
+        payload["config"]["args"]["search"] = "exactt"
+        a.write_text(json.dumps(payload))
+        self._replay_fails(a, capsys, "unknown search 'exactt'")
+
 
 class TestPipelines:
     def test_class_file_roundtrip_through_cli(self, tmp_path):

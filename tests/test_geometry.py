@@ -302,6 +302,53 @@ class TestGammaStar:
         row = fp.scan[0]
         assert set(row) == {"gamma", "log_packing", "satisfied", "witness_size", "mode"}
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_scan_row_is_the_global_packing(self, seed):
+        # one pooled search serves the whole scan: row g holds
+        # global_packing_number at g, and the brute maximum where both are exact
+        rng = np.random.default_rng(seed)
+        cls = random_class(rng, max_points=5, max_rows=8)
+        n = int(rng.integers(1, 5))
+        fp = gamma_star(cls, float(rng.choice([1.0, 0.5, 0.25])), n, search="exact")
+        for row in fp.scan:
+            gp = global_packing_number(cls, row["gamma"], n, search="exact")
+            assert (row["witness_size"], row["mode"]) == (gp.size, gp.packing.mode)
+            if fp.exact and gp.exact:
+                assert gp.size == oracles.brute_global_packing(cls, row["gamma"], n)
+
+
+class TestHillClimbPooling:
+    """Frozen hill-climb results: they pin the start order, the swap order
+    and the first-visited tie-breaking of the pooled multiset search."""
+
+    THR64_MULTISET = (0, 4, 8, 13, 17, 21, 25, 29, 34, 38, 42, 46, 50, 55, 59, 63)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_thresholds_64(self, seed):
+        cls = threshold_class(64)
+        res = global_packing_number(cls, 2, 16, search="hill_climb", seed=seed)
+        assert (res.multiset, res.packing.witness, res.size, res.exact) == (
+            self.THR64_MULTISET, (0, 3, 6, 9, 12, 15), 6, False)
+        fp = gamma_star(cls, 0.5, 16, search="hill_climb", seed=seed)
+        assert fp.gamma == 3 and not fp.exact
+        assert [r["witness_size"] for r in fp.scan] == [9, 6, 5, 4, 3, 3, 3, 2]
+
+    @pytest.mark.parametrize("seed, multiset, witness, scan", [
+        (0, (3, 3, 3, 5, 5, 5, 6, 6, 7, 7), (0, 5, 6, 7, 8, 9, 10),
+         [17, 12, 11, 7, 4, 2, 2]),
+        (1, (2, 2, 3, 3, 4, 4, 5, 5, 6, 6), (0, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+         [17, 16, 11, 4, 2, 2, 2]),
+    ])
+    def test_f1_d2_s8(self, seed, multiset, witness, scan):
+        cls = make_star_class("F1", 2, 8)
+        res = global_packing_number(cls, 3, 10, search="hill_climb", seed=seed)
+        assert (res.multiset, res.packing.witness, res.size) == (multiset, witness,
+                                                                  len(witness))
+        fp = gamma_star(cls, 0.5, 12, search="hill_climb", seed=seed)
+        assert fp.gamma == 3 and [r["witness_size"] for r in fp.scan] == scan
+        assert {r["mode"] for r in fp.scan} == {"greedy"}
+
 
 class TestLocalPacking:
     def test_empty_radius_range_collapses(self):
@@ -504,6 +551,12 @@ class TestPseudoconvexity:
         rep = pseudoconvexity_constant(make_star_class("F1", 2, 8), 0.5, 16,
                                        search="hill_climb", seed=0)
         assert rep.constant >= 1.0 and rep.eps is not None
+
+    def test_row_is_the_fixed_point_scan_row(self):
+        cls = make_star_class("F1", 2, 8)
+        rep = pseudoconvexity_constant(cls, 0.5, 16, search="hill_climb", seed=0)
+        fp = gamma_loc(cls, 0.5, 1.0, 16, search="hill_climb", seed=0)
+        assert rep.row == fp.scan[rep.gamma - 1] and rep.row["eps"] == rep.eps
 
 
 class TestDeterminism:
