@@ -18,7 +18,6 @@ from .classes import (DomainDistribution, HypothesisClass, MassartInstance,
 from .erm import AdversarialSpec, ErmPolicy, erm, excess_risk_all
 from .classes import sample
 from .geometry import gamma_loc, gamma_star, packing_log_vc_bound
-from . import measures
 from .measures import growth_function, star_number, vc_dimension
 from .util import make_rng, mean_ci99, tlog
 
@@ -145,11 +144,9 @@ def _sweep_cell(config: SweepConfig, hi: int, h, ni: int, n) -> dict:
     fs = memo[key]
     flags = ["loc_exact" if fp.exact else "loc_heuristic",
              "star_exact" if fs.exact else "star_heuristic"]
-    # d and s are per-class diagnostics; sweeps bound them tightly and flag
-    # non-exhausted searches rather than spending the cell budget on them
+    # d and s are per-class diagnostics, computed once per class
     if "sweep_measures" not in memo:
-        memo["sweep_measures"] = (vc_dimension(instance.cls),
-                                  star_number(instance.cls, budget=measures.SWEEP_STAR_BUDGET))
+        memo["sweep_measures"] = (vc_dimension(instance.cls), star_number(instance.cls))
     d, s = memo["sweep_measures"]
     flags.append("d_exact" if d.exact else "d_lower")
     flags.append("s_exact" if s.exact else "s_lower")
@@ -198,7 +195,7 @@ def check_sandwich(cls: HypothesisClass, h: float, n: int, d: int | None = None,
     packing, so they must satisfy the bound as well).
     """
     dres = vc_dimension(cls) if d is None else None
-    sres = star_number(cls, cap=max(64, cls.n_points + 1)) if s is None else None
+    sres = star_number(cls) if s is None else None
     d_val = d if d is not None else dres.value
     s_val = s if s is not None else sres.value
     soft = (dres is not None and not dres.exact) or (sres is not None and not sres.exact)
@@ -238,7 +235,7 @@ def check_star_theorem(cls: HypothesisClass, n: int, trials: int, seed: int,
                        target: int = 0,
                        px: DomainDistribution | None = None) -> StarTheoremReport:
     """Realizable mean ERM risk against log of the growth function at s min n."""
-    s = star_number(cls, cap=max(64, cls.n_points + 1))
+    s = star_number(cls)
     m = max(1, min(s.value, n))
     growth = growth_function(cls, m)
     bound = tlog(growth.value) / n

@@ -271,15 +271,8 @@ def verify_packing(dists: np.ndarray, eps: int, witness) -> bool:
 
 def _canonical_multiset(m: int, n: int) -> tuple[int, ...]:
     """Evenly spread n picks over m points (all-distinct when n == m)."""
-    if n <= m:
-        idx = np.unique(np.round(np.linspace(0, m - 1, n)).astype(int))
-        k = 0
-        out = list(idx)
-        while len(out) < n:  # fill collisions deterministically
-            if k not in out:
-                out.append(k)
-            k += 1
-        return tuple(sorted(out[:n]))
+    if n <= m:  # picks at least one apart round to distinct points
+        return tuple(np.round(np.linspace(0, m - 1, n)).astype(int))
     base, extra = divmod(n, m)
     counts = [base + (1 if i < extra else 0) for i in range(m)]
     out = []
@@ -710,18 +703,16 @@ class DoublingResult:
     cover_size: int
 
 
-def _greedy_cover(cover_masks: list[int], universe: int) -> list[int]:
-    chosen: list[int] = []
-    left = universe
-    while left:
-        best_i, best_gain = -1, -1
-        for i, m in enumerate(cover_masks):
-            gain = (m & left).bit_count()
-            if gain > best_gain:
-                best_i, best_gain = i, gain
-        chosen.append(best_i)
-        left &= ~cover_masks[best_i]
-    return chosen
+def _greedy_cover_size(covers: np.ndarray) -> int:
+    """Sets a greedy cover takes: repeatedly the first set covering the most
+    uncovered elements."""
+    counts = covers.astype(np.int32)
+    left = np.ones(covers.shape[1], dtype=np.int32)
+    size = 0
+    while left.any():
+        left[covers[int(np.argmax(counts @ left))]] = 0
+        size += 1
+    return size
 
 
 def _exact_cover_size(covers: np.ndarray, node_budget: int, beat: int) -> tuple[int, bool]:
@@ -733,13 +724,13 @@ def _exact_cover_size(covers: np.ndarray, node_budget: int, beat: int) -> tuple[
     pruned by that bound and a dual one: uncovered elements picked so that
     no set covers two of them each need a set of their own.
     """
+    best = _greedy_cover_size(covers)
+    max_gain = int(covers.sum(axis=1).max())
+    if best <= beat or math.ceil(covers.shape[1] / max_gain) >= best:
+        return best, True
     masks = _BitRows(covers)
     cover_masks = [masks[i] for i in range(covers.shape[0])]
     universe = (1 << covers.shape[1]) - 1
-    best = len(_greedy_cover(cover_masks, universe))
-    max_gain = max(m.bit_count() for m in cover_masks)
-    if best <= beat or math.ceil(covers.shape[1] / max_gain) >= best:
-        return best, True
     f = covers.astype(np.float32)
     near = _BitRows(f.T @ f > 0)   # element pairs some set covers together
     n_covering = covers.sum(axis=0).tolist()

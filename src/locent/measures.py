@@ -3,7 +3,7 @@
 Searches are exhaustive with structural pruning and explicit budgets; every
 result carries a witness that re-verifies by direct definitional replay, and
 `exact=False` marks values that are only certified lower bounds because a
-budget or cap stopped the search.
+budget stopped the search.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ __all__ = [
 # it; nothing else sets them, so a result depends only on its arguments.
 VC_BUDGET = 500_000      # shatter checks from level 3 on
 GROWTH_BUDGET = 200_000  # most point subsets growth_function enumerates
-STAR_CAP = 64            # star_number's default value cap
-STAR_BUDGET = 200_000    # star_number's default search-node budget
-SWEEP_STAR_BUDGET = 3_000  # star_number's search-node budget in an erm sweep
+STAR_BUDGET = 200_000    # star_number's search-node budget
 
 
 @dataclass(frozen=True)
@@ -42,7 +40,7 @@ class MeasureResult:
 
     @property
     def search_budget_hit(self) -> bool:
-        """A budget or cap stopped the search; the value is a lower bound."""
+        """A budget stopped the search; the value is a lower bound."""
         return not self.exact
 
 
@@ -195,79 +193,81 @@ def verify_star_witness(cls: HypothesisClass, center: int, points: tuple[int, ..
     return True
 
 
-def star_number(cls: HypothesisClass, cap: int | None = None,
-                budget: int | None = None) -> MeasureResult:
+def _chain_bound(cols: list[int]) -> int:
+    """Chains covering the row bitsets under inclusion, filled greedily by
+    descending size.  A star set takes at most one point per chain: when y's
+    rows lie within x's, every row that flips y also flips x."""
+    tails: list[int] = []
+    for col in sorted(cols, key=int.bit_count, reverse=True):
+        for k, tail in enumerate(tails):
+            if col & tail == col:
+                tails[k] = col
+                break
+        else:
+            tails.append(col)
+    return len(tails)
+
+
+def star_number(cls: HypothesisClass) -> MeasureResult:
     """Largest point set each of whose points is individually flippable
     around a center classifier while agreeing with it on the rest.
 
-    Feasible sets are downward closed, so the search extends sets point by
-    point in index order, maintaining for every chosen point the rows still
-    able to witness it; a point whose witness pool empties prunes the
-    branch.  `cap` truncates the reported value (exact=False once the
-    search proves >= cap); `budget` caps search nodes.  They default to
-    STAR_CAP and STAR_BUDGET.
+    Columns are Python-int bitsets over rows (bit r: row r differs from the
+    center there).  Feasible sets are downward closed, so the search extends
+    sets point by point in index order, maintaining for every chosen point
+    the rows still able to witness it; a point whose witness pool empties
+    prunes the branch.  A center is skipped, and its search left, once the
+    best set reaches its chain bound; STAR_BUDGET caps search nodes.
     """
-    cap = STAR_CAP if cap is None else cap
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    budget = STAR_BUDGET if budget is None else budget
-    p = cls.n_points
-    patterns = cls.patterns
+    full = (1 << cls.n_rows) - 1
+    packed = np.packbits(cls.patterns.T > 0, axis=1, bitorder="little")
+    plus = [int.from_bytes(row.tobytes(), "little") for row in packed]
 
     best_set: tuple[int, ...] = ()
     best_center = 0
     best_witnesses: tuple[int, ...] = ()
     nodes = 0
     budget_hit = False
-    capped = False
 
     for center in range(cls.n_rows):
-        if capped or budget_hit:
+        if budget_hit:
             break
-        dif = patterns != patterns[center]  # (rows, points) bool
-        has_flip = dif.any(axis=0)
-        order = [j for j in range(p) if has_flip[j]]
-        if len(best_set) >= len(order) and best_set:
+        cols = [col ^ full if col >> center & 1 else col for col in plus]
+        order = [(j, col) for j, col in enumerate(cols) if col]
+        bound = _chain_bound([col for _, col in order])
+        if bound <= len(best_set):
             continue
 
-        def extend(chosen: list[int], viable: list[np.ndarray], free: np.ndarray,
-                   start: int) -> bool:
-            """DFS over extensions; returns True to abort (cap/budget)."""
-            nonlocal best_set, best_center, best_witnesses, nodes, budget_hit, capped
+        def extend(chosen: list[int], viable: list[int], free: int, start: int) -> bool:
+            """DFS over extensions; returns True to leave the center."""
+            nonlocal best_set, best_center, best_witnesses, nodes, budget_hit
             if len(chosen) > len(best_set):
                 best_set = tuple(chosen)
                 best_center = center
-                best_witnesses = tuple(int(np.argmax(v)) for v in viable)
-                if len(best_set) >= cap:
-                    capped = True
+                best_witnesses = tuple((v & -v).bit_length() - 1 for v in viable)
+                if len(best_set) >= bound:
                     return True
-            cands = []
-            for idx in range(start, len(order)):
-                x = order[idx]
-                if (free & dif[:, x]).any():
-                    cands.append((idx, x))
+            cands = [(idx, x, col) for idx, (x, col) in enumerate(order[start:], start)
+                     if free & col]
             if len(chosen) + len(cands) <= len(best_set):
                 return False
-            for pos, (idx, x) in enumerate(cands):
+            for pos, (idx, x, col) in enumerate(cands):
                 if len(chosen) + (len(cands) - pos) <= len(best_set):
                     return False
                 nodes += 1
-                if nodes > budget:
+                if nodes > STAR_BUDGET:
                     budget_hit = True
                     return True
-                col = dif[:, x]
                 new_viable = [v & ~col for v in viable]
-                if any(not v.any() for v in new_viable):
+                if not all(new_viable):
                     continue
                 new_viable.append(free & col)
                 if extend(chosen + [x], new_viable, free & ~col, idx + 1):
                     return True
             return False
 
-        extend([], [], np.ones(cls.n_rows, dtype=bool), 0)
+        extend([], [], full, 0)
 
-    value = len(best_set)
-    exact = not (budget_hit or capped)
-    return MeasureResult(value=value,
+    return MeasureResult(value=len(best_set),
                          witness=(best_center, best_set, best_witnesses),
-                         exact=exact)
+                         exact=not budget_hit)

@@ -1,9 +1,10 @@
 """Independent brute-force oracles: plain exhaustive enumeration, no search
 tricks, kept deliberately separate from the library's algorithms.
 
-The ref_* functions at the end are the numpy fancy-index packing routines
-that the library's conflict-bitset core replaced; the core must reproduce
-their outputs exactly (witnesses, certified flags and profile order)."""
+The ref_* functions are the numpy routines that the library's bitset cores
+replaced (packing, the star search) or its half-table kernel (ref_sup_mean);
+the library must reproduce their outputs exactly (witnesses, certified flags
+and profile order) wherever they finish."""
 
 from itertools import combinations, combinations_with_replacement, product
 import math
@@ -355,3 +356,51 @@ def ref_local_profile(proj, h, eps_values, exact, node_budget=None):
             if prev is None or len(witness) > prev[0]:
                 out[eps] = (len(witness), int(f), tuple(int(w) for w in witness))
     return out, certified_all
+
+
+def ref_star_number(cls, budget):
+    """The (rows x points) numpy star search the column-bitset one replaced:
+    one `patterns != patterns[center]` matrix per center, the same DFS and
+    node count, no chain bound; returns (value, witness, exact)."""
+    p = cls.n_points
+    patterns = cls.patterns
+    best_set, best_center, best_witnesses = (), 0, ()
+    nodes = 0
+    budget_hit = False
+    for center in range(cls.n_rows):
+        if budget_hit:
+            break
+        dif = patterns != patterns[center]
+        has_flip = dif.any(axis=0)
+        order = [j for j in range(p) if has_flip[j]]
+        if len(best_set) >= len(order) and best_set:
+            continue
+
+        def extend(chosen, viable, free, start):
+            nonlocal best_set, best_center, best_witnesses, nodes, budget_hit
+            if len(chosen) > len(best_set):
+                best_set = tuple(chosen)
+                best_center = center
+                best_witnesses = tuple(int(np.argmax(v)) for v in viable)
+            cands = [(idx, order[idx]) for idx in range(start, len(order))
+                     if (free & dif[:, order[idx]]).any()]
+            if len(chosen) + len(cands) <= len(best_set):
+                return False
+            for pos, (idx, x) in enumerate(cands):
+                if len(chosen) + (len(cands) - pos) <= len(best_set):
+                    return False
+                nodes += 1
+                if nodes > budget:
+                    budget_hit = True
+                    return True
+                col = dif[:, x]
+                new_viable = [v & ~col for v in viable]
+                if any(not v.any() for v in new_viable):
+                    continue
+                new_viable.append(free & col)
+                if extend(chosen + [x], new_viable, free & ~col, idx + 1):
+                    return True
+            return False
+
+        extend([], [], np.ones(cls.n_rows, dtype=bool), 0)
+    return len(best_set), (best_center, best_set, best_witnesses), not budget_hit

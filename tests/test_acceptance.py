@@ -78,7 +78,7 @@ def test_criterion_02_explicit_entropy_constant():
     rows_checked = 0
     for cls, n in grid:
         d = vc_dimension(cls)
-        s = star_number(cls, cap=cls.n_points + 1)
+        s = star_number(cls)
         assert d.exact and s.exact
         for h in (1.0, 0.5):
             fp = gamma_loc(cls, h, h, n, search="exact")
@@ -160,7 +160,7 @@ def test_criterion_06_invariant_suite():
             make_star_class("F2", 3, 8), make_star_class("F3", 2, 6, grid=4),
             make_star_class("F1", 1, 5), circle_separator_class(8)]
     for cls in gens:
-        assert vc_dimension(cls).value <= star_number(cls, cap=cls.n_points + 1).value
+        assert vc_dimension(cls).value <= star_number(cls).value
 
     # Bernstein property, exact to 1e-12, on 100 random (instance, row) pairs
     pairs = 0

@@ -311,6 +311,14 @@ class TestPipelines:
                     "--out", str(tmp_path / "sweep.csv")]) == 0
         assert Counter(calls) == {"vc_dimension": 1, "star_number": 1, "gamma_star": 2}
 
+    def test_erm_sweep_certifies_the_threshold_star_number(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run(["erm-sweep", "--generator", "thresholds", "--h-grid", "1.0",
+                    "--n-grid", "16,32", "--trials", "5", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[2:]
+        assert len(rows) == 2
+        assert all("s_exact" in row.split(",")[-1].split("|") for row in rows)
+
     def test_star_theorem(self, tmp_path):
         out = tmp_path / "st.json"
         assert run(["star-theorem", "--generator", "f2", "--d", "2", "--s", "8",

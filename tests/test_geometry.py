@@ -449,7 +449,7 @@ class TestGammaLoc:
         # hard form of the VC/star envelope on an exactly solved class
         cls = make_star_class("F1", 2, 6)
         d = vc_dimension(cls).value
-        s = star_number(cls, cap=8).value
+        s = star_number(cls).value
         fp = gamma_loc(cls, 1.0, 1.0, 6, search="exact")
         assert fp.exact
         for row in fp.scan:

@@ -93,28 +93,49 @@ class TestStarNumber:
 
     def test_f2_star_is_s(self):
         for d, s in ((2, 6), (3, 8)):
-            res = star_number(make_star_class("F2", d, s), cap=s + 1)
+            res = star_number(make_star_class("F2", d, s))
             assert (res.value, res.exact) == (s, True)
 
     def test_f1_singletons(self):
-        res = star_number(make_star_class("F1", 1, 5), cap=8)
+        res = star_number(make_star_class("F1", 1, 5))
         assert res.value == 5
         center, pts, rows = res.witness
         assert verify_star_witness(make_star_class("F1", 1, 5), center, pts, rows)
 
-    def test_cap_truncates(self):
-        res = star_number(make_star_class("F1", 1, 6), cap=3)
-        assert res.value == 3 and not res.exact
-
     def test_starved_budget_keeps_a_valid_witness(self, monkeypatch):
         cls = make_star_class("F1", 1, 5)
-        assert star_number(cls, cap=8).exact
+        assert star_number(cls).exact
         monkeypatch.setattr(measures, "STAR_BUDGET", 1)
-        res = star_number(cls, cap=8)
+        res = star_number(cls)
         assert not res.exact and res.search_budget_hit
         center, pts, rows = res.witness
         assert len(pts) == res.value
         assert verify_star_witness(cls, center, pts, rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_matches_the_numpy_reference(self, seed):
+        cls = random_class(np.random.default_rng(seed), max_points=7, max_rows=16)
+        res = star_number(cls)
+        ref = oracles.ref_star_number(cls, measures.STAR_BUDGET)
+        if ref[2]:
+            assert (res.value, res.witness, res.exact) == ref
+        assert res.value == oracles.brute_star(cls)
+        center, pts, rows = res.witness
+        assert len(pts) == res.value
+        assert verify_star_witness(cls, center, pts, rows)
+
+    def test_chain_bound_certifies_long_thresholds(self):
+        for n in (256, 1024):
+            res = star_number(threshold_class(n))
+            assert (res.value, res.exact) == (2, True)
+            assert verify_star_witness(threshold_class(n), *res.witness)
+
+    def test_star_sets_beyond_64_points(self):
+        cls = make_star_class("F1", 1, 70)
+        res = star_number(cls)
+        assert (res.value, res.exact) == (70, True)
+        assert verify_star_witness(cls, *res.witness)
 
     def test_witness_replays(self, rng):
         for _ in range(20):
@@ -142,4 +163,4 @@ class TestAgainstOracles:
         classes = [threshold_class(12), make_star_class("F1", 2, 6),
                    make_star_class("F2", 2, 6), make_star_class("F3", 2, 6, grid=4)]
         for cls in classes:
-            assert vc_dimension(cls).value <= star_number(cls, cap=cls.n_points + 1).value
+            assert vc_dimension(cls).value <= star_number(cls).value
