@@ -34,8 +34,10 @@ __all__ = [
     "PatternCountError",
 ]
 
-DEFAULT_PATTERN_CAP = 200_000
-DEFAULT_SEPARATOR_POINT_CAP = 20
+# Generator caps.  Each is read when its generator runs, so a test can
+# patch it; nothing else sets them.
+PATTERN_CAP = 200_000       # most rows make_star_class enumerates
+SEPARATOR_POINT_CAP = 20    # most points make_linear_separators takes
 
 
 class ClassFormatError(ValueError):
@@ -43,7 +45,7 @@ class ClassFormatError(ValueError):
 
 
 class PatternCountError(ValueError):
-    """Generator would enumerate more patterns than the configured cap."""
+    """Generator would enumerate more patterns than PATTERN_CAP."""
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,6 @@ class HypothesisClass:
         if len(seen) != a.shape[0]:
             raise ValueError("patterns must be pairwise distinct")
         object.__setattr__(self, "patterns", frozen_array(a))
-        object.__setattr__(self, "_caches", {})
 
     @property
     def n_points(self) -> int:
@@ -126,11 +127,6 @@ class HypothesisClass:
         if (a is None) != (b is None) or (a is not None and not np.array_equal(a, b)):
             return False
         return bool(np.array_equal(self.patterns, other.patterns))
-
-    def cache(self) -> dict:
-        """Mutable scratch space for derived per-class values (measure bitmasks,
-        sweep fixed points)."""
-        return self._caches
 
 
 @dataclass(frozen=True)
@@ -323,8 +319,7 @@ def _star_f3_patterns(d: int, s: int, grid: int) -> tuple[np.ndarray, np.ndarray
     return np.array(rows, dtype=np.int8), np.array(coords, dtype=float)
 
 
-def make_star_class(variant: str, d: int, s: int, grid: int = 8,
-                    cap: int = DEFAULT_PATTERN_CAP) -> HypothesisClass:
+def make_star_class(variant: str, d: int, s: int, grid: int = 8) -> HypothesisClass:
     """Canonical classes with VC dimension d and star number s on s points.
 
     F1: all patterns with at most d coordinates +1.
@@ -333,6 +328,7 @@ def make_star_class(variant: str, d: int, s: int, grid: int = 8,
         discretization choice and is reported, not a quantity of the
         continuous class.
     """
+    cap = PATTERN_CAP
     if d < 1:
         raise ValueError("d must be >= 1")
     if variant in ("F1", "F2") and s < d:
@@ -361,22 +357,21 @@ def make_star_class(variant: str, d: int, s: int, grid: int = 8,
     raise ValueError(f"unknown star-class variant {variant!r}")
 
 
-def make_linear_separators(domain: PointDomain,
-                           cap: int = DEFAULT_SEPARATOR_POINT_CAP) -> HypothesisClass:
-    """All sign vectors realizable by affine separators on the domain points.
+def make_linear_separators(domain: PointDomain) -> HypothesisClass:
+    """All sign vectors realizable by affine separators on planar domain points.
 
     Exact rational arithmetic throughout (floats are rationals, so there is
-    no tolerance).  Planar points are enumerated from the lines through
-    pairs of points, in O(n^3); other dimensions walk label prefixes with
-    an LP, so the cost is near-linear in the number of realizable
-    dichotomies rather than 2^n.
+    no tolerance): every dichotomy is read off the lines through pairs of
+    points, at most n(n-1)+2 rows in O(n^3) cross products.  Coordinates
+    that are not 2-D, or none at all, are a ValueError.
     """
-    if domain.coords is None:
-        raise ValueError("linear separators need coordinates")
+    if domain.dim != 2:
+        raise ValueError("linear separators need 2-d coordinates")
     n = domain.size
-    if n > cap:
+    if n > SEPARATOR_POINT_CAP:
         raise ValueError(
-            f"{n} points exceed the separator cap {cap}; dichotomy enumeration grows like 2^n without it")
+            f"{n} points exceed the separator cap {SEPARATOR_POINT_CAP} "
+            f"(up to {n * (n - 1) + 2} rows)")
     patterns = enumerate_separator_patterns(domain.coords)
     return HypothesisClass(domain=domain, patterns=patterns)
 

@@ -53,7 +53,7 @@ def _build_class(opts) -> tuple[classes.HypothesisClass, dict]:
         return cls, desc
     if gen == "linsep-circle":
         n = int(opts["points"])
-        cls = classes.make_linear_separators(experiments.circle_domain(n))
+        cls = experiments.circle_separator_class(n)
         return cls, {"generator": gen, "points": n, "projected": True}
     if gen == "file":
         path = opts["class_file"]
@@ -332,7 +332,7 @@ def _cmd_erm_sweep(opts, config) -> int:
         def factory(h, n):  # one memoized class per n
             return experiments.threshold_instance(n, h)
     else:
-        cls, desc = _build_class(opts)  # once, so every cell shares its caches
+        cls, desc = _build_class(opts)  # once, so the sweep memo serves every cell
 
         def factory(h, n):
             return _build_instance(cls, desc, {**opts, "h": h})
@@ -440,8 +440,7 @@ def dispatch(argv) -> int:
         config = {"subcommand": ns.subcommand,
                   "args": {k: v for k, v in sorted(opts.items()) if k != "out"}}
         return _BODIES[ns.subcommand](opts, config)
-    except (ValueError, FileNotFoundError, classes.ClassFormatError,
-            classes.PatternCountError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ClassFormatError, PatternCountError too
         sys.stderr.write(f"locent {ns.subcommand}: error: {exc}\n")
         return USAGE_ERROR
 

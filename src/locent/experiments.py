@@ -43,8 +43,8 @@ _THRESHOLD_CLASSES: dict[int, HypothesisClass] = {}
 
 
 def threshold_class(n: int) -> HypothesisClass:
-    """Threshold class on n evenly spaced points (memoized so derived caches
-    such as fixed points and measures are shared across sweep cells)."""
+    """Threshold class on n evenly spaced points (memoized, so the sweep
+    cells of one n share one class object and its fixed points and measures)."""
     if n not in _THRESHOLD_CLASSES:
         _THRESHOLD_CLASSES[n] = make_thresholds(
             PointDomain.from_coords(np.arange(1.0, n + 1.0)))
@@ -127,27 +127,26 @@ def _cell_mean_excess(instance: MassartInstance, n: int, trials: int,
     return *mean_ci99(out), out
 
 
-def _sweep_cell(config: SweepConfig, hi: int, h, ni: int, n) -> dict:
+def _sweep_cell(config: SweepConfig, hi: int, h, ni: int, n, memo: dict) -> dict:
     instance = config.instance_factory(h, n)
     mean, ci, _ = _cell_mean_excess(instance, n, config.trials,
                                     config.policy, config.seed, (hi, ni))
-    memo = instance.cls.cache()
-    key = ("sweep_gamma_loc", h, n, config.search, config.seed)
+    cls = instance.cls
+    key = (cls, "gamma_loc", h, n)
     if key not in memo:
-        memo[key] = gamma_loc(instance.cls, h, h, n, search=config.search,
-                              seed=config.seed)
+        memo[key] = gamma_loc(cls, h, h, n, search=config.search, seed=config.seed)
     fp = memo[key]
-    key = ("sweep_gamma_star", n, config.search, config.seed)
+    key = (cls, "gamma_star", n)
     if key not in memo:
-        memo[key] = gamma_star(instance.cls, 0.5, n, search=config.search,
-                               seed=config.seed)
+        memo[key] = gamma_star(cls, 0.5, n, search=config.search, seed=config.seed)
     fs = memo[key]
     flags = ["loc_exact" if fp.exact else "loc_heuristic",
              "star_exact" if fs.exact else "star_heuristic"]
     # d and s are per-class diagnostics, computed once per class
-    if "sweep_measures" not in memo:
-        memo["sweep_measures"] = (vc_dimension(instance.cls), star_number(instance.cls))
-    d, s = memo["sweep_measures"]
+    key = (cls, "measures")
+    if key not in memo:
+        memo[key] = (vc_dimension(cls), star_number(cls))
+    d, s = memo[key]
     flags.append("d_exact" if d.exact else "d_lower")
     flags.append("s_exact" if s.exact else "s_lower")
     ratio = mean * n / fp.gamma if fp.gamma else float("nan")
@@ -163,9 +162,11 @@ def run_rate_sweep(config: SweepConfig) -> SweepTable:
 
     Cells are deterministic given the config seed (per-cell seeds are
     derived independently).  Errors propagate: an unknown search name
-    raises ValueError from the first cell's fixed point.
+    raises ValueError from the first cell's fixed point.  Fixed points and
+    measures are memoized per class object within the sweep.
     """
-    rows = [_sweep_cell(config, hi, h, ni, n) for hi, h in enumerate(config.h_grid)
+    memo: dict = {}
+    rows = [_sweep_cell(config, hi, h, ni, n, memo) for hi, h in enumerate(config.h_grid)
             for ni, n in enumerate(config.n_grid)]
     rows.sort(key=lambda r: (r["h"], r["n"]))
     return SweepTable(rows=tuple(rows))

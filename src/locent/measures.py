@@ -48,13 +48,9 @@ def _support_ints(cls: HypothesisClass) -> np.ndarray | None:
     """Rows as uint64 bitmasks of their +1 positions (None when > 64 points)."""
     if cls.n_points > 64:
         return None
-    key = "support_u64"
-    cache = cls.cache()
-    if key not in cache:
-        bits = (cls.patterns > 0).astype(np.uint64)
-        weights = (np.uint64(1) << np.arange(cls.n_points, dtype=np.uint64))
-        cache[key] = (bits * weights).sum(axis=1, dtype=np.uint64)
-    return cache[key]
+    bits = (cls.patterns > 0).astype(np.uint64)
+    weights = np.uint64(1) << np.arange(cls.n_points, dtype=np.uint64)
+    return (bits * weights).sum(axis=1, dtype=np.uint64)
 
 
 def _distinct_restrictions(cls: HypothesisClass, points: tuple[int, ...],
@@ -133,7 +129,6 @@ def vc_dimension(cls: HypothesisClass) -> MeasureResult:
             exact = False
             if nxt:
                 best = nxt[0]
-                k += 1
             break
         if nxt:
             best = nxt[0]

@@ -4,8 +4,11 @@ tricks, kept deliberately separate from the library's algorithms.
 The ref_* functions are the numpy routines that the library's bitset cores
 replaced (packing, the star search) or its half-table kernel (ref_sup_mean);
 the library must reproduce their outputs exactly (witnesses, certified flags
-and profile order) wherever they finish."""
+and profile order) wherever they finish.  is_affinely_separable decides
+separability by an exact-rational simplex, independently of the library's
+planar pair-line enumeration."""
 
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 import math
 
@@ -404,3 +407,87 @@ def ref_star_number(cls, budget):
 
         extend([], [], np.ones(cls.n_rows, dtype=bool), 0)
     return len(best_set), (best_center, best_set, best_witnesses), not budget_hit
+
+
+def _phase1_witness(rows):
+    """Phase-1 simplex (Bland's rule) for A z >= 1 with z free.
+
+    rows[i] holds the coefficients of constraint i over the free variables.
+    Standard form uses z = u - w with u, w >= 0, a slack and an artificial
+    variable per constraint.  Returns a feasible z, or None.
+    """
+    m = len(rows)
+    k = len(rows[0])
+    ncols = 2 * k + 2 * m  # u, w, slacks, artificials
+    one = Fraction(1)
+    zero = Fraction(0)
+
+    # tableau[i] = coefficients + rhs; basis starts at the artificials
+    tableau = []
+    for i, row in enumerate(rows):
+        t = [zero] * (ncols + 1)
+        for j, c in enumerate(row):
+            t[j] = c
+            t[k + j] = -c
+        t[2 * k + i] = -one  # slack: A z - s = 1
+        t[2 * k + m + i] = one
+        t[ncols] = one
+        tableau.append(t)
+    basis = [2 * k + m + i for i in range(m)]
+
+    # objective: minimize sum of artificials; reduced costs via big row
+    obj = [zero] * (ncols + 1)
+    for i in range(m):
+        for j in range(ncols + 1):
+            obj[j] -= tableau[i][j]
+    for i in range(m):
+        obj[2 * k + m + i] += one
+
+    while True:
+        enter = -1
+        for j in range(ncols):
+            if obj[j] < zero:
+                enter = j  # Bland: lowest index with negative reduced cost
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for i in range(m):
+            a = tableau[i][enter]
+            if a > zero:
+                ratio = tableau[i][ncols] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            break  # unbounded phase-1 cannot happen; defensive
+        piv = tableau[leave][enter]
+        tableau[leave] = [c / piv for c in tableau[leave]]
+        for i in range(m):
+            if i != leave and tableau[i][enter] != zero:
+                f = tableau[i][enter]
+                tableau[i] = [c - f * p for c, p in zip(tableau[i], tableau[leave])]
+        if obj[enter] != zero:
+            f = obj[enter]
+            obj = [c - f * p for c, p in zip(obj, tableau[leave])]
+        basis[leave] = enter
+
+    if -obj[ncols] != zero:
+        return None
+    z = [zero] * k
+    for i, b in enumerate(basis):
+        if b < k:
+            z[b] += tableau[i][ncols]
+        elif b < 2 * k:
+            z[b - k] -= tableau[i][ncols]
+    return z
+
+
+def is_affinely_separable(coords, labels):
+    """Whether labels in {-1,+1} are realized by sign(<w,x>+b) with no point
+    on the boundary: the LP v_i * (<w,x_i> + b) >= 1 over exact rationals
+    (floats are rationals, so there is no tolerance), in any dimension."""
+    rows = [[Fraction(int(v)) * Fraction(float(c)) for c in point] + [Fraction(int(v))]
+            for point, v in zip(np.asarray(coords, dtype=float), labels)]
+    return _phase1_witness(rows) is not None

@@ -8,10 +8,10 @@ from locent.classes import (ClassFormatError, DomainDistribution,
                             PointDomain, load_class, make_linear_separators,
                             make_massart_instance, make_star_class,
                             make_thresholds, sample, save_class)
-from locent.separators import is_affinely_separable
 from locent.util import make_rng
 
 from conftest import random_class
+from oracles import is_affinely_separable
 
 
 def thresholds_on(coords):
@@ -64,7 +64,7 @@ class TestStarClasses:
 
     def test_cap_overflow(self):
         with pytest.raises(PatternCountError, match="cap"):
-            make_star_class("F1", 10, 40, cap=1000)
+            make_star_class("F1", 10, 40)
 
 
 class TestLinearSeparators:
@@ -86,9 +86,18 @@ class TestLinearSeparators:
         assert cls.n_rows == 2
 
     def test_cap(self):
-        coords = np.random.default_rng(0).normal(size=(6, 2))
-        with pytest.raises(ValueError, match="2\\^n"):
-            make_linear_separators(PointDomain.from_coords(coords), cap=5)
+        coords = np.random.default_rng(0).normal(size=(21, 2))
+        with pytest.raises(ValueError, match="separator cap"):
+            make_linear_separators(PointDomain.from_coords(coords))
+
+    @pytest.mark.parametrize("domain", [
+        PointDomain.from_coords([[0.0], [1.0], [2.0]]),
+        PointDomain.from_coords(np.eye(4)[:, :3]),
+        PointDomain.of_size(4),
+    ], ids=["1d", "3d", "no-coords"])
+    def test_rejects_non_planar(self, domain):
+        with pytest.raises(ValueError, match="2-d coordinates"):
+            make_linear_separators(domain)
 
 
 class TestMassartInstance:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from locent.experiments import circle_domain
-from locent.separators import enumerate_separator_patterns, is_affinely_separable
+from locent.separators import enumerate_separator_patterns
+from oracles import is_affinely_separable
 
 
 def assert_matches_lp(pts):
