@@ -392,14 +392,25 @@ def make_massart_instance(cls: HypothesisClass, target: int, h: float,
 
 def sample(instance: MassartInstance, n: int, seed: int) -> LabeledSample:
     """n i.i.d. draws: point by px, label flipped from the target w.p. (1-|eta|)/2."""
+    xs, ys = draw_samples(instance, n, [seed])
+    return LabeledSample(xs=xs[0], ys=ys[0], seed=seed)
+
+
+def draw_samples(instance: MassartInstance, n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Point indices and +-1 labels of one sample per seed, as (len(seeds), n)
+    arrays.  Each sample draws random(n) for its points, then random(n) for
+    its flips, from its own make_rng(seed), so row i is sample(instance, n,
+    seeds[i])."""
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    rng = make_rng(seed)
-    xs = instance.px.cdf.searchsorted(rng.random(n), side="right")
-    flips = rng.random(n) < instance.flip_prob[xs]
+    u = np.empty((len(seeds), 2, n))
+    for row, seed in zip(u, seeds):
+        make_rng(seed).random(out=row)  # the points' n draws, then the flips'
+    xs = instance.px.cdf.searchsorted(u[:, 0], side="right")
+    flips = u[:, 1] < instance.flip_prob[xs]
     ys = instance.fstar[xs].astype(np.int8)
     ys[flips] = -ys[flips]
-    return LabeledSample(xs=xs, ys=ys, seed=seed)
+    return xs, ys
 
 
 # ---------------------------------------------------------------------------

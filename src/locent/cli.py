@@ -21,7 +21,8 @@ import sys
 import numpy as np
 
 from . import classes, experiments, geometry, measures, processes
-from .erm import ErmPolicy, build_adversarial_family, kl_product, run_trial
+from .erm import (ErmPolicy, _run_trials, build_adversarial_family, excess_risk,
+                  kl_product)
 from .util import make_rng
 
 USAGE_ERROR = 1
@@ -315,12 +316,16 @@ def _cmd_erm_run(opts, config) -> int:
     policy = ErmPolicy(opts["policy"],
                        instance if opts["policy"] == "pessimistic" else None)
     n, trials, seed = int(opts["n"]), int(opts["trials"]), int(opts["seed"])
+    seeds = [int(make_rng(seed, t).integers(2 ** 31)) for t in range(trials)]
+    res = _run_trials(instance, n, seeds, policy, version_space=True)
+    chosen = res.chosen.tolist()
+    # excess_risk once per distinct chosen row, not excess_risk_all, whose
+    # matmul sums in another order and so can differ in the last bit
+    excess = {row: excess_risk(instance, row) for row in set(chosen)}
     lines = ["n,seed,chosen,empirical_risk,excess,version_space_size,dis_mass"]
-    for t in range(trials):
-        trial_seed = int(make_rng(seed, t).integers(2 ** 31))
-        rep = run_trial(instance, n, policy, trial_seed)
-        lines.append(f"{rep.n},{rep.seed},{rep.chosen},{rep.empirical_risk!r},"
-                     f"{rep.excess!r},{rep.version_space_size},{rep.dis_mass!r}")
+    lines += [f"{n},{s},{row},{risk!r},{excess[row]!r},{size},{mass!r}"
+              for s, row, risk, size, mass in zip(seeds, chosen, res.empirical_risk.tolist(),
+                                                  res.version_space_size.tolist(), res.dis_mass)]
     _emit_csv(lines, config, opts["out"])
     return 0
 
@@ -358,6 +363,8 @@ def _cmd_lower_bound_family(opts, config) -> int:
     n_budget = int(opts["n_budget"])
     trials = int(opts["trials"])
     seed = int(opts["seed"])
+    if trials < 0:
+        raise ValueError("trials must be >= 0 (0 runs no experiment)")
     spec = build_adversarial_family(cls, h, n_budget, search=opts["search"], seed=seed)
     kl01 = kl_product(spec, 0, min(1, spec.size - 1), n_budget) if spec.size > 1 else None
     body = {"class": desc, "n_positions": spec.n_positions, "h": h,

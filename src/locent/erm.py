@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .classes import (DomainDistribution, HypothesisClass, LabeledSample,
-                      MassartInstance, make_massart_instance, sample)
+                      MassartInstance, draw_samples, make_massart_instance)
 from .geometry import pseudoconvexity_constant
 from .measures import vc_dimension
 from .util import make_rng, mean_ci99
@@ -60,10 +61,29 @@ class ErmPolicy:
 
 def empirical_risks(cls: HypothesisClass, smp: LabeledSample) -> np.ndarray:
     """Per-row empirical 0-1 risk, via a label-weighted point histogram."""
-    n = smp.size
-    w = np.bincount(smp.xs, weights=smp.ys.astype(np.float64), minlength=cls.n_points)
-    scores = cls.patterns.astype(np.float64) @ w
-    return (n - scores) / (2.0 * n)
+    return _risks(cls.patterns.T.astype(np.float64), smp.xs[None], smp.ys[None])[0]
+
+
+def _risks(scores_t: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(trials, rows) empirical risks of the (trials, n) samples xs, ys.
+
+    scores_t is patterns.T as float64.  One bincount over t * points + x
+    builds every trial's label-weighted histogram; the histograms and the
+    scores are integer-valued float64, so each entry has the bits of the
+    one-sample product."""
+    trials, n = xs.shape
+    points = scores_t.shape[0]
+    cells = (np.arange(trials)[:, None] * points + xs).ravel()
+    hist = np.bincount(cells, weights=ys.ravel().astype(np.float64),
+                       minlength=trials * points)
+    return (n - _matmul(hist.reshape(trials, points), scores_t)) / (2.0 * n)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b by einsum, which skips the BLAS gemm workspace that a first
+    matrix-matrix product touches (about half a MB of peak RSS per process);
+    the trial engine's products have integer values, exact in any order."""
+    return np.einsum("ij,jk->ik", a, b)
 
 
 def excess_risk(instance: MassartInstance, row: int) -> float:
@@ -80,18 +100,23 @@ def excess_risk_all(instance: MassartInstance) -> np.ndarray:
 def erm(cls: HypothesisClass, smp: LabeledSample, policy: ErmPolicy,
         seed: int = 0) -> int:
     """A row minimizing empirical risk, ties broken per policy."""
-    return _select(empirical_risks(cls, smp), policy, seed)
+    exc_all = excess_risk_all(policy.instance) if policy.kind == "pessimistic" else None
+    return int(_choose(empirical_risks(cls, smp)[None], policy, [seed], exc_all)[0])
 
 
-def _select(risks: np.ndarray, policy: ErmPolicy, seed: int) -> int:
-    best = risks.min()
-    ties = np.nonzero(risks <= best + 1e-12)[0]
-    if policy.kind == "first_index" or ties.size == 1:
-        return int(ties[0])
-    if policy.kind == "seeded_random":
-        return int(make_rng(seed, 21).choice(ties))
-    exc = excess_risk_all(policy.instance)[ties]
-    return int(ties[np.argmax(exc)])
+def _choose(risks: np.ndarray, policy: ErmPolicy, seeds, exc_all) -> np.ndarray:
+    """Chosen row per trial among the (trials, rows) risks; seeds are the
+    trials' seeds, exc_all the pessimistic policy's excess_risk_all."""
+    tie = risks <= risks.min(axis=1, keepdims=True) + 1e-12
+    if policy.kind == "pessimistic":
+        # argmax takes the first maximum, so a tie in excess resolves to the
+        # lowest index, as ties[np.argmax(exc[ties])] does
+        return np.argmax(np.where(tie, exc_all, -np.inf), axis=1)
+    chosen = np.argmax(tie, axis=1)
+    if policy.kind == "seeded_random":  # a generator only where there is a tie
+        for t in np.flatnonzero(np.count_nonzero(tie, axis=1) > 1):
+            chosen[t] = make_rng(seeds[t], 21).choice(np.flatnonzero(tie[t]))
+    return chosen
 
 
 @dataclass(frozen=True)
@@ -105,26 +130,74 @@ class TrialReport:
     dis_mass: float
 
 
-def _version_space(instance: MassartInstance, smp: LabeledSample) -> tuple[int, float]:
-    """Number of rows agreeing with the target on the sample, and the mass
-    of the points where two of those rows differ."""
-    agree = instance.cls.patterns[:, smp.xs] == instance.fstar[smp.xs]
-    members = instance.cls.patterns[agree.all(axis=1)]
-    if not members.shape[0]:
-        return 0, 0.0
-    dis = members.max(axis=0) != members.min(axis=0)
-    return members.shape[0], float(instance.px.weights[dis].sum())
+# Most elements (rows + points + n per trial) one block of the trial engine
+# spans, so its working arrays stay within a few hundred kB at any trial
+# count; a trial larger than this runs as a block of its own.
+_BLOCK_ELEMENTS = 1 << 13
+
+
+class _Trials(NamedTuple):
+    """Per-trial results of the trial engine (dis_mass as a list of floats);
+    a part not asked for is None."""
+
+    chosen: np.ndarray | None
+    empirical_risk: np.ndarray | None
+    version_space_size: np.ndarray | None
+    dis_mass: list | None
+
+
+def _run_trials(instance: MassartInstance, n: int, seeds, policy: ErmPolicy | None = None,
+                version_space: bool = False) -> _Trials:
+    """One trial per seed, in blocks: the sample drawn as sample(instance, n,
+    seed) draws it, the ERM choice under policy (skipped for None) and, if
+    version_space, the number of rows agreeing with the target on the
+    sample and the mass of the points where two of those rows differ."""
+    if len(seeds) < 1:
+        raise ValueError("trials must be >= 1")
+    cls = instance.cls
+    scores_t = cls.patterns.T.astype(np.float64)
+    exc_all = (excess_risk_all(policy.instance)
+               if policy is not None and policy.kind == "pessimistic" else None)
+    if version_space:
+        off_target = (cls.patterns != instance.fstar).T.astype(np.float32)
+        positive = (cls.patterns > 0).astype(np.float32)
+    block = max(1, _BLOCK_ELEMENTS // (cls.n_rows + cls.n_points + n))
+    chosen, risk, size, dis_mass = [], [], [], []
+    for start in range(0, len(seeds), block):
+        part = seeds[start:start + block]
+        idx = np.arange(len(part))
+        xs, ys = draw_samples(instance, n, part)
+        if policy is not None:
+            risks = _risks(scores_t, xs, ys)
+            pick = _choose(risks, policy, part, exc_all)
+            chosen.append(pick)
+            risk.append(risks[idx, pick])
+        if version_space:
+            hit = np.zeros((len(part), cls.n_points), dtype=np.float32)
+            hit[idx[:, None], xs] = 1.0
+            # products of 0/1 float32 entries count below 2**24: exact
+            member = _matmul(hit, off_target) == 0
+            count = np.count_nonzero(member, axis=1)
+            plus = _matmul(member.astype(np.float32), positive)
+            size.append(count)
+            # a masked sum per trial, not a dot product, keeps the summation
+            # order, hence the bits, of weights[dis].sum()
+            dis_mass.extend(float(instance.px.weights[dis].sum())
+                            for dis in (plus > 0) & (plus < count[:, None]))
+    return _Trials(np.concatenate(chosen) if chosen else None,
+                   np.concatenate(risk) if risk else None,
+                   np.concatenate(size) if size else None,
+                   dis_mass if version_space else None)
 
 
 def run_trial(instance: MassartInstance, n: int, policy: ErmPolicy, seed: int) -> TrialReport:
-    smp = sample(instance, n, seed)
-    risks = empirical_risks(instance.cls, smp)
-    chosen = _select(risks, policy, seed)
-    size, dis_mass = _version_space(instance, smp)
+    res = _run_trials(instance, n, [seed], policy, version_space=True)
+    chosen = int(res.chosen[0])
     return TrialReport(n=n, seed=seed, chosen=chosen,
-                       empirical_risk=float(risks[chosen]),
+                       empirical_risk=float(res.empirical_risk[0]),
                        excess=excess_risk(instance, chosen),
-                       version_space_size=size, dis_mass=dis_mass)
+                       version_space_size=int(res.version_space_size[0]),
+                       dis_mass=res.dis_mass[0])
 
 
 def version_space_disagreement(instance: MassartInstance, n: int, trials: int,
@@ -133,11 +206,8 @@ def version_space_disagreement(instance: MassartInstance, n: int, trials: int,
     version space after n realizable draws."""
     if not instance.realizable:
         raise ValueError("version-space diagnostics need a realizable instance (h = 1)")
-    masses = np.empty(trials)
-    for t in range(trials):
-        smp = sample(instance, n, seed=int(make_rng(seed, t, 31).integers(2 ** 31)))
-        masses[t] = _version_space(instance, smp)[1]
-    return mean_ci99(masses)
+    seeds = [int(make_rng(seed, t, 31).integers(2 ** 31)) for t in range(trials)]
+    return mean_ci99(np.array(_run_trials(instance, n, seeds, version_space=True).dis_mass))
 
 
 # ---------------------------------------------------------------------------

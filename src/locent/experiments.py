@@ -15,8 +15,7 @@ import numpy as np
 from .classes import (DomainDistribution, HypothesisClass, MassartInstance,
                       PointDomain, make_linear_separators, make_massart_instance,
                       make_star_class, make_thresholds)
-from .erm import AdversarialSpec, ErmPolicy, erm, excess_risk_all
-from .classes import sample
+from .erm import AdversarialSpec, ErmPolicy, _run_trials, excess_risk_all
 from .geometry import gamma_loc, gamma_star, packing_log_vc_bound
 from .measures import growth_function, star_number, vc_dimension
 from .util import make_rng, mean_ci99, tlog
@@ -118,12 +117,8 @@ class SweepTable:
 def _cell_mean_excess(instance: MassartInstance, n: int, trials: int,
                       policy_kind: str, seed: int, cell_key: tuple) -> tuple[float, float, np.ndarray]:
     policy = ErmPolicy(policy_kind, instance if policy_kind == "pessimistic" else None)
-    exc_all = excess_risk_all(instance)
-    out = np.empty(trials)
-    for t in range(trials):
-        s = int(make_rng(seed, *cell_key, t).integers(2 ** 31))
-        smp = sample(instance, n, s)
-        out[t] = exc_all[erm(instance.cls, smp, policy, seed=s)]
+    seeds = [int(make_rng(seed, *cell_key, t).integers(2 ** 31)) for t in range(trials)]
+    out = excess_risk_all(instance)[_run_trials(instance, n, seeds, policy).chosen]
     return *mean_ci99(out), out
 
 

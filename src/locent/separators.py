@@ -30,9 +30,14 @@ def enumerate_separator_patterns(coords: np.ndarray) -> np.ndarray:
     realizable labelings are therefore the two constants plus, for every L,
     both side labelings combined with every cut in both orientations.  That
     is O(n^3) exact cross products.  Returns the patterns as an int8 matrix
-    in lexicographic order (+1 before -1).
+    in lexicographic order (+1 before -1).  Coordinates that are not an
+    (n, 2) array raise ValueError.
     """
-    pts = [(Fraction(float(x)), Fraction(float(y))) for x, y in np.asarray(coords, dtype=float)]
+    xy = np.asarray(coords, dtype=float)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValueError(f"separator enumeration is planar: need 2-d coordinates, "
+                         f"got shape {xy.shape}")
+    pts = [(Fraction(float(x)), Fraction(float(y))) for x, y in xy]
     n = len(pts)
     found = {(1,) * n, (-1,) * n}
     distinct = sorted(set(pts))

@@ -2,9 +2,10 @@
 tricks, kept deliberately separate from the library's algorithms.
 
 The ref_* functions are the numpy routines that the library's bitset cores
-replaced (packing, the star search) or its half-table kernel (ref_sup_mean);
-the library must reproduce their outputs exactly (witnesses, certified flags
-and profile order) wherever they finish.  is_affinely_separable decides
+(packing, the star search), its half-table kernel (ref_sup_mean) and its
+batched trial engine (ref_run_trial) replaced; the library must reproduce
+their outputs exactly (witnesses, certified flags, profile order and trial
+bits) wherever they finish.  is_affinely_separable decides
 separability by an exact-rational simplex, independently of the library's
 planar pair-line enumeration."""
 
@@ -238,6 +239,41 @@ def brute_excess_risk(instance, row):
             risk += px * py * (f[i] != y)
             risk_star += px * py * (fstar[i] != y)
     return risk - risk_star
+
+
+def ref_run_trial(instance, n, policy, seed):
+    """One ERM trial, sample to version space, as the per-trial loop ran it
+    before the batched trial engine; the engine must match it to the bit."""
+    from locent.erm import TrialReport, excess_risk, excess_risk_all
+    from locent.util import make_rng
+
+    rng = make_rng(seed)
+    xs = instance.px.cdf.searchsorted(rng.random(n), side="right")
+    flips = rng.random(n) < instance.flip_prob[xs]
+    ys = instance.fstar[xs].astype(np.int8)
+    ys[flips] = -ys[flips]
+    patterns = instance.cls.patterns
+    w = np.bincount(xs, weights=ys.astype(np.float64), minlength=instance.cls.n_points)
+    risks = (n - patterns.astype(np.float64) @ w) / (2.0 * n)
+    # tie-breaking
+    ties = np.nonzero(risks <= risks.min() + 1e-12)[0]
+    if policy.kind == "first_index" or ties.size == 1:
+        chosen = int(ties[0])
+    elif policy.kind == "seeded_random":
+        chosen = int(make_rng(seed, 21).choice(ties))
+    else:
+        chosen = int(ties[np.argmax(excess_risk_all(policy.instance)[ties])])
+    # version space: rows agreeing with the target on the sample
+    agree = patterns[:, xs] == instance.fstar[xs]
+    members = patterns[agree.all(axis=1)]
+    if members.shape[0]:
+        dis = members.max(axis=0) != members.min(axis=0)
+        size, dis_mass = members.shape[0], float(instance.px.weights[dis].sum())
+    else:
+        size, dis_mass = 0, 0.0
+    return TrialReport(n=n, seed=seed, chosen=chosen, empirical_risk=float(risks[chosen]),
+                       excess=excess_risk(instance, chosen),
+                       version_space_size=size, dis_mass=dis_mass)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ from collections import Counter
 import pytest
 
 from locent.cli import dispatch
+from locent.erm import ErmPolicy
+from locent.experiments import threshold_instance
+from locent.util import make_rng
+
+import oracles
 
 
 def run(argv):
@@ -135,6 +140,21 @@ class TestErrorPaths:
     def test_missing_class_file(self):
         assert run(["measures", "--generator", "file",
                     "--class-file", "/nope.txt"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["erm-run", "--trials", "-3"],
+        ["erm-run", "--trials", "0"],
+        ["star-theorem", "--generator", "f1", "--d", "2", "--s", "6", "--n", "8",
+         "--trials", "0"],
+        ["lower-bound-family", "--generator", "f1", "--d", "2", "--s", "6",
+         "--h", "0.5", "--n-budget", "24", "--trials", "-1"],
+    ], ids=["erm-run-negative", "erm-run-zero", "star-theorem-zero",
+            "lower-bound-family-negative"])
+    def test_empty_or_negative_trials(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 1
+        assert "trials must be >=" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -318,6 +338,23 @@ class TestPipelines:
         rows = out.read_text().splitlines()[2:]
         assert len(rows) == 2
         assert all("s_exact" in row.split(",")[-1].split("|") for row in rows)
+
+    @pytest.mark.parametrize("policy", ["first_index", "seeded_random", "pessimistic"])
+    def test_erm_run_matches_per_trial_oracle(self, tmp_path, policy):
+        # few draws on 8 evenly weighted thresholds: many empirical ties, and
+        # thresholds either side of the target tie in excess as well
+        inst = threshold_instance(8, 0.5)
+        pol = ErmPolicy(policy, inst if policy == "pessimistic" else None)
+        out = tmp_path / "run.csv"
+        assert run(["erm-run", "--generator", "thresholds", "--points", "8", "--h", "0.5",
+                    "--n", "3", "--trials", "60", "--policy", policy, "--seed", "9",
+                    "--out", str(out)]) == 0
+        lines = ["n,seed,chosen,empirical_risk,excess,version_space_size,dis_mass"]
+        for t in range(60):
+            rep = oracles.ref_run_trial(inst, 3, pol, int(make_rng(9, t).integers(2 ** 31)))
+            lines.append(f"{rep.n},{rep.seed},{rep.chosen},{rep.empirical_risk!r},"
+                         f"{rep.excess!r},{rep.version_space_size},{rep.dis_mass!r}")
+        assert out.read_text().splitlines()[1:] == lines
 
     def test_star_theorem(self, tmp_path):
         out = tmp_path / "st.json"

@@ -1,11 +1,15 @@
 import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from locent.classes import (HypothesisClass, LabeledSample, PointDomain,
-                            make_massart_instance, make_star_class, sample)
+from locent.classes import (DomainDistribution, HypothesisClass, LabeledSample,
+                            PointDomain, make_massart_instance, make_star_class,
+                            sample)
 from locent.erm import (ErmPolicy, build_adversarial_family, empirical_risks,
                         erm, excess_risk, excess_risk_all, kl_closed_form,
                         kl_exact, kl_product, run_trial,
@@ -141,6 +145,59 @@ class TestVersionSpace:
         for seed in range(20):
             rep = run_trial(inst, 10, ErmPolicy("pessimistic", inst), seed=seed)
             assert rep.excess <= rep.dis_mass + 1e-12
+
+
+erm_module = importlib.import_module("locent.erm")  # locent.erm is the function
+POLICIES = ("first_index", "seeded_random", "pessimistic")
+
+
+class TestTrialEngine:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(POLICIES),
+           h=st.sampled_from([0.25, 0.5, 1.0]), n=st.integers(1, 12),
+           block=st.integers(2, 4), count=st.sampled_from(["1", "block-1", "block",
+                                                          "block+1"]),
+           uniform=st.booleans())
+    def test_matches_per_trial_oracle(self, seed, kind, h, n, block, count, uniform):
+        # uniform marginals give rows of equal excess, so pessimistic ties
+        # reach the lowest-index rule; point counts past 8 give masked sums
+        # whose order differs from a dot product's
+        rng = np.random.default_rng(seed)
+        cls = random_class(rng, max_points=24, max_rows=16)
+        px = DomainDistribution.from_counts(
+            np.ones(cls.n_points) if uniform else rng.integers(1, 8, cls.n_points))
+        inst = make_massart_instance(cls, int(rng.integers(cls.n_rows)), h, px=px)
+        pol = ErmPolicy(kind, inst if kind == "pessimistic" else None)
+        trials = {"1": 1, "block-1": block - 1, "block": block, "block+1": block + 1}[count]
+        seeds = [int(s) for s in rng.integers(2 ** 31, size=trials)]
+        budget = block * (cls.n_rows + cls.n_points + n)  # blocks of `block` trials
+        with mock.patch.object(erm_module, "_BLOCK_ELEMENTS", budget):
+            res = erm_module._run_trials(inst, n, seeds, pol, version_space=True)
+        refs = [oracles.ref_run_trial(inst, n, pol, s) for s in seeds]
+        assert res.chosen.tolist() == [r.chosen for r in refs]
+        assert res.empirical_risk.tobytes() == np.array(
+            [r.empirical_risk for r in refs]).tobytes()
+        assert res.version_space_size.tolist() == [r.version_space_size for r in refs]
+        assert np.array(res.dis_mass).tobytes() == np.array(
+            [r.dis_mass for r in refs]).tobytes()
+        # the one-trial entry points are one-row calls of the same code
+        assert run_trial(inst, n, pol, seeds[0]) == refs[0]
+        assert erm(cls, sample(inst, n, seeds[0]), pol, seed=seeds[0]) == refs[0].chosen
+
+    def test_erm_only_and_version_space_only(self):
+        inst = threshold_instance(12, 1.0)
+        pol = ErmPolicy("first_index")
+        res = erm_module._run_trials(inst, 6, [1, 2, 3], pol)
+        assert res.version_space_size is None and res.dis_mass is None
+        res = erm_module._run_trials(inst, 6, [1, 2, 3], version_space=True)
+        assert res.chosen is None and res.empirical_risk is None
+        assert res.dis_mass == [oracles.ref_run_trial(inst, 6, pol, s).dis_mass
+                                for s in (1, 2, 3)]
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_version_space_rejects_empty_trial_counts(self, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            version_space_disagreement(threshold_instance(8, 1.0), 4, trials, 0)
 
 
 @pytest.fixture

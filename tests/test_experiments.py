@@ -5,12 +5,15 @@ import pytest
 
 from locent.classes import (HypothesisClass, PointDomain,
                             make_massart_instance, make_star_class)
-from locent.erm import build_adversarial_family
+from locent.erm import ErmPolicy, build_adversarial_family, excess_risk_all
 from locent.experiments import (SweepConfig, check_sandwich, check_star_theorem,
                                 circle_domain, fit_loglog_slope,
                                 lower_bound_report, run_rate_sweep,
                                 star_class_separation, threshold_class,
                                 threshold_instance)
+from locent.util import make_rng, mean_ci99
+
+import oracles
 
 
 class TestFitLoglogSlope:
@@ -51,6 +54,22 @@ class TestRateSweep:
         b = run_rate_sweep(cfg)
         assert a.rows == b.rows
         assert a.to_csv_lines() == b.to_csv_lines()
+
+    @pytest.mark.parametrize("policy", ["first_index", "seeded_random", "pessimistic"])
+    def test_rows_match_per_trial_oracle(self, policy):
+        cfg = SweepConfig(instance_factory=lambda h, n: threshold_instance(n, h),
+                          h_grid=(1.0, 0.5), n_grid=(8, 16), trials=30, policy=policy,
+                          seed=4)
+        rows = {(r["h"], r["n"]): r for r in run_rate_sweep(cfg).rows}
+        for hi, h in enumerate(cfg.h_grid):
+            for ni, n in enumerate(cfg.n_grid):
+                inst = threshold_instance(n, h)
+                pol = ErmPolicy(policy, inst if policy == "pessimistic" else None)
+                exc_all = excess_risk_all(inst)
+                out = np.array([exc_all[oracles.ref_run_trial(
+                    inst, n, pol, int(make_rng(4, hi, ni, t).integers(2 ** 31))).chosen]
+                    for t in range(30)])
+                assert (rows[h, n]["mean_excess"], rows[h, n]["ci"]) == mean_ci99(out)
 
     def test_csv_header(self):
         cfg = SweepConfig(instance_factory=lambda h, n: threshold_instance(n, h),

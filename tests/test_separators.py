@@ -80,3 +80,10 @@ def test_three_dim_uses_lp():
     # 4 affinely independent points: every labeling separable
     for lab in product((1, -1), repeat=4):
         assert is_affinely_separable(pts, lab)
+
+
+@pytest.mark.parametrize("coords", [np.eye(3), np.arange(4.0), np.zeros((2, 2, 2))],
+                         ids=["3d", "1d-vector", "3-index"])
+def test_rejects_non_planar(coords):
+    with pytest.raises(ValueError, match="planar: need 2-d coordinates"):
+        enumerate_separator_patterns(coords)
