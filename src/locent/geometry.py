@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 import numpy as np
 
@@ -162,7 +162,8 @@ def _greedy_pack(conflicts: _BitRows, cand: int) -> list[int]:
     return chosen
 
 
-def _exact_pack(conflicts: _BitRows, ball: int, node_budget: int) -> tuple[list[int], bool]:
+def _exact_pack(conflicts: _BitRows, ball: int, node_budget: int,
+                beat: int = 0) -> tuple[list[int], bool]:
     """Maximum packing of the bitset ball as a maximum independent set in the
     conflict graph.
 
@@ -175,6 +176,10 @@ def _exact_pack(conflicts: _BitRows, ball: int, node_budget: int) -> tuple[list[
     & Seki 2003: a greedy partition of the candidates into conflict cliques,
     each holding at most one packed pattern), shows it cannot strictly beat
     the incumbent; so the bound changes node counts, never a finished witness.
+    The incumbent's size starts at beat when the greedy packing is no larger:
+    a ball whose maximum is at most beat (it cannot raise the caller's
+    maximum) is then certified with its greedy witness, and a larger maximum
+    is still the first one in search order, the witness found without beat.
     """
     if not ball:
         return [], True
@@ -183,7 +188,7 @@ def _exact_pack(conflicts: _BitRows, ball: int, node_budget: int) -> tuple[list[
     best_mask = 0
     for i in greedy:
         best_mask |= 1 << i
-    best_size = len(greedy)
+    best_size = max(len(greedy), beat)
     nodes = 0
     exhausted = True
 
@@ -310,10 +315,75 @@ def _start_multisets(cls: HypothesisClass, n: int, seed: int, restarts: int) -> 
     return out
 
 
+def _blocks(cls: HypothesisClass) -> list[tuple[int, ...]]:
+    """Partition of the points into blocks of interchangeable points, each
+    ascending, in order of their first points.
+
+    Points i and j are interchangeable when swapping their columns maps the
+    row set onto itself.  That is an equivalence relation ((i k) is
+    (i j)(j k)(i j)), so a point is checked against one representative per
+    block, and only when their column sums match.  A swap changes only the
+    rows where the two columns differ, negating both entries there.
+    """
+    pats = cls.patterns
+    rows = {row.tobytes() for row in pats}
+    sums = pats.sum(axis=0, dtype=np.int64).tolist()
+    blocks: list[list[int]] = []
+    for q in range(cls.n_points):
+        for block in blocks:
+            r = block[0]
+            if sums[r] != sums[q]:
+                continue
+            swapped = pats[pats[:, r] != pats[:, q]]
+            swapped[:, [r, q]] *= -1
+            if all(row.tobytes() in rows for row in swapped):
+                block.append(q)
+                break
+        else:
+            blocks.append([q])
+    return [tuple(block) for block in blocks]
+
+
+def _canonical_multisets(blocks, n: int):
+    """The n-point multisets whose counts never increase along a block in
+    index order, ascending tuples in lexicographic order.
+
+    Permuting points within blocks maps the class onto itself, so each
+    orbit of multisets holds exactly one of these, its lexicographic
+    minimum.  A point joins only while its count stays below the count of
+    the previous point of its block, which is final by then.
+    """
+    m = sum(len(block) for block in blocks)
+    prev = [-1] * m
+    for block in blocks:
+        for a, b in zip(block, block[1:]):
+            prev[b] = a
+    counts = [0] * m
+    picks: list[int] = []
+
+    def extend(lo: int):
+        if len(picks) == n:
+            yield tuple(picks)
+            return
+        for q in range(lo, m):
+            p = prev[q]
+            if p >= 0 and counts[q] >= counts[p]:
+                continue
+            counts[q] += 1
+            picks.append(q)
+            yield from extend(q)
+            picks.pop()
+            counts[q] -= 1
+
+    return extend(0)
+
+
 def _exhaustive_multisets(cls: HypothesisClass, n: int, search: str,
                           eval_work: int = 1) -> bool:
-    """Whether the multiset search will enumerate every n-point multiset.
+    """Whether the multiset search will be exhaustive.
 
+    The caps count every n-point multiset, C(m+n-1, n), although the
+    exhaustive search visits one per orbit of interchangeable points.
     Enumeration must fit both the count cap and a total-work cap (count
     times the caller's per-evaluation cost estimate); past either, the
     search hill-climbs and results are flagged heuristic.  "exact" and
@@ -335,8 +405,11 @@ def _pooled_search(cls: HypothesisClass, n: int, exhaustive: bool, seed: int, pr
     profile(Projection) returns ({key: (size, *payload)}, certified); the
     pool maps each key to (size, *payload, multiset, row_map) of the first
     visited multiset with the largest size there, row_map reading projected
-    rows as class rows.  exhaustive=True enumerates every multiset;
-    otherwise canonical + random starts are evaluated and the first one with
+    rows as class rows.  exhaustive=True visits one multiset per orbit of
+    interchangeable points (_blocks), the orbit's lexicographic minimum; an
+    orbit's projections are isometric, so the first maximizer in
+    lexicographic order over all multisets is among those visited.
+    Otherwise canonical + random starts are evaluated and the first one with
     the largest score(profile) is refined by single-point swaps.  Returns
     (pooled, exact): exact only when the search was exhaustive and every
     profile was certified, since an uncertified profile may have missed a
@@ -361,7 +434,7 @@ def _pooled_search(cls: HypothesisClass, n: int, exhaustive: bool, seed: int, pr
         return s
 
     if exhaustive:
-        for ms in combinations_with_replacement(range(m), n):
+        for ms in _canonical_multisets(_blocks(cls), n):
             consider(ms)
         return pooled, certified_all
 
@@ -536,7 +609,8 @@ def _local_profile(proj: Projection, h: float, eps_values: list[int], exact: boo
     floor(eps/h) of f and the packing separation is ceil(eps/2) (strict).
     A ball of radius at least the largest distance holds every pattern, so
     its packing is solved once per separation and credited to the first
-    center.  Returns (profile, all_certified).
+    center.  Each ball's exact packing only has to beat the best earlier
+    center at its radius.  Returns (profile, all_certified).
     """
     out: dict[int, tuple[int, int, tuple]] = {}
     dists = proj.dists
@@ -546,10 +620,10 @@ def _local_profile(proj: Projection, h: float, eps_values: list[int], exact: boo
     max_dist = int(dists.max()) if u > 1 else 0
     certified_all = True
 
-    def pack(conflicts: _BitRows, ball: int) -> tuple[int, ...]:
+    def pack(conflicts: _BitRows, ball: int, beat: int = 0) -> tuple[int, ...]:
         nonlocal certified_all
         if exact:
-            witness, certified = _exact_pack(conflicts, ball, PACK_NODE_BUDGET)
+            witness, certified = _exact_pack(conflicts, ball, PACK_NODE_BUDGET, beat)
             if certified:
                 return tuple(witness)
         certified_all = False
@@ -573,7 +647,7 @@ def _local_profile(proj: Projection, h: float, eps_values: list[int], exact: boo
             ball = balls[k]
             if best is not None and ball.bit_count() <= best[0]:
                 continue  # packing cannot beat current best
-            witness = pack(conflicts, ball)
+            witness = pack(conflicts, ball, 0 if best is None else best[0])
             if best is None or len(witness) > best[0]:
                 best = (len(witness), f, witness)
         out[eps] = best

@@ -5,12 +5,14 @@ The ref_* functions are the numpy routines that the library's bitset cores
 (packing, the star search), its half-table kernel (ref_sup_mean) and its
 batched trial engine (ref_run_trial) replaced; the library must reproduce
 their outputs exactly (witnesses, certified flags, profile order and trial
-bits) wherever they finish.  is_affinely_separable decides
+bits) wherever they finish.  ref_blocks and ref_orbit_minima find the
+interchangeable points and the multiset orbits by trying every
+permutation.  is_affinely_separable decides
 separability by an exact-rational simplex, independently of the library's
 planar pair-line enumeration."""
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 import math
 
 import numpy as np
@@ -96,6 +98,39 @@ def brute_local_packing(cls, gamma, n, h):
                 sub = d[np.ix_(ball, ball)]
                 best = max(best, brute_max_packing(sub, sep))
     return best
+
+
+def ref_blocks(cls):
+    """Blocks of interchangeable points: i and j share a block when swapping
+    their columns leaves the sorted row set unchanged, tried for every pair.
+    Each point's block is every point it swaps with, so the result is a
+    partition only if that relation is an equivalence."""
+    pats = cls.patterns
+    rows = sorted(map(tuple, pats.tolist()))
+    p = pats.shape[1]
+    mates = [{i} for i in range(p)]
+    for i, j in combinations(range(p), 2):
+        swapped = pats.copy()
+        swapped[:, [i, j]] = pats[:, [j, i]]
+        if sorted(map(tuple, swapped.tolist())) == rows:
+            mates[i].add(j)
+            mates[j].add(i)
+    return sorted({tuple(sorted(block)) for block in mates})
+
+
+def ref_orbit_minima(blocks, n):
+    """The n-point multisets (ascending tuples, lexicographic order) that are
+    the smallest of their orbit under every permutation within blocks."""
+    m = sum(len(b) for b in blocks)
+    maps = []
+    for perms in product(*(permutations(b) for b in blocks)):
+        image = list(range(m))
+        for block, perm in zip(blocks, perms):
+            for a, b in zip(block, perm):
+                image[a] = b
+        maps.append(image)
+    return [ms for ms in combinations_with_replacement(range(m), n)
+            if all(ms <= tuple(sorted(image[i] for i in ms)) for image in maps)]
 
 
 def brute_vc(cls):

@@ -1,5 +1,5 @@
 import math
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 from locent import geometry
 from locent.classes import (DomainDistribution, HypothesisClass, PointDomain,
                             make_massart_instance, make_star_class)
-from locent.geometry import (_BitRows, _exact_pack, _greedy_pack, _local_profile,
-                             _members, alexander_capacity, doubling_dimension,
-                             gamma_loc, gamma_star, global_packing_number,
+from locent.geometry import (_BitRows, _blocks, _canonical_multisets, _exact_pack,
+                             _greedy_pack, _local_profile, _members,
+                             alexander_capacity, doubling_dimension, gamma_loc, gamma_star, global_packing_number,
                              local_packing_number, max_packing,
                              packing_log_vc_bound, project,
                              pseudoconvexity_constant, verify_packing)
 from locent.measures import star_number, vc_dimension
 from locent.util import hamming_matrix, tlog
-from locent.experiments import threshold_class
+from locent.experiments import circle_separator_class, threshold_class
 
 import oracles
 from conftest import random_class
@@ -122,6 +122,27 @@ class TestPackingCore:
                 if certified:
                     assert len(witness) == oracles.brute_max_packing(
                         d[np.ix_(subset, subset)], eps)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_beat_keeps_every_larger_witness(self, seed):
+        # an incumbent of size beat only prunes what cannot beat it, so a
+        # maximum above beat is the witness found without it
+        proj, rng = weighted_projection(seed)
+        d = proj.dists
+        for eps in range(proj.size + 1):
+            subset = np.nonzero(rng.random(proj.n_patterns) < 0.7)[0]
+            ball = sum(1 << int(i) for i in subset)
+            conflicts = _BitRows(d <= eps)
+            for budget in (200_000, 4, 1):
+                plain, plain_certified = _exact_pack(conflicts, ball, budget)
+                for beat in range(len(subset) + 1):
+                    witness, certified = _exact_pack(conflicts, ball, budget, beat)
+                    assert certified or not plain_certified
+                    if plain_certified and len(plain) > beat:
+                        assert witness == plain
+                    elif plain_certified:
+                        assert len(witness) <= beat
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 100_000))
@@ -274,6 +295,97 @@ class TestSearchNames:
                 call(search)
             with pytest.raises(ValueError, match="unknown search 'exactt'"):
                 call("exactt")
+
+
+def planted_block_class(rng, max_points=6, max_rows=5):
+    """A random row set closed under every permutation of a random block of
+    points, so that block's points are interchangeable."""
+    p = int(rng.integers(2, max_points + 1))
+    block = np.sort(rng.choice(p, size=int(rng.integers(2, p + 1)), replace=False))
+    rows = set()
+    for row in rng.choice(np.int8([-1, 1]), size=(int(rng.integers(1, max_rows + 1)), p)):
+        for perm in permutations(block):
+            image = row.copy()
+            image[list(perm)] = row[block]
+            rows.add(image.tobytes())
+    pats = np.array([np.frombuffer(r, dtype=np.int8) for r in sorted(rows)])
+    return HypothesisClass(PointDomain.of_size(p), pats), tuple(block.tolist())
+
+
+def partition_blocks(rng, m):
+    """A random partition of range(m) into ascending blocks, in order of
+    their first points."""
+    labels = rng.integers(0, m, size=m)
+    blocks = {}
+    for i, label in enumerate(labels.tolist()):
+        blocks.setdefault(label, []).append(i)
+    return sorted(tuple(b) for b in blocks.values())
+
+
+class TestInterchangeablePoints:
+    """Blocks of interchangeable points and the multisets enumerated up to
+    permutations within them."""
+
+    @pytest.mark.parametrize("name, cls, sizes", [
+        ("F1(2,6)", make_star_class("F1", 2, 6), [6]),
+        ("F2(3,8)", make_star_class("F2", 3, 8), [6, 2]),
+        ("F3(2,6,4)", make_star_class("F3", 2, 6, 4), [4]),
+        ("thresholds 32", threshold_class(32), []),
+        ("circle 10", circle_separator_class(10), []),
+    ])
+    def test_blocks_match_reference(self, name, cls, sizes):
+        blocks = _blocks(cls)
+        assert blocks == oracles.ref_blocks(cls)
+        assert sorted((len(b) for b in blocks if len(b) > 1), reverse=True) == sizes
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_planted_blocks_match_reference(self, seed):
+        cls, planted = planted_block_class(np.random.default_rng(seed))
+        blocks = _blocks(cls)
+        assert blocks == oracles.ref_blocks(cls)
+        assert any(set(planted) <= set(b) for b in blocks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 100_000), st.integers(1, 6), st.integers(1, 4))
+    def test_canonical_multisets_are_orbit_minima(self, seed, m, n):
+        blocks = partition_blocks(np.random.default_rng(seed), m)
+        assert list(_canonical_multisets(blocks, n)) == oracles.ref_orbit_minima(blocks, n)
+
+    def test_singleton_blocks_enumerate_every_multiset(self):
+        for m in range(1, 6):
+            for n in range(1, 6):
+                got = list(_canonical_multisets([(i,) for i in range(m)], n))
+                assert got == list(combinations_with_replacement(range(m), n))
+
+    def test_f1_orbits_are_partitions(self):
+        # one block of 6 points: a multiset of 6 is a partition of 6
+        blocks = _blocks(make_star_class("F1", 2, 6))
+        assert len(list(_canonical_multisets(blocks, 6))) == 11
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 100_000), st.integers(2, 4))
+    def test_pooled_results_match_unreduced_enumeration(self, seed, n):
+        cls, _ = planted_block_class(np.random.default_rng(seed))
+
+        def results():
+            return [repr(gamma_loc(cls, 0.5, 1.0, n, search="exact")),
+                    repr(gamma_star(cls, 0.5, n, search="exact")),
+                    repr(local_packing_number(cls, 1, n, 1.0, search="exact")),
+                    repr(global_packing_number(cls, 1, n, search="exact"))]
+
+        reduced = results()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(geometry, "_blocks", lambda c: [(i,) for i in range(c.n_points)])
+            assert results() == reduced
+
+    def test_hill_climb_skips_blocks(self, monkeypatch):
+        def fail(cls):
+            raise AssertionError("blocks computed for a hill climb")
+
+        monkeypatch.setattr(geometry, "_blocks", fail)
+        fp = gamma_star(threshold_class(2048), 0.5, 8, search="auto")
+        assert not fp.exact
 
 
 class TestGammaStar:
