@@ -1,9 +1,15 @@
 """Offset Rademacher, shifted empirical, and multiplier processes for loss views.
 
 Exact enumeration over all 2^n sign vectors is used up to a size cap, Monte
-Carlo with per-replicate seeds beyond it.  Enumeration adds the sums of two
-half sign tables a block of rows at a time: it holds buffers of 2^n floats,
-never the (2^n x rows) product.  The inequality checks are one-sided
+Carlo with per-replicate seeds beyond it.  Enumeration groups equal sample
+columns (multiplicity k_j), whose signs enter every sum only through the
+group sum S_j, and drops rows that repeat their values and penalty.  It adds
+the sums of two half tables of group sum vectors a block of rows at a time
+into a float32 running max over the prod_j (k_j + 1) cells, at most 2^n of
+them, never forming the (cells x rows) product.  The mean weighs each cell
+by its prod_j C(k_j, (S_j + k_j) / 2) sign vectors and is summed exactly,
+so on integer-valued inputs it is the exact mean of the float32
+per-sign-vector suprema.  The inequality checks are one-sided
 statistical tests with 3-sigma slack: they can refute but not prove, so
 they are calibrated to be stable under reseeding.
 """
@@ -11,7 +17,9 @@ they are calibrated to be stable under reseeding.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -33,6 +41,8 @@ __all__ = [
 
 ENUM_CAP = 16
 INNER_REPS = 256             # Monte Carlo sign draws per trial past ENUM_CAP
+_COMB = np.array([[math.comb(k, i) for i in range(ENUM_CAP + 1)] for k in range(ENUM_CAP + 1)],
+                 dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -108,9 +118,56 @@ class LossClassView:
         return self.domain_values() @ px
 
 
-def _half_signs(m: int) -> np.ndarray:
-    """(m, 2^m) signs: column k is +1 at position i when bit i of k is set."""
-    return (2.0 * ((np.arange(1 << m) >> np.arange(m)[:, None]) & 1) - 1.0).astype(np.float32)
+def _classes(keys) -> tuple[list[int], list[int]]:
+    """First index and size of each class of equal keys."""
+    classes: dict[tuple, list[int]] = {}
+    for i, key in enumerate(keys):
+        classes.setdefault(key, []).append(i)
+    return [ix[0] for ix in classes.values()], [len(ix) for ix in classes.values()]
+
+
+def _sum_table(ks: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(len(ks), cells) sum vectors of column groups of sizes ks, group j's sum
+    running over -k_j, 2 - k_j, ..., k_j, and the number of sign vectors
+    giving each, prod_j C(k_j, (S_j + k_j) / 2)."""
+    sizes = list(accumulate((k + 1 for k in ks), operator.mul, initial=1))
+    k = np.array(ks, dtype=np.intp)[:, None]
+    plus = np.arange(sizes[-1]) // np.array(sizes[:-1], dtype=np.intp)[:, None] % (k + 1)
+    return (2 * plus - k).astype(np.float32), _COMB[k, plus].prod(axis=0)
+
+
+def _running_max(high: np.ndarray, low: np.ndarray, pen: np.ndarray) -> np.ndarray:
+    """(a, b) -> max_r (high[r, a] + low[r, b] - pen[r]) in float32, adding a
+    block of rows at a time into buffers of at most 2^16 floats."""
+    sups = np.full((high.shape[1], low.shape[1]), -np.inf, dtype=np.float32)
+    block = max(1, (1 << 16) // sups.size)
+    work = np.empty((block, *sups.shape), dtype=np.float32)
+    for start in range(0, len(pen), block):
+        w, part = work[:min(block, len(pen) - start)], slice(start, start + block)
+        np.add(high[part, :, None], low[part, None, :], out=w)
+        w -= pen[part, None, None]
+        np.maximum(sups, w[0] if len(w) == 1 else w.max(axis=0), out=sups)
+    return sups
+
+
+def _exact_total(sups: np.ndarray, high_w: np.ndarray, low_w: np.ndarray,
+                 inputs: np.ndarray) -> float:
+    """sum_ab high_w[a] low_w[b] sups[a, b], correctly rounded, for suprema
+    that float32 arithmetic computed from `inputs` (values and penalties).
+
+    The weights count sign vectors, each below 2^17, so each term is exact in
+    float64.  If every input is a multiple of a power of two q, so is every
+    float32 result computed from them; then, when no partial sum can reach
+    2^53 q, the float64 sum is exact too.  Otherwise equal suprema are pooled
+    and summed by math.fsum."""
+    span = max(-float(sups.min()), float(sups.max())) * float(high_w.sum() * low_w.sum())
+    scaled = inputs * np.float64(math.ldexp(1.0, 53 - math.frexp(span)[1]))   # in units of q
+    if (np.rint(scaled) == scaled).all():
+        # einsum casts to float64 in small buffers, not a copy of the table
+        return float(high_w @ np.einsum("ab,b->a", sups, low_w))
+    vals, inverse = np.unique(sups, return_inverse=True)
+    counts = np.bincount(inverse.ravel(), weights=np.outer(high_w, low_w).ravel())
+    return math.fsum((vals * counts).tolist())
 
 
 def _sup_mean(values: np.ndarray, penalties: np.ndarray, mode: str, reps: int,
@@ -123,19 +180,22 @@ def _sup_mean(values: np.ndarray, penalties: np.ndarray, mode: str, reps: int,
         if n > ENUM_CAP:
             raise ValueError(
                 f"exact enumeration is limited to n <= {ENUM_CAP}; use monte_carlo for n = {n}")
-        # sign vector k = hi * 2^lo + lo_k, so sups.ravel() is in sign-vector order
-        lo = n // 2
-        low, high = v[:, :lo] @ _half_signs(lo), v[:, lo:] @ _half_signs(n - lo)
         pen = np.asarray(penalties, dtype=np.float32)
-        sups = np.full((1 << (n - lo), 1 << lo), -np.inf, dtype=np.float32)
-        block = max(1, (1 << 16) >> n)
-        work = np.empty((block, *sups.shape), dtype=np.float32)
-        for start in range(0, v.shape[0], block):
-            w, rows = work[:min(block, v.shape[0] - start)], slice(start, start + block)
-            np.add(high[rows, :, None], low[rows, None, :], out=w)
-            w -= pen[rows, None, None]
-            np.maximum(sups, w[0] if len(w) == 1 else w.max(axis=0), out=sups)
-        return float(sups.ravel().mean()), 0.0, "exact_enumeration", 1 << n
+        # a row that repeats both its values and its penalty cannot raise the max
+        rows, _ = _classes(zip(*v.T.tolist(), pen.tolist()))
+        # equal columns enter every row's sum only through their group's sign sum
+        cols, ks = _classes(zip(*v[rows].tolist()))
+        g = np.column_stack([v[rows][:, cols], pen[rows]])
+        # split the groups so that both halves have about as many sum vectors
+        halves, cells = ([], []), [1, 1]
+        for j in sorted(range(len(ks)), key=ks.__getitem__, reverse=True):
+            side = int(cells[1] < cells[0])
+            halves[side].append(j)
+            cells[side] *= ks[j] + 1
+        low_s, low_w = _sum_table([ks[j] for j in halves[0]])
+        high_s, high_w = _sum_table([ks[j] for j in halves[1]])
+        sups = _running_max(g[:, halves[1]] @ high_s, g[:, halves[0]] @ low_s, g[:, -1])
+        return _exact_total(sups, high_w, low_w, g) / (1 << n), 0.0, "exact_enumeration", 1 << n
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
     signs = rng.choice(np.float32([-1.0, 1.0]), size=(reps, n))
@@ -152,8 +212,11 @@ def offset_rademacher_sup(values, c: float, mode: str = "exact_enumeration",
     """(1/n) E_eps sup_g (sum_i eps_i g_i - c g_i^2).
 
     For values in {-1, 0, 1} the quadratic penalty equals c sum |g_i|.
-    Exact mode enumerates all 2^n sign vectors (n <= 16); Monte Carlo
-    averages `reps` draws and reports a 99% CI half-width.
+    Exact mode averages over all 2^n sign vectors (n <= 16), enumerating
+    only the distinct vectors of sums over groups of equal columns and
+    weighting each by its number of sign vectors; on integer-valued values
+    the mean is the exact mean of the float32 per-sign-vector suprema.
+    Monte Carlo averages `reps` draws and reports a 99% CI half-width.
     """
     if c < 0:
         raise ValueError("c must be >= 0")

@@ -45,20 +45,17 @@ def frozen_array(values, dtype=None) -> np.ndarray:
 def hamming_matrix(patterns: np.ndarray, weights=None) -> np.ndarray:
     """Pairwise (weighted) Hamming distances between +-1 rows.
 
-    Computed with one BLAS product on +-1 float32 entries; all intermediate
-    values are integers below 2**24, so the result is exact for total weight
-    up to 2**24.
+    Computed with one BLAS product on +-1 entries: every intermediate value
+    is an integer of magnitude at most the total weight, summed exactly, so
+    float32 is exact below a total of 2**24 and float64 is used from there.
     """
-    a = np.asarray(patterns, dtype=np.float32)
     if weights is None:
-        total = a.shape[1]
-        gram = a @ a.T
+        w, total = None, np.shape(patterns)[1]
     else:
-        w = np.asarray(weights, dtype=np.float32)
-        total = float(w.sum())
-        gram = (a * w) @ a.T
-    if total >= 2**24:  # exactness guard for float32 integer arithmetic
-        a64 = a.astype(np.float64)
-        gram = (a64 * weights) @ a64.T if weights is not None else a64 @ a64.T
-    return np.rint((total - gram) / 2.0).astype(np.int32)
-
+        w = np.asarray(weights)
+        total = int(w.sum()) if w.dtype.kind in "iub" else math.fsum(w.tolist())
+    a = np.asarray(patterns, dtype=np.float32 if total < 2**24 else np.float64)
+    gram = (a if w is None else a * w.astype(a.dtype)) @ a.T
+    np.subtract(total, gram, out=gram)
+    gram *= 0.5
+    return np.rint(gram, out=gram).astype(np.int32)

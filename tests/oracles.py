@@ -2,10 +2,12 @@
 tricks, kept deliberately separate from the library's algorithms.
 
 The ref_* functions are the numpy routines that the library's bitset cores
-(packing, the star search), its half-table kernel (ref_sup_mean) and its
-batched trial engine (ref_run_trial) replaced; the library must reproduce
-their outputs exactly (witnesses, certified flags, profile order and trial
-bits) wherever they finish.  ref_blocks and ref_orbit_minima find the
+(packing, the star search), its grouped sign-sum kernel (ref_sup_mean, the
+full sign-matrix enumeration, and ref_exact_sup_mean, its exact mean) and
+its batched trial engine (ref_run_trial) replaced; the library must
+reproduce their outputs exactly (witnesses, certified flags, profile order,
+trial bits and, on integer-valued inputs, the exact sign-enumeration mean)
+wherever they finish.  ref_blocks and ref_orbit_minima find the
 interchangeable points and the multiset orbits by trying every
 permutation.  is_affinely_separable decides
 separability by an exact-rational simplex, independently of the library's
@@ -232,17 +234,36 @@ def brute_offset_sup(values, c):
     return total / (2 ** n) / n
 
 
-def ref_sup_mean(values, penalties):
-    """E_eps max_g (sum_i eps_i g_i - penalty_g) over the full (2^n x n) sign
-    matrix in float32, row k holding +1 at position i when bit i of k is
-    set: the enumeration the library's half-table kernel replaced, which
-    must reproduce its mean bit for bit on integer-valued inputs."""
+def _ref_sups(values, penalties):
+    """float32 max_g (sum_i eps_i g_i - penalty_g) for every row of the full
+    (2^n x n) sign matrix, row k holding +1 at position i when bit i of k is set."""
     v = np.asarray(values, dtype=np.float32)
     k = np.arange(1 << v.shape[1], dtype=np.uint32)
     bits = (k[:, None] >> np.arange(v.shape[1], dtype=np.uint32)) & 1
     signs = (2.0 * bits - 1.0).astype(np.float32)
-    sups = (signs @ v.T - np.asarray(penalties).astype(np.float32)).max(axis=1)
-    return float(sups.mean())
+    return (signs @ v.T - np.asarray(penalties).astype(np.float32)).max(axis=1)
+
+
+def ref_sup_mean(values, penalties):
+    """E_eps max_g (sum_i eps_i g_i - penalty_g) as the float32 mean of the
+    full sign-matrix enumeration that the library's kernel replaced; it is
+    exact, and so equals ref_exact_sup_mean, for dyadic penalties."""
+    return float(_ref_sups(values, penalties).mean())
+
+
+def ref_exact_sup_mean(values, penalties):
+    """The exact mean of the same 2^n float32 suprema (math.fsum, then an
+    exact division by 2^n), which the library's grouped kernel must
+    reproduce bit for bit on integer-valued inputs."""
+    sups = _ref_sups(values, penalties)
+    return math.fsum(sups.astype(np.float64).tolist()) / len(sups)
+
+
+def brute_hamming(patterns, weights=None):
+    """Pairwise weighted mismatch counts in Python integers."""
+    rows = np.asarray(patterns).tolist()
+    w = [1] * len(rows[0]) if weights is None else [int(x) for x in weights]
+    return [[sum(wk for a, b, wk in zip(r, s, w) if a != b) for s in rows] for r in rows]
 
 
 def brute_kl_joint(b1, b2, weights, h, big_n, n):

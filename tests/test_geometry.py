@@ -28,6 +28,25 @@ def cube_class(k=3):
     return HypothesisClass(PointDomain.of_size(k), pats)
 
 
+class TestHammingMatrix:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 10), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_matches_brute(self, rows, points, weighted, seed):
+        g = np.random.default_rng(seed)
+        pats = g.choice(np.int8([-1, 1]), size=(rows, points))
+        weights = g.integers(1, 50, size=points) if weighted else None
+        assert hamming_matrix(pats, weights).tolist() == oracles.brute_hamming(pats, weights)
+
+    @pytest.mark.parametrize("pats,weights", [
+        ([[1, 1], [-1, 1]], [2 ** 24 + 1, 1]),        # float32 sums the total to 2^24
+        ([[1, 1, 1], [-1, 1, -1]], [2 ** 23, 2 ** 23, 3]),  # ... and this one to 2^24 + 4
+    ])
+    def test_exact_past_float32_total(self, pats, weights):
+        pats = np.array(pats, dtype=np.int8)
+        assert hamming_matrix(pats, weights).tolist() == oracles.brute_hamming(pats, weights)
+        assert hamming_matrix(pats, np.array(weights)).tolist() == oracles.brute_hamming(pats, weights)
+
+
 class TestMaxPacking:
     def test_single_pattern(self):
         for eps in (0, 1, 5):

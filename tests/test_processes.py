@@ -69,8 +69,37 @@ class TestExactEnumeration:
         v = np.random.default_rng(seed).choice(np.array([-1.0, 0.0, 1.0]), size=(rows, n))
         pen = c * np.abs(v).sum(axis=1)
         mean, sd, mode, terms = _sup_mean(v, pen, "exact_enumeration", 0, None)
-        assert mean == oracles.ref_sup_mean(v, pen)
+        assert mean == oracles.ref_exact_sup_mean(v, pen)
+        if c != 1 / 3:
+            # dyadic penalties keep the float32 mean of the full table exact
+            assert mean == oracles.ref_sup_mean(v, pen)
         assert (sd, mode, terms) == (0.0, "exact_enumeration", 2 ** n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 16), st.integers(1, 12), st.integers(1, 24),
+           st.sampled_from([0, 0.25, 1 / 3, 0.5, 1]), st.integers(0, 2 ** 32 - 1))
+    def test_repeated_columns_and_rows(self, points, n, base_rows, rows, c, seed):
+        # a sample drawn with replacement repeats columns; equal rows repeat too
+        g = np.random.default_rng(seed)
+        base = g.choice(np.array([-1.0, 0.0, 1.0]), size=(base_rows, points))
+        v = base[:, g.integers(points, size=n)][g.integers(base_rows, size=rows)]
+        pen = c * np.abs(v).sum(axis=1)
+        mean, sd, mode, terms = _sup_mean(v, pen, "exact_enumeration", 0, None)
+        assert mean == oracles.ref_exact_sup_mean(v, pen)
+        assert (sd, mode, terms) == (0.0, "exact_enumeration", 2 ** n)
+        if n <= 10:
+            # the oracle keeps c / 3 in float64, the library rounds it to float32
+            brute = oracles.brute_offset_sup(v, c)
+            assert mean / n == (brute if c != 1 / 3 else pytest.approx(brute, abs=1e-6))
+
+    def test_exact_where_a_float64_sum_rounds(self):
+        # suprema 4096 S and -2^-40 need more than 53 bits to add: at n = 4 and
+        # 6 a float64 sum of the 2^n suprema rounds, the pooled fsum does not
+        for n in (4, 6):
+            v = np.vstack([np.zeros(n), np.full(n, 4096.0)])
+            pen = np.array([2.0 ** -40, 0.0])
+            mean = _sup_mean(v, pen, "exact_enumeration", 0, None)[0]
+            assert mean == oracles.ref_exact_sup_mean(v, pen)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 16), st.integers(1, 100), st.integers(0, 2 ** 32 - 1))
@@ -84,13 +113,16 @@ class TestExactEnumeration:
     def test_memory_bounded_at_the_cap(self, rng):
         v = rng.choice(np.array([-1.0, 0.0, 1.0]), size=(300, 16))
         pen = 0.25 * np.abs(v).sum(axis=1)
-        tracemalloc.start()
-        try:
-            _sup_mean(v, pen, "exact_enumeration", 0, None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2 ** 20
+        # all 16 columns distinct, then a sample's columns drawn with replacement
+        for cols in (np.arange(16), rng.integers(16, size=16)):
+            tracemalloc.start()
+            try:
+                terms = _sup_mean(v[:, cols], pen, "exact_enumeration", 0, None)[3]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2 ** 20
+            assert terms == 2 ** 16
 
 
 class TestLossViews:
