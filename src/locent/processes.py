@@ -7,11 +7,13 @@ group sum S_j, and drops rows that repeat their values and penalty.  It adds
 the sums of two half tables of group sum vectors a block of rows at a time
 into a float32 running max over the prod_j (k_j + 1) cells, at most 2^n of
 them, never forming the (cells x rows) product.  The mean weighs each cell
-by its prod_j C(k_j, (S_j + k_j) / 2) sign vectors and is summed exactly,
-so on integer-valued inputs it is the exact mean of the float32
-per-sign-vector suprema.  The inequality checks are one-sided
-statistical tests with 3-sigma slack: they can refute but not prove, so
-they are calibrated to be stable under reseeding.
+by its prod_j C(k_j, (S_j + k_j) / 2) sign vectors in a float64 dot
+product, which is exact while the suprema span at most 53 - n bits (all
+multiples of 2^-F below 2^(53 - n - F)): then it is the exact mean of the
+float32 per-sign-vector suprema.  That holds for values in {-1, 0, 1} with
+penalties c m, integer |m| <= n and c = 0 or |c| >= 2^-9.  The inequality
+checks are one-sided statistical tests with 3-sigma slack: they can refute
+but not prove, so they are calibrated to be stable under reseeding.
 """
 
 from __future__ import annotations
@@ -150,26 +152,6 @@ def _running_max(high: np.ndarray, low: np.ndarray, pen: np.ndarray) -> np.ndarr
     return sups
 
 
-def _exact_total(sups: np.ndarray, high_w: np.ndarray, low_w: np.ndarray,
-                 inputs: np.ndarray) -> float:
-    """sum_ab high_w[a] low_w[b] sups[a, b], correctly rounded, for suprema
-    that float32 arithmetic computed from `inputs` (values and penalties).
-
-    The weights count sign vectors, each below 2^17, so each term is exact in
-    float64.  If every input is a multiple of a power of two q, so is every
-    float32 result computed from them; then, when no partial sum can reach
-    2^53 q, the float64 sum is exact too.  Otherwise equal suprema are pooled
-    and summed by math.fsum."""
-    span = max(-float(sups.min()), float(sups.max())) * float(high_w.sum() * low_w.sum())
-    scaled = inputs * np.float64(math.ldexp(1.0, 53 - math.frexp(span)[1]))   # in units of q
-    if (np.rint(scaled) == scaled).all():
-        # einsum casts to float64 in small buffers, not a copy of the table
-        return float(high_w @ np.einsum("ab,b->a", sups, low_w))
-    vals, inverse = np.unique(sups, return_inverse=True)
-    counts = np.bincount(inverse.ravel(), weights=np.outer(high_w, low_w).ravel())
-    return math.fsum((vals * counts).tolist())
-
-
 def _sup_mean(values: np.ndarray, penalties: np.ndarray, mode: str, reps: int,
               rng: np.random.Generator | None) -> tuple[float, float, str, int]:
     """(mean, sd of per-replicate sup, mode, replicates) of
@@ -195,7 +177,10 @@ def _sup_mean(values: np.ndarray, penalties: np.ndarray, mode: str, reps: int,
         low_s, low_w = _sum_table([ks[j] for j in halves[0]])
         high_s, high_w = _sum_table([ks[j] for j in halves[1]])
         sups = _running_max(g[:, halves[1]] @ high_s, g[:, halves[0]] @ low_s, g[:, -1])
-        return _exact_total(sups, high_w, low_w, g) / (1 << n), 0.0, "exact_enumeration", 1 << n
+        # a float32 supremum times a count below 2^17 is exact in float64, and
+        # no partial sum exceeds 2^n max|sup|; einsum casts in small buffers
+        total = float(high_w @ np.einsum("ab,b->a", sups, low_w))
+        return total / (1 << n), 0.0, "exact_enumeration", 1 << n
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
     signs = rng.choice(np.float32([-1.0, 1.0]), size=(reps, n))
@@ -214,8 +199,10 @@ def offset_rademacher_sup(values, c: float, mode: str = "exact_enumeration",
     For values in {-1, 0, 1} the quadratic penalty equals c sum |g_i|.
     Exact mode averages over all 2^n sign vectors (n <= 16), enumerating
     only the distinct vectors of sums over groups of equal columns and
-    weighting each by its number of sign vectors; on integer-valued values
-    the mean is the exact mean of the float32 per-sign-vector suprema.
+    weighting each by its number of sign vectors in a float64 sum.  For
+    values in {-1, 0, 1} and c = 0 or c >= 2^-9, whose suprema span at
+    most 53 - n bits, the mean is the exact mean of the float32
+    per-sign-vector suprema; otherwise it is within float64 rounding of it.
     Monte Carlo averages `reps` draws and reports a 99% CI half-width.
     """
     if c < 0:

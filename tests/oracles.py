@@ -6,10 +6,10 @@ The ref_* functions are the numpy routines that the library's bitset cores
 full sign-matrix enumeration, and ref_exact_sup_mean, its exact mean) and
 its batched trial engine (ref_run_trial) replaced; the library must
 reproduce their outputs exactly (witnesses, certified flags, profile order,
-trial bits and, on integer-valued inputs, the exact sign-enumeration mean)
-wherever they finish.  ref_blocks and ref_orbit_minima find the
-interchangeable points and the multiset orbits by trying every
-permutation.  is_affinely_separable decides
+trial bits and, where the suprema span at most 53 - n bits, the exact
+sign-enumeration mean) wherever they finish.  ref_blocks and
+ref_orbit_minima find the interchangeable points and the multiset orbits
+by trying every permutation.  is_affinely_separable decides
 separability by an exact-rational simplex, independently of the library's
 planar pair-line enumeration."""
 
@@ -254,7 +254,8 @@ def ref_sup_mean(values, penalties):
 def ref_exact_sup_mean(values, penalties):
     """The exact mean of the same 2^n float32 suprema (math.fsum, then an
     exact division by 2^n), which the library's grouped kernel must
-    reproduce bit for bit on integer-valued inputs."""
+    reproduce bit for bit where the suprema span at most 53 - n bits, as
+    for values in {-1, 0, 1} with penalties c m, c >= 2^-9."""
     sups = _ref_sups(values, penalties)
     return math.fsum(sups.astype(np.float64).tolist()) / len(sups)
 

@@ -92,14 +92,16 @@ class TestExactEnumeration:
             brute = oracles.brute_offset_sup(v, c)
             assert mean / n == (brute if c != 1 / 3 else pytest.approx(brute, abs=1e-6))
 
-    def test_exact_where_a_float64_sum_rounds(self):
-        # suprema 4096 S and -2^-40 need more than 53 bits to add: at n = 4 and
-        # 6 a float64 sum of the 2^n suprema rounds, the pooled fsum does not
-        for n in (4, 6):
-            v = np.vstack([np.zeros(n), np.full(n, 4096.0)])
-            pen = np.array([2.0 ** -40, 0.0])
-            mean = _sup_mean(v, pen, "exact_enumeration", 0, None)[0]
-            assert mean == oracles.ref_exact_sup_mean(v, pen)
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 16), st.integers(1, 40), st.floats(2.0 ** -9, 8.0),
+           st.integers(0, 2 ** 32 - 1))
+    def test_exact_down_to_the_stated_penalty_scale(self, n, rows, c, seed):
+        # penalties c m with signed integer m, |m| <= n: the suprema span at
+        # most 53 - n bits for c >= 2^-9, so the float64 sum is exact
+        v = np.random.default_rng(seed).choice(np.array([-1.0, 0.0, 1.0]), size=(rows, n))
+        pen = c * v.sum(axis=1)
+        mean = _sup_mean(v, pen, "exact_enumeration", 0, None)[0]
+        assert mean == oracles.ref_exact_sup_mean(v, pen)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 16), st.integers(1, 100), st.integers(0, 2 ** 32 - 1))
@@ -112,12 +114,14 @@ class TestExactEnumeration:
 
     def test_memory_bounded_at_the_cap(self, rng):
         v = rng.choice(np.array([-1.0, 0.0, 1.0]), size=(300, 16))
-        pen = 0.25 * np.abs(v).sum(axis=1)
-        # all 16 columns distinct, then a sample's columns drawn with replacement
-        for cols in (np.arange(16), rng.integers(16, size=16)):
+        real = rng.normal(size=(300, 16))
+        # all 16 columns distinct, a sample's columns drawn with replacement,
+        # then real values with a non-dyadic penalty
+        for vals, c in ((v, 0.25), (v[:, rng.integers(16, size=16)], 0.25), (real, 1 / 3)):
+            pen = c * (vals ** 2).sum(axis=1)
             tracemalloc.start()
             try:
-                terms = _sup_mean(v[:, cols], pen, "exact_enumeration", 0, None)[3]
+                terms = _sup_mean(vals, pen, "exact_enumeration", 0, None)[3]
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
