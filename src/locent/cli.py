@@ -129,18 +129,21 @@ def _resolve(sub: str, cli_args: dict, config_path: str | None) -> dict:
     opts = dict(_OPTION_DEFAULTS[sub])
     if config_path:
         ini = configparser.ConfigParser()
-        read = ini.read(config_path)
+        try:  # a missing section header, a duplicate key, a bad interpolation
+            read = ini.read(config_path)
+            sections = {name: ini.items(name) for name in ("run", sub) if ini.has_section(name)}
+        except configparser.Error as exc:
+            raise ValueError(f"malformed config file {config_path}: {exc}") from exc
         if not read:
             raise FileNotFoundError(f"config file not found: {config_path}")
-        for section in ("run", sub):
-            if ini.has_section(section):
-                for key, value in ini.items(section):
-                    key = key.replace("-", "_")
-                    if key not in opts:
-                        if section == "run" and key in _ALL_KEYS:
-                            continue  # another subcommand's key
-                        raise ValueError(f"unknown config key {key!r} in [{section}]")
-                    opts[key] = _coerce(key, value)
+        for section, items in sections.items():
+            for key, value in items:
+                key = key.replace("-", "_")
+                if key not in opts:
+                    if section == "run" and key in _ALL_KEYS:
+                        continue  # another subcommand's key
+                    raise ValueError(f"unknown config key {key!r} in [{section}]")
+                opts[key] = _coerce(key, value)
     for key, value in cli_args.items():
         if value is not None:
             opts[key] = _coerce(key, value)
@@ -225,8 +228,8 @@ def _cmd_packing(opts, config) -> int:
         res = geometry.global_packing_number(cls, gamma, n, search=opts["search"],
                                              seed=int(opts["seed"]))
         body = {"kind": "global", "value": res.size, "multiset": list(res.multiset),
-                "witness": list(res.packing.witness), "mode": res.packing.mode,
-                "exact": res.exact}
+                "witness": list(res.packing.witness),
+                "mode": "exact" if res.packing.exact else "greedy", "exact": res.exact}
     elif opts["kind"] == "local":
         res = geometry.local_packing_number(cls, gamma, n, float(opts["h"]),
                                             search=opts["search"], seed=int(opts["seed"]))
@@ -257,7 +260,7 @@ def _cmd_fixed_point(opts, config) -> int:
         raise ValueError(f"unknown fixed-point kind {opts['kind']!r}")
     scan = [{"gamma": r["gamma"], "log_packing": r["log_packing"],
              "satisfied": r["satisfied"], "witness_size": r["witness_size"],
-             "mode": r["mode"]} for r in fp.scan]
+             "mode": "exact" if r["exact"] else "greedy"} for r in fp.scan]
     if opts["format"] == "csv":
         lines = ["gamma,log_packing,satisfied,witness_size,mode"]
         for r in scan:
@@ -334,10 +337,10 @@ def _cmd_erm_sweep(opts, config) -> int:
     h_grid = _grid(opts["h_grid"], float)
     n_grid = _grid(opts["n_grid"], int)
     if opts["generator"] == "thresholds" and opts["points"] is None:
-        def factory(h, n):  # one memoized class per n
+        def factory(h, n):  # the sweep memo keys classes by their patterns
             return experiments.threshold_instance(n, h)
     else:
-        cls, desc = _build_class(opts)  # once, so the sweep memo serves every cell
+        cls, desc = _build_class(opts)  # built once for every cell
 
         def factory(h, n):
             return _build_instance(cls, desc, {**opts, "h": h})

@@ -38,16 +38,9 @@ __all__ = [
 CSV_HEADER = "h,n,trials,mean_excess,ci,gamma_loc,gamma_star,ratio,d,s,exact_flags"
 
 
-_THRESHOLD_CLASSES: dict[int, HypothesisClass] = {}
-
-
 def threshold_class(n: int) -> HypothesisClass:
-    """Threshold class on n evenly spaced points (memoized, so the sweep
-    cells of one n share one class object and its fixed points and measures)."""
-    if n not in _THRESHOLD_CLASSES:
-        _THRESHOLD_CLASSES[n] = make_thresholds(
-            PointDomain.from_coords(np.arange(1.0, n + 1.0)))
-    return _THRESHOLD_CLASSES[n]
+    """Threshold class on n evenly spaced points."""
+    return make_thresholds(PointDomain.from_coords(np.arange(1.0, n + 1.0)))
 
 
 def threshold_instance(n: int, h: float, target: int | None = None) -> MassartInstance:
@@ -127,18 +120,20 @@ def _sweep_cell(config: SweepConfig, hi: int, h, ni: int, n, memo: dict) -> dict
     mean, ci, _ = _cell_mean_excess(instance, n, config.trials,
                                     config.policy, config.seed, (hi, ni))
     cls = instance.cls
-    key = (cls, "gamma_loc", h, n)
+    # equal pattern matrices share their fixed points and measures
+    cls_key = (cls.patterns.shape, cls.patterns.tobytes())
+    key = (cls_key, "gamma_loc", h, n)
     if key not in memo:
         memo[key] = gamma_loc(cls, h, h, n, search=config.search, seed=config.seed)
     fp = memo[key]
-    key = (cls, "gamma_star", n)
+    key = (cls_key, "gamma_star", n)
     if key not in memo:
         memo[key] = gamma_star(cls, 0.5, n, search=config.search, seed=config.seed)
     fs = memo[key]
     flags = ["loc_exact" if fp.exact else "loc_heuristic",
              "star_exact" if fs.exact else "star_heuristic"]
     # d and s are per-class diagnostics, computed once per class
-    key = (cls, "measures")
+    key = (cls_key, "measures")
     if key not in memo:
         memo[key] = (vc_dimension(cls), star_number(cls))
     d, s = memo[key]
@@ -158,7 +153,7 @@ def run_rate_sweep(config: SweepConfig) -> SweepTable:
     Cells are deterministic given the config seed (per-cell seeds are
     derived independently).  Errors propagate: an unknown search name
     raises ValueError from the first cell's fixed point.  Fixed points and
-    measures are memoized per class object within the sweep.
+    measures are memoized per pattern matrix within the sweep.
     """
     memo: dict = {}
     rows = [_sweep_cell(config, hi, h, ni, n, memo) for hi, h in enumerate(config.h_grid)
@@ -194,6 +189,8 @@ def check_sandwich(cls: HypothesisClass, h: float, n: int, d: int | None = None,
     sres = star_number(cls) if s is None else None
     d_val = d if d is not None else dres.value
     s_val = s if s is not None else sres.value
+    if d_val < 1:
+        raise ValueError(f"the sandwich forms divide by the VC dimension, here d = {d_val}")
     soft = (dres is not None and not dres.exact) or (sres is not None and not sres.exact)
     fp = gamma_loc(cls, h, h, n, search=search, seed=seed)
     soft = soft or not fp.exact
@@ -228,14 +225,13 @@ class StarTheoremReport:
 
 
 def check_star_theorem(cls: HypothesisClass, n: int, trials: int, seed: int,
-                       target: int = 0,
-                       px: DomainDistribution | None = None) -> StarTheoremReport:
+                       target: int = 0) -> StarTheoremReport:
     """Realizable mean ERM risk against log of the growth function at s min n."""
     s = star_number(cls)
     m = max(1, min(s.value, n))
     growth = growth_function(cls, m)
     bound = tlog(growth.value) / n
-    instance = make_massart_instance(cls, target, 1.0, px=px)
+    instance = make_massart_instance(cls, target, 1.0)
     mean, ci, _ = _cell_mean_excess(instance, n, trials, "first_index", seed, (0,))
     return StarTheoremReport(mean_risk=mean, ci=ci, bound=bound,
                              implied_constant=mean / bound, s=s.value,

@@ -48,7 +48,6 @@ __all__ = [
 # it; nothing else sets them, so a result depends only on its arguments.
 PACK_NODE_BUDGET = 200_000   # branch-and-bound nodes per exact packing
 COVER_NODE_BUDGET = 100_000  # branch-and-bound nodes per exact cover
-MULTISET_CAP = 1_000_000     # most multisets an exhaustive search enumerates
 MULTISET_WORK = 120_000      # most multisets times per-evaluation work it spends
 RESTARTS = 32                # hill-climb starts on small classes
 SWAP_TRIES = 8               # hill-climb single-point swaps on small classes
@@ -109,8 +108,16 @@ class PackingResult:
     size: int
     witness: tuple[int, ...]
     radius: int
-    mode: str                    # "exact" (certified) or "greedy"
-    budget_hit: bool = False
+    exact: bool                  # branch and bound certified the maximum
+
+    # derived from exact for bench/job.py and bench/tracing.py, which read them
+    @property
+    def mode(self) -> str:
+        return "exact" if self.exact else "greedy"
+
+    @property
+    def budget_hit(self) -> bool:  # for max_packing: its node budget ran out
+        return not self.exact
 
 
 # Pattern sets are Python-int bitsets over projected-row indices (bit j is
@@ -233,35 +240,32 @@ def _exact_pack(conflicts: _BitRows, ball: int, node_budget: int,
     return _members(best_mask), exhausted
 
 
-def max_packing(patterns, eps: int, mode: str = "exact",
-                dists: np.ndarray | None = None) -> PackingResult:
-    """Maximal subset of the patterns with pairwise Hamming distance > eps;
-    given dists (a weighted distance matrix, say), of its rows instead.
+def _pack(conflicts: _BitRows, ball: int, exact: bool, beat: int = 0) -> tuple[list[int], bool]:
+    """Packing of the bitset ball as (witness, certified), by branch and bound
+    under PACK_NODE_BUDGET when exact, else greedy (uncertified).  A branch
+    and bound that runs out of nodes returns its incumbent, never smaller
+    than the greedy packing: every packing shares this one fallback."""
+    if exact:
+        return _exact_pack(conflicts, ball, PACK_NODE_BUDGET, beat)
+    return _greedy_pack(conflicts, ball), False
 
-    Exact mode solves the conflict-graph maximum independent set by branch
-    and bound (falling back to the greedy witness, flagged, when the node
-    budget runs out); greedy mode returns a maximal-by-inclusion packing,
-    which doubles as an eps-cover.
-    """
+
+def _packing(dists: np.ndarray, eps: int, exact: bool) -> PackingResult:
+    """Packing of every row of a distance matrix at separation > eps."""
+    witness, certified = _pack(_BitRows(dists <= eps), (1 << dists.shape[0]) - 1, exact)
+    return PackingResult(size=len(witness), witness=tuple(witness), radius=eps, exact=certified)
+
+
+def max_packing(patterns, eps: int) -> PackingResult:
+    """Maximum subset of the patterns with pairwise Hamming distance > eps,
+    by branch and bound on the conflict graph (see _pack); exact=False when
+    the node budget ran out."""
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    if dists is None:
-        pats = np.asarray(patterns)
-        if pats.ndim != 2 or pats.shape[0] < 1:
-            raise ValueError("patterns must be a nonempty matrix")
-        dists = hamming_matrix(pats)
-    conflicts = _BitRows(dists <= eps)
-    everything = (1 << dists.shape[0]) - 1
-    if mode == "greedy":
-        chosen = _greedy_pack(conflicts, everything)
-        return PackingResult(size=len(chosen), witness=tuple(chosen), radius=eps, mode="greedy")
-    if mode != "exact":
-        raise ValueError(f"unknown packing mode {mode!r}")
-    witness, certified = _exact_pack(conflicts, everything, PACK_NODE_BUDGET)
-    if not certified:
-        return PackingResult(size=len(witness), witness=tuple(witness), radius=eps,
-                             mode="greedy", budget_hit=True)
-    return PackingResult(size=len(witness), witness=tuple(witness), radius=eps, mode="exact")
+    pats = np.asarray(patterns)
+    if pats.ndim != 2 or pats.shape[0] < 1:
+        raise ValueError("patterns must be a nonempty matrix")
+    return _packing(hamming_matrix(pats), eps, exact=True)
 
 
 def verify_packing(dists: np.ndarray, eps: int, witness) -> bool:
@@ -382,21 +386,18 @@ def _exhaustive_multisets(cls: HypothesisClass, n: int, search: str,
                           eval_work: int = 1) -> bool:
     """Whether the multiset search will be exhaustive.
 
-    The caps count every n-point multiset, C(m+n-1, n), although the
+    The cap counts every n-point multiset, C(m+n-1, n), although the
     exhaustive search visits one per orbit of interchangeable points.
-    Enumeration must fit both the count cap and a total-work cap (count
-    times the caller's per-evaluation cost estimate); past either, the
-    search hill-climbs and results are flagged heuristic.  "exact" and
-    "auto" both enumerate when the caps allow; "hill_climb" never does.
+    Enumeration must fit a total-work cap (count times the caller's
+    per-evaluation cost estimate); past it, the search hill-climbs and
+    results are flagged heuristic.  "exact" and "auto" both enumerate when
+    the cap allows; "hill_climb" never does.
     """
     if search not in _SEARCHES:
         raise ValueError(f"unknown search {search!r}; expected one of {', '.join(_SEARCHES)}")
     if search == "hill_climb":
         return False
-    count = math.comb(cls.n_points + n - 1, n)
-    if count > MULTISET_CAP:
-        return False
-    return count * max(eval_work, 1) <= MULTISET_WORK
+    return math.comb(cls.n_points + n - 1, n) * max(eval_work, 1) <= MULTISET_WORK
 
 
 def _pooled_search(cls: HypothesisClass, n: int, exhaustive: bool, seed: int, profile, score):
@@ -512,12 +513,10 @@ class GlobalPackingResult:
 
 def _global_profile(gammas, exhaustive: bool):
     """Profile of a projection's maximal gamma-packings, one key per gamma."""
-    mode = "exact" if exhaustive else "greedy"
-
     def profile(proj: Projection):
-        packs = {g: max_packing(None, g, mode=mode, dists=proj.dists) for g in gammas}
+        packs = {g: _packing(proj.dists, g, exhaustive) for g in gammas}
         return ({g: (res.size, res) for g, res in packs.items()},
-                all(res.mode == "exact" for res in packs.values()))
+                all(res.exact for res in packs.values()))
     return profile
 
 
@@ -552,7 +551,7 @@ def gamma_star(cls: HypothesisClass, c: float, n: int, search: str = "auto",
         exhaustive = _exhaustive_multisets(cls, n, search, eval_work=cls.n_rows * g_cap)
         pooled, exact = _pooled_search(cls, n, exhaustive, seed,
                                        _global_profile(range(1, g_cap + 1), exhaustive), score)
-        return (lambda g: (pooled[g][0], {"mode": pooled[g][1].mode})), exact
+        return (lambda g: (pooled[g][0], {"exact": pooled[g][1].exact})), exact
 
     return _fixed_point(cls, c, n, {"c": c, "n": n, "search": search, "seed": seed},
                         search_scan)
@@ -622,12 +621,9 @@ def _local_profile(proj: Projection, h: float, eps_values: list[int], exact: boo
 
     def pack(conflicts: _BitRows, ball: int, beat: int = 0) -> tuple[int, ...]:
         nonlocal certified_all
-        if exact:
-            witness, certified = _exact_pack(conflicts, ball, PACK_NODE_BUDGET, beat)
-            if certified:
-                return tuple(witness)
-        certified_all = False
-        return tuple(_greedy_pack(conflicts, ball))
+        witness, certified = _pack(conflicts, ball, exact, beat)
+        certified_all = certified_all and certified
+        return tuple(witness)
 
     # callers pass radii in increasing order, so radii sharing a separation
     # are adjacent and only one separation's conflict rows are alive at a time
@@ -732,11 +728,9 @@ def gamma_loc(cls: HypothesisClass, h: float, h_prime: float, n: int,
         pooled, exact = _pooled_search(
             cls, n, exhaustive, seed,
             lambda proj: _local_profile(proj, h_prime, grid, exhaustive), score)
-        mode = "exact" if exact else "greedy"
-
         def read(g):
             size, fields = _packing_at(pooled, g, h_prime, n, beat=1)
-            return size, {"mode": mode, **fields}
+            return size, {"exact": exact, **fields}
         return read, exact
 
     return _fixed_point(cls, h, n, {"h": h, "h_prime": h_prime, "n": n,

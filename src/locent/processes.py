@@ -51,7 +51,7 @@ _COMB = np.array([[math.comb(k, i) for i in range(ENUM_CAP + 1)] for k in range(
 class ProcessEstimate:
     value: float
     ci_halfwidth: float
-    mode: str                    # "exact_enumeration" or "monte_carlo"
+    exact: bool                  # exact enumeration, else Monte Carlo
     replicates: int
     seed: int | None = None
 
@@ -152,13 +152,14 @@ def _running_max(high: np.ndarray, low: np.ndarray, pen: np.ndarray) -> np.ndarr
     return sups
 
 
-def _sup_mean(values: np.ndarray, penalties: np.ndarray, mode: str, reps: int,
-              rng: np.random.Generator | None) -> tuple[float, float, str, int]:
-    """(mean, sd of per-replicate sup, mode, replicates) of
-    E_eps max_g (sum_i eps_i g_i - penalty_g)."""
+def _sup_mean(values: np.ndarray, penalties: np.ndarray, exact: bool, reps: int,
+              rng: np.random.Generator | None) -> tuple[float, float, bool, int]:
+    """(mean, sd of per-replicate sup, exact, replicates) of
+    E_eps max_g (sum_i eps_i g_i - penalty_g), by exact enumeration or from
+    reps Monte Carlo draws of rng."""
     v = np.asarray(values, dtype=np.float32)
     n = v.shape[1]
-    if mode == "exact_enumeration":
+    if exact:
         if n > ENUM_CAP:
             raise ValueError(
                 f"exact enumeration is limited to n <= {ENUM_CAP}; use monte_carlo for n = {n}")
@@ -180,16 +181,10 @@ def _sup_mean(values: np.ndarray, penalties: np.ndarray, mode: str, reps: int,
         # a float32 supremum times a count below 2^17 is exact in float64, and
         # no partial sum exceeds 2^n max|sup|; einsum casts in small buffers
         total = float(high_w @ np.einsum("ab,b->a", sups, low_w))
-        return total / (1 << n), 0.0, "exact_enumeration", 1 << n
-    if mode != "monte_carlo":
-        raise ValueError(f"unknown mode {mode!r}")
+        return total / (1 << n), 0.0, True, 1 << n
     signs = rng.choice(np.float32([-1.0, 1.0]), size=(reps, n))
     sups = (signs @ v.T - penalties.astype(np.float32)).max(axis=1)
-    return float(sups.mean()), float(sups.std(ddof=1)) if reps > 1 else 0.0, "monte_carlo", reps
-
-
-def _auto_mode(n: int) -> str:
-    return "exact_enumeration" if n <= ENUM_CAP else "monte_carlo"
+    return float(sups.mean()), float(sups.std(ddof=1)) if reps > 1 else 0.0, False, reps
 
 
 def offset_rademacher_sup(values, c: float, mode: str = "exact_enumeration",
@@ -207,15 +202,17 @@ def offset_rademacher_sup(values, c: float, mode: str = "exact_enumeration",
     """
     if c < 0:
         raise ValueError("c must be >= 0")
+    if mode not in ("exact_enumeration", "monte_carlo"):
+        raise ValueError(f"unknown mode {mode!r}")
+    exact = mode == "exact_enumeration"
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] < 1:
         raise ValueError("values must be a nonempty matrix")
     n = v.shape[1]
     penalties = c * (v ** 2).sum(axis=1)
-    rng = make_rng(seed, 11) if mode == "monte_carlo" else None
-    mean, sd, used_mode, m = _sup_mean(v, penalties, mode, reps, rng)
-    ci = 0.0 if used_mode == "exact_enumeration" else NORMAL_99 * sd / math.sqrt(m) / n
-    return ProcessEstimate(value=mean / n, ci_halfwidth=ci, mode=used_mode,
+    mean, sd, _, m = _sup_mean(v, penalties, exact, reps, make_rng(seed, 11))
+    ci = 0.0 if exact else NORMAL_99 * sd / math.sqrt(m) / n
+    return ProcessEstimate(value=mean / n, ci_halfwidth=ci, exact=exact,
                            replicates=m, seed=seed)
 
 
@@ -258,7 +255,7 @@ def check_symmetrization_expectation(view: LossClassView, instance: MassartInsta
         lhs[t] = shifted_process_sup(view, instance, smp, c)
         vals = view.values(smp.xs, smp.ys)
         penalties = shift * vals.sum(axis=1)
-        mean, _, _, _ = _sup_mean(vals, penalties, _auto_mode(n), INNER_REPS,
+        mean, _, _, _ = _sup_mean(vals, penalties, n <= ENUM_CAP, INNER_REPS,
                                   make_rng(seed, t, 2))
         rhs[t] = (c + 2.0) / n * mean
     return _one_sided("shifted_symmetrization", lhs, rhs,
@@ -286,12 +283,12 @@ def check_contraction(instance: MassartInstance, c: float, n: int, trials: int,
         smp = sample(instance, n, seed=int(make_rng(seed, t, 3).integers(2 ** 31)))
         xs, ys = smp.xs, smp.ys
         gy = excess.values(xs, ys)
-        mean, _, _, _ = _sup_mean(gy, c * gy.sum(axis=1), _auto_mode(n), INNER_REPS,
+        mean, _, _, _ = _sup_mean(gy, c * gy.sum(axis=1), n <= ENUM_CAP, INNER_REPS,
                                   make_rng(seed, t, 4))
         lhs[t] = mean
         fv = halved.values(xs)
         mean1, _, _, _ = _sup_mean(fv, 0.5 * h * c * np.abs(fv).sum(axis=1),
-                                   _auto_mode(n), INNER_REPS, make_rng(seed, t, 5))
+                                   n <= ENUM_CAP, INNER_REPS, make_rng(seed, t, 5))
         hp = instance.abs_eta[xs]
         flip = (instance.fstar[xs] != ys)
         xi = (2.0 / 3.0) * (hp + np.where(flip, 1.0, -1.0))
@@ -326,7 +323,7 @@ def check_localization_bound(instance: MassartInstance, view_kind: str, c: float
         xs = instance.px.cdf.searchsorted(make_rng(seed, t, 6).random(n), side="right")
         vals = vals_domain[:, xs]
         mean, _, _, _ = _sup_mean(vals, 4.0 * c * np.abs(vals).sum(axis=1),
-                                  _auto_mode(n), INNER_REPS, make_rng(seed, t, 7))
+                                  n <= ENUM_CAP, INNER_REPS, make_rng(seed, t, 7))
         totals[t] = mean / n
     fp = gamma_loc(instance.cls, c, c, n, seed=seed)
     bound = fp.gamma / n
@@ -358,14 +355,13 @@ def sudakov_check(vectors, trials: int = 4000, seed: int = 0) -> InequalityRepor
         a = float(d2[~np.eye(nvec, dtype=bool)].min())
     else:
         a = 0.0
-    mode = _auto_mode(n)
-    rng = make_rng(seed, 8) if mode == "monte_carlo" else None
-    mean, sd, used_mode, m = _sup_mean(v, np.zeros(nvec), mode, trials, rng)
+    mean, sd, exact, m = _sup_mean(v, np.zeros(nvec), n <= ENUM_CAP, trials, make_rng(seed, 8))
     denom = min(a * math.sqrt(tlog(nvec)), (a * a / b) if b > 0 else math.inf)
     ratio = 0.0 if denom == 0 or nvec == 1 else mean / denom
-    se = 0.0 if used_mode == "exact_enumeration" else sd / math.sqrt(m)
+    se = 0.0 if exact else sd / math.sqrt(m)
     return InequalityReport(
         name="sudakov_minoration", lhs=mean, rhs=denom,
         lhs_ci=NORMAL_99 * se, rhs_ci=0.0, passed=True,
-        details={"a": a, "b": b, "count": nvec, "ratio": ratio, "mode": used_mode,
+        details={"a": a, "b": b, "count": nvec, "ratio": ratio,
+                 "mode": "exact_enumeration" if exact else "monte_carlo",
                  "trials": m, "seed": seed})

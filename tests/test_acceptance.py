@@ -100,7 +100,7 @@ def test_criterion_03_offset_bound_exact():
         v = rng.choice(np.array([-1, 0, 1]), size=(nvec, n))
         for c in (0.25, 1.0, 2.0):
             est = offset_rademacher_sup(v, c)
-            assert est.mode == "exact_enumeration"
+            assert est.exact
             assert est.value <= tlog(nvec) / (2 * c * n), (nvec, n, c, est.value)
     report("criterion-03 offset-bound", True,
            "20 sets x 3 offsets, exact enumeration, zero tolerance")

@@ -114,6 +114,18 @@ class TestConfigFile:
     def test_missing_config(self):
         assert run(["measures", "--config", "/nonexistent.cfg"]) == 1
 
+    def test_missing_section_header_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\n")
+        assert run(["measures", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("locent measures: error: malformed config")
+
+    def test_duplicate_key_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[run]\nseed = 3\nseed = 4\n")
+        assert run(["packing", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("locent packing: error: malformed config")
+
 
 class TestErrorPaths:
     def test_malformed_grid_no_partial_output(self, tmp_path):
@@ -260,6 +272,15 @@ class TestPipelines:
         assert run(["sandwich", "--generator", "thresholds", "--points", "16",
                     "--h", "1.0", "--n", "16", "--out", str(out)]) == 0
 
+    def test_sandwich_of_vc_dimension_zero_is_a_usage_error(self, tmp_path, capsys):
+        # one classifier shatters no point, and the sandwich forms divide by d
+        path = tmp_path / "one.txt"
+        path.write_text("points 3\n+-+\n")
+        out = tmp_path / "s.json"
+        assert run(["sandwich", "--generator", "file", "--class-file", str(path),
+                    "--n", "4", "--out", str(out)]) == 1
+        assert "d = 0" in capsys.readouterr().err and not out.exists()
+
     def test_verify_lemmas(self, tmp_path):
         out = tmp_path / "v.json"
         code = run(["verify-lemmas", "--generator", "thresholds", "--points", "10",
@@ -330,6 +351,12 @@ class TestPipelines:
                     "--h-grid", "1.0,0.5", "--n-grid", "16,32", "--trials", "5",
                     "--out", str(tmp_path / "sweep.csv")]) == 0
         assert Counter(calls) == {"vc_dimension": 1, "star_number": 1, "gamma_star": 2}
+        # thresholds build one class per cell; equal patterns share the memo
+        calls.clear()
+        assert run(["erm-sweep", "--generator", "thresholds",
+                    "--h-grid", "1.0,0.5", "--n-grid", "16,32", "--trials", "5",
+                    "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert Counter(calls) == {"vc_dimension": 2, "star_number": 2, "gamma_star": 2}
 
     def test_erm_sweep_certifies_the_threshold_star_number(self, tmp_path):
         out = tmp_path / "sweep.csv"

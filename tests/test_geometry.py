@@ -72,10 +72,10 @@ class TestMaxPacking:
             pats = random_class(rng).patterns
             d = hamming_matrix(pats)
             for eps in (0, 1, 2):
-                res = max_packing(pats, eps, mode="greedy")
-                assert verify_packing(d, eps, res.witness)
+                witness = _greedy_pack(_BitRows(d <= eps), (1 << len(d)) - 1)
+                assert verify_packing(d, eps, witness)
                 # maximal packing doubles as an eps-cover
-                cover_dist = d[:, list(res.witness)].min(axis=1)
+                cover_dist = d[:, witness].min(axis=1)
                 assert np.all(cover_dist <= eps)
 
     @settings(max_examples=20, deadline=None)
@@ -192,8 +192,27 @@ class TestPackingCore:
             pats = random_class(rng).patterns
             d = hamming_matrix(pats)
             for eps in (0, 1, 2):
-                res = max_packing(pats, eps, mode="greedy")
-                assert list(res.witness) == oracles.ref_greedy_pack(d, eps)
+                witness = _greedy_pack(_BitRows(d <= eps), (1 << len(d)) - 1)
+                assert witness == oracles.ref_greedy_pack(d, eps)
+
+    def test_one_fallback_for_an_exhausted_budget(self, monkeypatch):
+        # at separation 2 the greedy packing is the first row alone, and eight
+        # branch-and-bound nodes find a packing of two without certifying it
+        pats = np.array([[-1, 1, -1, -1], [-1, 1, -1, 1], [-1, 1, 1, 1],
+                         [1, -1, -1, -1], [1, 1, -1, -1], [1, 1, -1, 1]], dtype=np.int8)
+        proj = project(HypothesisClass(PointDomain.of_size(4), pats), range(4))
+        assert proj.size == 4 and int(proj.dists.max()) == 4
+        greedy = _greedy_pack(_BitRows(proj.dists <= 2), (1 << proj.n_patterns) - 1)
+        for budget in range(12):
+            monkeypatch.setattr(geometry, "PACK_NODE_BUDGET", budget)
+            # eps=4 at h=1: the ball of radius 4 holds every pattern
+            prof, local_exact = _local_profile(proj, 1.0, [4], exact=True)
+            res = max_packing(proj.patterns, 2)
+            assert (prof[4][2], local_exact) == (res.witness, res.exact)
+            assert verify_packing(proj.dists, 2, res.witness)
+            assert res.size >= len(greedy)
+            if budget == 8:
+                assert not res.exact and res.size > len(greedy)
 
     def test_zero_node_budget_is_not_the_default(self, monkeypatch):
         # a budget of 0 stops every branch and bound at its root
@@ -431,7 +450,7 @@ class TestGammaStar:
     def test_scan_table_columns(self):
         fp = gamma_star(threshold_class(8), 0.5, 8, search="exact")
         row = fp.scan[0]
-        assert set(row) == {"gamma", "log_packing", "satisfied", "witness_size", "mode"}
+        assert set(row) == {"gamma", "log_packing", "satisfied", "witness_size", "exact"}
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 100_000))
@@ -444,7 +463,7 @@ class TestGammaStar:
         fp = gamma_star(cls, float(rng.choice([1.0, 0.5, 0.25])), n, search="exact")
         for row in fp.scan:
             gp = global_packing_number(cls, row["gamma"], n, search="exact")
-            assert (row["witness_size"], row["mode"]) == (gp.size, gp.packing.mode)
+            assert (row["witness_size"], row["exact"]) == (gp.size, gp.packing.exact)
             if fp.exact and gp.exact:
                 assert gp.size == oracles.brute_global_packing(cls, row["gamma"], n)
 
@@ -478,7 +497,7 @@ class TestHillClimbPooling:
                                                                   len(witness))
         fp = gamma_star(cls, 0.5, 12, search="hill_climb", seed=seed)
         assert fp.gamma == 3 and [r["witness_size"] for r in fp.scan] == scan
-        assert {r["mode"] for r in fp.scan} == {"greedy"}
+        assert {r["exact"] for r in fp.scan} == {False}
 
 
 class TestLocalPacking:

@@ -68,12 +68,12 @@ class TestExactEnumeration:
     def test_bit_identical_to_full_sign_matrix(self, n, rows, c, seed):
         v = np.random.default_rng(seed).choice(np.array([-1.0, 0.0, 1.0]), size=(rows, n))
         pen = c * np.abs(v).sum(axis=1)
-        mean, sd, mode, terms = _sup_mean(v, pen, "exact_enumeration", 0, None)
+        mean, sd, exact, terms = _sup_mean(v, pen, True, 0, None)
         assert mean == oracles.ref_exact_sup_mean(v, pen)
         if c != 1 / 3:
             # dyadic penalties keep the float32 mean of the full table exact
             assert mean == oracles.ref_sup_mean(v, pen)
-        assert (sd, mode, terms) == (0.0, "exact_enumeration", 2 ** n)
+        assert (sd, exact, terms) == (0.0, True, 2 ** n)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 16), st.integers(1, 12), st.integers(1, 24),
@@ -84,9 +84,9 @@ class TestExactEnumeration:
         base = g.choice(np.array([-1.0, 0.0, 1.0]), size=(base_rows, points))
         v = base[:, g.integers(points, size=n)][g.integers(base_rows, size=rows)]
         pen = c * np.abs(v).sum(axis=1)
-        mean, sd, mode, terms = _sup_mean(v, pen, "exact_enumeration", 0, None)
+        mean, sd, exact, terms = _sup_mean(v, pen, True, 0, None)
         assert mean == oracles.ref_exact_sup_mean(v, pen)
-        assert (sd, mode, terms) == (0.0, "exact_enumeration", 2 ** n)
+        assert (sd, exact, terms) == (0.0, True, 2 ** n)
         if n <= 10:
             # the oracle keeps c / 3 in float64, the library rounds it to float32
             brute = oracles.brute_offset_sup(v, c)
@@ -100,7 +100,7 @@ class TestExactEnumeration:
         # most 53 - n bits for c >= 2^-9, so the float64 sum is exact
         v = np.random.default_rng(seed).choice(np.array([-1.0, 0.0, 1.0]), size=(rows, n))
         pen = c * v.sum(axis=1)
-        mean = _sup_mean(v, pen, "exact_enumeration", 0, None)[0]
+        mean = _sup_mean(v, pen, True, 0, None)[0]
         assert mean == oracles.ref_exact_sup_mean(v, pen)
 
     @settings(max_examples=25, deadline=None)
@@ -109,7 +109,7 @@ class TestExactEnumeration:
         g = np.random.default_rng(seed)
         v = g.normal(size=(rows, n))
         pen = g.random() * (v ** 2).sum(axis=1)
-        mean = _sup_mean(v, pen, "exact_enumeration", 0, None)[0]
+        mean = _sup_mean(v, pen, True, 0, None)[0]
         assert mean == pytest.approx(oracles.ref_sup_mean(v, pen), rel=1e-6, abs=1e-6)
 
     def test_memory_bounded_at_the_cap(self, rng):
@@ -121,7 +121,7 @@ class TestExactEnumeration:
             pen = c * (vals ** 2).sum(axis=1)
             tracemalloc.start()
             try:
-                terms = _sup_mean(vals, pen, "exact_enumeration", 0, None)[3]
+                terms = _sup_mean(vals, pen, True, 0, None)[3]
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
