@@ -242,7 +242,10 @@ def make_thresholds(domain: PointDomain) -> HypothesisClass:
     """Threshold classifiers 2*1[x <= t] - 1 on a 1-d domain.
 
     Yields exactly n+1 patterns ordered by threshold position; consecutive
-    rows differ in one coordinate (chain structure).
+    rows differ in one coordinate, so the + sets are nested (a chain).  The
+    packing numbers and fixed points of a chain have closed forms, so
+    geometry takes them without a multiset search, exactly, for every
+    search setting.
     """
     if domain.coords is None or domain.dim != 1:
         raise ValueError("thresholds need 1-d coordinates")

@@ -89,7 +89,7 @@ def project(cls: HypothesisClass, multiset) -> Projection:
     if ms[0] < 0 or ms[-1] >= cls.n_points:
         raise ValueError("multiset index out of range")
     support, counts = np.unique(np.asarray(ms, dtype=np.int64), return_counts=True)
-    sub = cls.patterns[:, support]
+    sub = np.take(cls.patterns, support, axis=1)
     first: dict[bytes, int] = {}
     for i, row in enumerate(sub):
         first.setdefault(row.tobytes(), i)
@@ -294,10 +294,6 @@ def _search_scale(cls: HypothesisClass) -> tuple[int, int]:
     """(restarts, swap tries) scaled down for large pattern matrices."""
     size = cls.n_rows * cls.n_points
     restarts, swaps = RESTARTS, SWAP_TRIES
-    if size >= 1 << 23:
-        return min(restarts, 2), 0
-    if size >= 1 << 21:
-        return min(restarts, 4), 0
     if size >= 1 << 17:
         return min(restarts, 6), min(swaps, 2)
     if size >= 1 << 12:
@@ -458,6 +454,159 @@ def _pooled_search(cls: HypothesisClass, n: int, exhaustive: bool, seed: int, pr
     return pooled, False
 
 
+# ---------------------------------------------------------------------------
+# chain classes: closed forms in place of the multiset search
+
+
+@dataclass(frozen=True)
+class _Chain:
+    """A class whose + sets are nested once each column is oriented so that
+    an end row is all -1.  gap_points[t] is one point whose column turns +
+    between the t-th and (t+1)-th rows in order of + count; const_point is
+    one point whose column never does, or None."""
+
+    gap_points: tuple[int, ...]
+    const_point: int | None
+
+
+def _chain(cls: HypothesisClass) -> _Chain | None:
+    """The chain structure of the class, or None if it is not a chain.
+
+    In a chain the distance from row 0 grows strictly towards either end,
+    so the row farthest from row 0 is an end; orienting the columns by it
+    and sorting rows by + count leaves each row's + set inside the next.
+    """
+    pats = cls.patterns
+    end = pats[int(np.argmax((pats != pats[0]).sum(axis=1)))]
+    rows = pats[np.argsort((pats != end).sum(axis=1), kind="stable")] * -end
+    if not (rows[:-1] <= rows[1:]).all():
+        return None
+    const = np.flatnonzero(rows[-1] < 0)
+    return _Chain(gap_points=tuple(np.argmax(rows[1:] > rows[:-1], axis=1).tolist()),
+                  const_point=int(const[0]) if const.size else None)
+
+
+def _path_weights(k: int, g: int, radius: int, n: int, gaps: int,
+                  const: bool) -> list[int] | None:
+    """Weights of consecutive chain gaps, summing to at most n, on which k
+    rows lie pairwise at least g apart and within radius of one row (the
+    center); None when no n-pick multiset allows it.
+
+    The center is either the j-th packing row (k - 1 gaps) or a row that
+    splits the spacing after the j-th into a + b >= g (k gaps).  Picks the
+    weights leave over go to a constant column or to a gap past the path
+    (the caller's sink); when neither exists they must widen the two sides
+    of the center, each up to the radius.
+    """
+    spare = n - (k - 1) * g
+    if spare < 0:
+        return None
+    for j in range(k):
+        left, right = j * g, (k - 1 - j) * g
+        if max(left, right) > radius:
+            continue
+        weights = [g] * (k - 1)
+        if const or gaps >= k:
+            return weights
+        room_left = radius - left if j > 0 else 0
+        room_right = radius - right if j < k - 1 else 0
+        if spare <= room_left + room_right:
+            weights[0] += min(spare, room_left)
+            weights[-1] += spare - min(spare, room_left)
+            return weights
+    if gaps < k:
+        return None
+    for j in range(k - 1):
+        cap_a, cap_b = radius - j * g, radius - (k - 2 - j) * g
+        if min(cap_a, cap_b) < 1 or cap_a + cap_b < g:
+            continue
+        a = max(1, g - cap_b)
+        weights = [g] * j + [a, g - a] + [g] * (k - 2 - j)
+        if const or gaps > k:
+            return weights
+        if spare <= cap_a - a + cap_b - (g - a):
+            weights[j] += min(spare, cap_a - a)
+            weights[j + 1] += spare - min(spare, cap_a - a)
+            return weights
+    return None
+
+
+def _chain_plan(chain: _Chain, n: int, radius: int, sep: int) -> tuple[int, list[int]]:
+    """(size, gap weights) of the largest sep-packing inside a ball of the
+    given radius over all n-point multisets of a chain class.
+
+    A projection of a chain is a path whose edge weights are the picks in
+    each gap, so k rows pairwise more than sep apart span at least
+    (k - 1)(sep + 1), at most min(2 radius, n), on k - 1 of the gaps; the
+    largest k within these path bounds whose placement fits is the value.
+    A global packing is the case radius = n.
+    """
+    g = sep + 1
+    gaps = len(chain.gap_points)
+    for k in range(min(gaps, min(2 * radius, n) // g) + 1, 1, -1):
+        weights = _path_weights(k, g, radius, n, gaps, chain.const_point is not None)
+        if weights is not None:
+            return k, weights
+    return 1, []
+
+
+def _chain_multiset(chain: _Chain, weights: list[int], n: int) -> list[int]:
+    """The multiset with weights[t] picks on gap t, the rest on the sink."""
+    picks = [p for p, w in zip(chain.gap_points, weights) for _ in range(w)]
+    if len(picks) == n:
+        return picks
+    sink = chain.const_point if chain.const_point is not None else chain.gap_points[len(weights)]
+    return picks + [sink] * (n - len(picks))
+
+
+def _chain_pool(cls: HypothesisClass, chain: _Chain, n: int, plans: dict, profile):
+    """(pooled, exact) as _pooled_search returns them, from the planned
+    multiset of each key: plans maps a key to (path bound, gap weights), and
+    profile(key, projection) certifies the packing there.  exact when every
+    key's certified packing reaches its path bound."""
+    pooled, exact = {}, True
+    for key, (bound, weights) in plans.items():
+        proj = project(cls, _chain_multiset(chain, weights, n))
+        prof, certified = profile(key, proj)
+        pooled[key] = (*prof[key], proj.multiset, proj.row_map)
+        exact = exact and certified and prof[key][0] == bound
+    return pooled, exact
+
+
+def _global_search(cls: HypothesisClass, n: int, gammas, exhaustive: bool, seed: int, score):
+    """Pooled gamma-packing profiles over n-point multisets: a chain class's
+    closed form, else the multiset search."""
+    chain = _chain(cls)
+    if chain is None:
+        return _pooled_search(cls, n, exhaustive, seed, _global_profile(gammas, exhaustive),
+                              score)
+    return _chain_pool(cls, chain, n, {g: _chain_plan(chain, n, n, g) for g in gammas},
+                       lambda g, proj: _global_profile([g], True)(proj))
+
+
+def _local_search(cls: HypothesisClass, n: int, h: float, gammas, exhaustive: bool,
+                  seed: int, score, beat: int):
+    """Pooled per-radius local packings over n-point multisets for the local
+    packing numbers at gammas: a chain class's closed form, certified at the
+    radius each gamma reads (the largest packing over radii >= gamma, at the
+    smallest such radius, when it beats beat), else the multiset search."""
+    lo, hi = min(gammas), int(math.floor(n * h + 1e-12))
+    chain = _chain(cls)
+    if chain is None:
+        grid = _eps_grid(lo, hi, exhaustive)
+        return _pooled_search(cls, n, exhaustive, seed,
+                              lambda proj: _local_profile(proj, h, grid, exhaustive), score)
+    plans, suffix, best = {}, {}, (0, None)
+    for eps in range(hi, lo - 1, -1):  # suffix[eps]: (largest size over radii >= eps, radius)
+        plans[eps] = _chain_plan(chain, n, *_discretize(eps, h, n))
+        if plans[eps][0] >= best[0]:
+            best = (plans[eps][0], eps)
+        suffix[eps] = best
+    keys = sorted({suffix[g][1] for g in gammas if g <= hi and suffix[g][0] > beat})
+    return _chain_pool(cls, chain, n, {eps: plans[eps] for eps in keys},
+                       lambda eps, proj: _local_profile(proj, h, [eps], True))
+
+
 @dataclass(frozen=True)
 class FixedPointResult:
     gamma: int
@@ -480,8 +629,9 @@ def _fixed_point(cls: HypothesisClass, slope: float, n: int, params: dict,
     inequality because no packing has more patterns than the class.  Values
     of gamma up to floor(1/slope) always satisfy it (truncated log >= 1),
     which also bounds the result from below past the scan, hence
-    slope * gamma >= 1/2 always.  search(g_cap) runs the multiset search
-    and returns (read, exact), read(g) giving (size, columns) of scan row g.
+    slope * gamma >= 1/2 always.  search(g_cap) runs the multiset search,
+    or a chain class's closed form, and returns (read, exact), read(g)
+    giving (size, columns) of scan row g.
     """
     g_cap = min(n, int(math.floor(tlog(cls.n_rows) / slope + 1e-12)))
     read, exact = search(g_cap)
@@ -526,7 +676,7 @@ def global_packing_number(cls: HypothesisClass, gamma: int, n: int,
     if gamma < 0 or n < 1:
         raise ValueError("need gamma >= 0 and n >= 1")
     exhaustive = _exhaustive_multisets(cls, n, search, eval_work=cls.n_rows)
-    pooled, exact = _pooled_search(cls, n, exhaustive, seed, _global_profile([gamma], exhaustive),
+    pooled, exact = _global_search(cls, n, [gamma], exhaustive, seed,
                                    score=lambda prof: prof[gamma][0])
     _, packing, ms, _ = pooled[gamma]
     return GlobalPackingResult(packing=packing, multiset=ms, exact=exact)
@@ -549,8 +699,7 @@ def gamma_star(cls: HypothesisClass, c: float, n: int, search: str = "auto",
 
     def search_scan(g_cap):
         exhaustive = _exhaustive_multisets(cls, n, search, eval_work=cls.n_rows * g_cap)
-        pooled, exact = _pooled_search(cls, n, exhaustive, seed,
-                                       _global_profile(range(1, g_cap + 1), exhaustive), score)
+        pooled, exact = _global_search(cls, n, range(1, g_cap + 1), exhaustive, seed, score)
         return (lambda g: (pooled[g][0], {"exact": pooled[g][1].exact})), exact
 
     return _fixed_point(cls, c, n, {"c": c, "n": n, "search": search, "seed": seed},
@@ -685,13 +834,11 @@ def local_packing_number(cls: HypothesisClass, gamma: int, n: int, h: float,
                                        eval_work=cls.n_rows * (hi - gamma + 1))
     if gamma > hi:
         return LocalPackingResult(value=1, exact=True, **_NO_PACKING)
-    grid = _eps_grid(gamma, hi, exhaustive)
 
     def score(prof):  # largest packing, then smallest radius: _packing_at's order
         return max((size, -eps) for eps, (size, _, _) in prof.items())
 
-    pooled, exact = _pooled_search(cls, n, exhaustive, seed,
-                                   lambda proj: _local_profile(proj, h, grid, exhaustive), score)
+    pooled, exact = _local_search(cls, n, h, [gamma], exhaustive, seed, score, beat=0)
     value, fields = _packing_at(pooled, gamma, h, n, beat=0)
     return LocalPackingResult(value=value, exact=exact, **fields)
 
@@ -715,7 +862,6 @@ def gamma_loc(cls: HypothesisClass, h: float, h_prime: float, n: int,
 
     def search_scan(g_cap):
         exhaustive = _exhaustive_multisets(cls, n, search, eval_work=cls.n_rows * max(hi, 1))
-        grid = _eps_grid(1, hi, exhaustive)
 
         def score(prof):  # the fixed point the multiset certifies alone
             suffix = 0
@@ -725,9 +871,9 @@ def gamma_loc(cls: HypothesisClass, h: float, h_prime: float, n: int,
                     return eps
             return 0
 
-        pooled, exact = _pooled_search(
-            cls, n, exhaustive, seed,
-            lambda proj: _local_profile(proj, h_prime, grid, exhaustive), score)
+        pooled, exact = _local_search(cls, n, h_prime, range(1, g_cap + 1), exhaustive, seed,
+                                      score, beat=1)
+
         def read(g):
             size, fields = _packing_at(pooled, g, h_prime, n, beat=1)
             return size, {"exact": exact, **fields}

@@ -321,13 +321,14 @@ class TestGlobalPacking:
 
 class TestSearchNames:
     def test_unknown_search_rejected(self):
-        cls = make_star_class("F1", 1, 4)
-        calls = [lambda s: global_packing_number(cls, 1, 3, search=s),
-                 lambda s: gamma_star(cls, 0.5, 3, search=s),
-                 lambda s: local_packing_number(cls, 1, 3, 1.0, search=s),
-                 # gamma > n*h: the radius range is empty
-                 lambda s: local_packing_number(cls, 3, 3, 0.5, search=s),
-                 lambda s: gamma_loc(cls, 0.5, 0.5, 3, search=s)]
+        # the chain route (thresholds) validates search as the multiset search does
+        calls = [call for cls in (make_star_class("F1", 1, 4), threshold_class(4)) for call in (
+            lambda s, cls=cls: global_packing_number(cls, 1, 3, search=s),
+            lambda s, cls=cls: gamma_star(cls, 0.5, 3, search=s),
+            lambda s, cls=cls: local_packing_number(cls, 1, 3, 1.0, search=s),
+            # gamma > n*h: the radius range is empty
+            lambda s, cls=cls: local_packing_number(cls, 3, 3, 0.5, search=s),
+            lambda s, cls=cls: gamma_loc(cls, 0.5, 0.5, 3, search=s))]
         for call in calls:
             for search in ("exact", "auto", "hill_climb"):
                 call(search)
@@ -348,6 +349,26 @@ def planted_block_class(rng, max_points=6, max_rows=5):
             rows.add(image.tobytes())
     pats = np.array([np.frombuffer(r, dtype=np.int8) for r in sorted(rows)])
     return HypothesisClass(PointDomain.of_size(p), pats), tuple(block.tolist())
+
+
+def random_chain(rng, max_points=6):
+    """A random chain class: each point flips at one step of a row chain or
+    never (a constant column), with columns sign-flipped and rows shuffled."""
+    m = int(rng.integers(1, max_points + 1))
+    steps = int(rng.integers(0, m + 1))
+    step = rng.permutation(np.r_[np.arange(1, steps + 1),
+                                 rng.integers(0, steps + 1, size=m - steps)])
+    pats = np.where(step[None, :] - 1 < np.arange(steps + 1)[:, None], 1, -1)
+    pats = pats * rng.choice([-1, 1], size=m)
+    return HypothesisClass(PointDomain.of_size(m), rng.permutation(pats).astype(np.int8))
+
+
+def broken_chain(n):
+    """Thresholds on n points plus a row (+ on the second point alone) that
+    is not a prefix, so the class is no chain and takes the multiset search."""
+    pats = threshold_class(n).patterns
+    extra = np.where(np.arange(n) == 1, 1, -1).astype(np.int8)
+    return HypothesisClass(PointDomain.of_size(n), np.vstack([pats, extra]))
 
 
 def partition_blocks(rng, m):
@@ -422,7 +443,7 @@ class TestInterchangeablePoints:
             raise AssertionError("blocks computed for a hill climb")
 
         monkeypatch.setattr(geometry, "_blocks", fail)
-        fp = gamma_star(threshold_class(2048), 0.5, 8, search="auto")
+        fp = gamma_star(broken_chain(2048), 0.5, 8, search="auto")
         assert not fp.exact
 
 
@@ -470,13 +491,14 @@ class TestGammaStar:
 
 class TestHillClimbPooling:
     """Frozen hill-climb results: they pin the start order, the swap order
-    and the first-visited tie-breaking of the pooled multiset search."""
+    and the first-visited tie-breaking of the pooled multiset search.
+    Thresholds take the chain route, so one extra row keeps them here."""
 
     THR64_MULTISET = (0, 4, 8, 13, 17, 21, 25, 29, 34, 38, 42, 46, 50, 55, 59, 63)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_thresholds_64(self, seed):
-        cls = threshold_class(64)
+        cls = broken_chain(64)
         res = global_packing_number(cls, 2, 16, search="hill_climb", seed=seed)
         assert (res.multiset, res.packing.witness, res.size, res.exact) == (
             self.THR64_MULTISET, (0, 3, 6, 9, 12, 15), 6, False)
@@ -606,6 +628,115 @@ class TestGammaLoc:
             assert row["log_packing"] <= packing_log_vc_bound(d, s, 6, row["gamma"], 1.0) + 1e-9
 
 
+def assert_scan_certified(cls, fp):
+    """Each gamma_loc scan row that names a witness replays on its
+    multiset's projection: pairwise separated, all within the ball."""
+    for row in fp.scan:
+        if not row["witness"]:
+            continue
+        support, counts = np.unique(np.asarray(row["multiset"]), return_counts=True)
+        rows = [row["center_row"], *row["witness"]]
+        d = hamming_matrix(cls.patterns[rows][:, support], weights=counts)
+        assert len(row["witness"]) == row["witness_size"]
+        assert verify_packing(d[1:, 1:], row["separation"], range(len(row["witness"])))
+        assert (d[0, 1:] <= row["ball_radius"]).all()
+
+
+class TestChainRoute:
+    """Chain classes, thresholds among them, take closed forms on the path
+    that every projection is, each certified on one planned multiset."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_matches_brute(self, seed):
+        rng = np.random.default_rng(seed)
+        cls = random_chain(rng)
+        n = int(rng.integers(1, 7))
+        h = float(rng.choice([1.0, 0.5, 0.3]))
+        gamma = int(rng.integers(0, n + 1))
+        assert geometry._chain(cls) is not None
+        res = global_packing_number(cls, gamma, n, search="hill_climb")
+        assert res.exact and res.size == oracles.brute_global_packing(cls, gamma, n)
+        lp = local_packing_number(cls, max(gamma, 1), n, h, search="hill_climb")
+        assert lp.exact and lp.value == oracles.brute_local_packing(cls, max(gamma, 1), n, h)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_matches_exhaustive_search(self, seed):
+        rng = np.random.default_rng(seed)
+        cls = random_chain(rng)
+        n = int(rng.integers(1, 7))
+        h = float(rng.choice([1.0, 0.5, 0.3]))
+        slope = float(rng.choice([1.0, 0.5, 0.25]))
+
+        def results():
+            star = gamma_star(cls, slope, n, search="exact")
+            loc = gamma_loc(cls, slope, h, n, search="exact")
+            return [(fp.gamma, fp.exact, [(r["witness_size"], r.get("eps")) for r in fp.scan])
+                    for fp in (star, loc)]
+
+        closed = results()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(geometry, "_chain", lambda c: None)
+            assert results() == closed
+        assert closed[0][1] and closed[1][1]
+
+    @pytest.mark.parametrize("points, n, h, gamma, value", [
+        (2, 5, 1.0, 1, 2), (2, 5, 1.0, 2, 2), (3, 6, 0.3, 1, 3)])
+    def test_every_gap_used(self, points, n, h, gamma, value):
+        # the packing needs every gap and the spare picks have no sink, so
+        # the span bound 1 + min(2R, n) // (S + 1) is one too high
+        cls = threshold_class(points)
+        lp = local_packing_number(cls, gamma, n, h)
+        assert (lp.value, lp.exact) == (value, True)
+        assert oracles.brute_local_packing(cls, gamma, n, h) == value
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_random_chain_witnesses_replay(self, seed):
+        rng = np.random.default_rng(seed)
+        cls = random_chain(rng, max_points=10)
+        n = int(rng.integers(1, 25))
+        h = float(rng.choice([1.0, 0.5, 0.3, 0.125]))
+        fp = gamma_loc(cls, h, h, n)
+        assert fp.exact
+        assert_scan_certified(cls, fp)
+
+    @pytest.mark.parametrize("points, h, n", [(64, 0.5, 64), (64, 0.125, 64), (1024, 1.0, 1024),
+                                              (32, 1.0, 32), (24, 0.25, 24)])
+    def test_threshold_witnesses_replay(self, points, h, n):
+        fp = gamma_loc(threshold_class(points), h, h, n, search="hill_climb")
+        assert fp.exact and any(row["witness"] for row in fp.scan)
+        assert_scan_certified(threshold_class(points), fp)
+
+    def test_projections_stay_small(self, monkeypatch):
+        # a scan row of packing size k is certified on at most k + 2 rows
+        projections = []
+
+        def recording(cls, multiset):
+            projections.append(project(cls, multiset))
+            return projections[-1]
+
+        monkeypatch.setattr(geometry, "project", recording)
+        cls = threshold_class(4096)
+        star = gamma_star(cls, 0.5, 4096)
+        assert star.exact and len(projections) == len(star.scan)
+        for proj, row in zip(projections, star.scan):
+            assert proj.n_patterns <= row["witness_size"] + 2
+        projections.clear()
+        loc = gamma_loc(cls, 1.0, 1.0, 4096)
+        assert loc.exact and projections
+        for proj in projections:
+            sizes = [r["witness_size"] for r in loc.scan if r["multiset"] == proj.multiset]
+            assert sizes and proj.n_patterns <= max(sizes) + 2
+
+    def test_detection(self):
+        chain = geometry._chain(threshold_class(7))
+        assert sorted(chain.gap_points) == list(range(7)) and chain.const_point is None
+        for cls in (make_star_class("F1", 1, 4), circle_separator_class(10), broken_chain(16)):
+            assert geometry._chain(cls) is None
+
+
 class TestAlexanderCapacity:
     def test_eps_one(self, rng):
         cls = random_class(rng)
@@ -711,7 +842,7 @@ class TestPseudoconvexity:
 
 class TestDeterminism:
     def test_hill_climb_reproducible(self):
-        cls = threshold_class(64)
+        cls = broken_chain(64)
         a = gamma_loc(cls, 0.5, 0.5, 64, search="hill_climb", seed=9)
         b = gamma_loc(cls, 0.5, 0.5, 64, search="hill_climb", seed=9)
         assert a.gamma == b.gamma and a.scan == b.scan
