@@ -14,7 +14,6 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .separators import enumerate_separator_patterns
 from .util import frozen_array, make_rng
 
 __all__ = [
@@ -27,6 +26,10 @@ __all__ = [
     "make_star_class",
     "make_linear_separators",
     "make_massart_instance",
+    "threshold_class",
+    "threshold_instance",
+    "circle_domain",
+    "circle_separator_class",
     "sample",
     "save_class",
     "load_class",
@@ -38,6 +41,7 @@ __all__ = [
 # patch it; nothing else sets them.
 PATTERN_CAP = 200_000       # most rows make_star_class enumerates
 SEPARATOR_POINT_CAP = 20    # most points make_linear_separators takes
+_CHECK_BLOCK = 1 << 16      # entries per block of rows HypothesisClass checks at once
 
 
 class ClassFormatError(ValueError):
@@ -100,10 +104,16 @@ class HypothesisClass:
             raise ValueError("patterns must be a nonempty 2-d matrix")
         if a.shape[1] != self.domain.size:
             raise ValueError("pattern width must match domain size")
-        if not np.all(np.abs(a) == 1):
-            raise ValueError("pattern entries must be +-1")
-        seen = {row.tobytes() for row in a}
-        if len(seen) != a.shape[0]:
+        # entries are checked a block of rows at a time and rows compared by
+        # their sign bits, 8 to a byte: no temporary is as large as the matrix
+        signs = np.empty((a.shape[0], -(-a.shape[1] // 8)), dtype=np.uint8)
+        step = max(1, _CHECK_BLOCK // a.shape[1])
+        for lo in range(0, a.shape[0], step):
+            block = a[lo:lo + step]
+            if not np.all(np.abs(block) == 1):
+                raise ValueError("pattern entries must be +-1")
+            signs[lo:lo + step] = np.packbits(block > 0, axis=1)
+        if len({row.tobytes() for row in signs}) != a.shape[0]:
             raise ValueError("patterns must be pairwise distinct")
         object.__setattr__(self, "patterns", frozen_array(a))
 
@@ -375,8 +385,37 @@ def make_linear_separators(domain: PointDomain) -> HypothesisClass:
         raise ValueError(
             f"{n} points exceed the separator cap {SEPARATOR_POINT_CAP} "
             f"(up to {n * (n - 1) + 2} rows)")
+    from .separators import enumerate_separator_patterns  # and fractions, for this alone
     patterns = enumerate_separator_patterns(domain.coords)
     return HypothesisClass(domain=domain, patterns=patterns)
+
+
+def threshold_class(n: int) -> HypothesisClass:
+    """Threshold class on n evenly spaced points."""
+    return make_thresholds(PointDomain.from_coords(np.arange(1.0, n + 1.0)))
+
+
+def circle_domain(n: int, radius: int = 10_000) -> PointDomain:
+    """n integer points near a circle (convex, hence general, position).
+
+    Integer coordinates keep the exact rational arithmetic of the separator
+    enumeration small; the rounding is tiny against the vertex gaps, and
+    strict convexity (hence no collinear triple) is verified before
+    returning, so the class has exactly n(n-1)+2 dichotomies.
+    """
+    theta = 2.0 * math.pi * (np.arange(n) + 0.3) / n
+    pts = np.rint(np.c_[radius * np.cos(theta), radius * np.sin(theta)])
+    for i in range(n):  # strict left turns all around the hull
+        a, b, c = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
+        cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        if cross <= 0:
+            raise ValueError(f"degenerate rounding at n={n}; increase the radius")
+    return PointDomain.from_coords(pts)
+
+
+def circle_separator_class(n: int) -> HypothesisClass:
+    """Affine-separator dichotomies of circle_domain(n)."""
+    return make_linear_separators(circle_domain(n))
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +430,14 @@ def make_massart_instance(cls: HypothesisClass, target: int, h: float,
         px = DomainDistribution.uniform(cls.n_points)
     eta = h * cls.row(target).astype(float)
     return MassartInstance(cls=cls, px=px, target=target, eta=eta, margin=h)
+
+
+def threshold_instance(n: int, h: float, target: int | None = None) -> MassartInstance:
+    """Threshold class on n evenly spaced points, uniform marginal, middle target."""
+    cls = threshold_class(n)
+    if target is None:
+        target = (n + 1) // 2
+    return make_massart_instance(cls, target, h)
 
 
 def sample(instance: MassartInstance, n: int, seed: int) -> LabeledSample:

@@ -9,20 +9,22 @@ Precedence of settings: command-line flags > config file keys > defaults.
 The config file is INI-style: keys for a subcommand live in a section of
 the same name; a [run] section applies to every subcommand, which skips the
 [run] keys it does not take.
+
+Each subcommand imports the modules it runs on the first line of its body,
+before it builds a class or an array: without cached bytecode every module
+is compiled again in every process, and an import made once arrays exist
+adds its compile to the peak resident set.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import sys
 
 import numpy as np
 
-from . import classes, experiments, geometry, measures, processes
-from .erm import (ErmPolicy, _run_trials, build_adversarial_family, excess_risk,
-                  kl_product)
+from . import classes
 from .util import make_rng
 
 USAGE_ERROR = 1
@@ -42,8 +44,7 @@ def _build_class(opts) -> tuple[classes.HypothesisClass, dict]:
     gen = opts["generator"]
     if gen == "thresholds":
         n = int(opts["points"])
-        cls = classes.make_thresholds(classes.PointDomain.from_coords(np.arange(1.0, n + 1.0)))
-        return cls, {"generator": gen, "points": n}
+        return classes.threshold_class(n), {"generator": gen, "points": n}
     if gen in ("f1", "f2", "f3"):
         d, s = int(opts["d"]), int(opts["s"])
         grid = int(opts.get("grid") or 8)
@@ -54,7 +55,7 @@ def _build_class(opts) -> tuple[classes.HypothesisClass, dict]:
         return cls, desc
     if gen == "linsep-circle":
         n = int(opts["points"])
-        cls = experiments.circle_separator_class(n)
+        cls = classes.circle_separator_class(n)
         return cls, {"generator": gen, "points": n, "projected": True}
     if gen == "file":
         path = opts["class_file"]
@@ -128,6 +129,7 @@ def _coerce(key: str, value):
 def _resolve(sub: str, cli_args: dict, config_path: str | None) -> dict:
     opts = dict(_OPTION_DEFAULTS[sub])
     if config_path:
+        import configparser
         ini = configparser.ConfigParser()
         try:  # a missing section header, a duplicate key, a bad interpolation
             read = ini.read(config_path)
@@ -197,6 +199,7 @@ def _emit_csv(lines: list[str], config: dict, out: str | None) -> None:
 
 
 def _cmd_measures(opts, config) -> int:
+    from . import measures
     cls, desc = _build_class(opts)
     d = measures.vc_dimension(cls)
     s = measures.star_number(cls)
@@ -221,6 +224,7 @@ def _cmd_measures(opts, config) -> int:
 
 
 def _cmd_packing(opts, config) -> int:
+    from . import geometry
     cls, desc = _build_class(opts)
     n = int(opts["n"])
     gamma = int(opts["gamma"])
@@ -246,6 +250,7 @@ def _cmd_packing(opts, config) -> int:
 
 
 def _cmd_fixed_point(opts, config) -> int:
+    from . import geometry
     cls, desc = _build_class(opts)
     n = int(opts["n"])
     if opts["kind"] == "star":
@@ -276,6 +281,7 @@ def _cmd_fixed_point(opts, config) -> int:
 
 
 def _cmd_capacity(opts, config) -> int:
+    from . import geometry
     cls, desc = _build_class(opts)
     instance = _build_instance(cls, desc, {**opts, "h": 1.0})
     values = []
@@ -288,6 +294,7 @@ def _cmd_capacity(opts, config) -> int:
 
 
 def _cmd_verify_lemmas(opts, config) -> int:
+    from . import processes  # and geometry, for check_localization_bound
     cls, desc = _build_class(opts)
     instance = _build_instance(cls, desc, opts)
     h = instance.margin
@@ -314,6 +321,7 @@ def _cmd_verify_lemmas(opts, config) -> int:
 
 
 def _cmd_erm_run(opts, config) -> int:
+    from .erm import ErmPolicy, _run_trials, excess_risk
     cls, desc = _build_class(opts)
     instance = _build_instance(cls, desc, opts)
     policy = ErmPolicy(opts["policy"],
@@ -334,11 +342,12 @@ def _cmd_erm_run(opts, config) -> int:
 
 
 def _cmd_erm_sweep(opts, config) -> int:
+    from . import experiments
     h_grid = _grid(opts["h_grid"], float)
     n_grid = _grid(opts["n_grid"], int)
     if opts["generator"] == "thresholds" and opts["points"] is None:
         def factory(h, n):  # the sweep memo keys classes by their patterns
-            return experiments.threshold_instance(n, h)
+            return classes.threshold_instance(n, h)
     else:
         cls, desc = _build_class(opts)  # built once for every cell
 
@@ -361,6 +370,8 @@ def _cmd_erm_sweep(opts, config) -> int:
 
 
 def _cmd_lower_bound_family(opts, config) -> int:
+    from . import geometry, measures  # build_adversarial_family runs both
+    from .erm import build_adversarial_family, kl_product
     cls, desc = _build_class(opts)
     h = float(opts["h"])
     n_budget = int(opts["n_budget"])
@@ -379,12 +390,14 @@ def _cmd_lower_bound_family(opts, config) -> int:
             "kl_first_pair": None if kl01 is None else
             {"closed_form": kl01.closed_form, "exact": kl01.exact, "rho": kl01.rho}}
     if trials > 0:
-        body["experiment"] = experiments.lower_bound_report(spec, n_budget, trials, seed)
+        from .experiments import lower_bound_report
+        body["experiment"] = lower_bound_report(spec, n_budget, trials, seed)
     _emit_json({"config": config, "results": body}, opts["out"])
     return 0
 
 
 def _cmd_star_theorem(opts, config) -> int:
+    from . import experiments
     cls, desc = _build_class(opts)
     target = opts.get("target")
     target = _default_target(cls, desc) if target is None else int(target)
@@ -399,6 +412,7 @@ def _cmd_star_theorem(opts, config) -> int:
 
 
 def _cmd_sandwich(opts, config) -> int:
+    from . import experiments
     cls, desc = _build_class(opts)
     rep = experiments.check_sandwich(cls, float(opts["h"]), int(opts["n"]),
                                      search=opts["search"], seed=int(opts["seed"]))

@@ -12,8 +12,6 @@ import numpy as np
 
 from .classes import (DomainDistribution, HypothesisClass, LabeledSample,
                       MassartInstance, draw_samples, make_massart_instance)
-from .geometry import pseudoconvexity_constant
-from .measures import vc_dimension
 from .util import make_rng, mean_ci99
 
 __all__ = [
@@ -270,6 +268,8 @@ def build_adversarial_family(cls: HypothesisClass, h: float, n_budget: int,
     Rejected for h = 1, where the construction degenerates; h must also
     exceed sqrt(d / n_budget).
     """
+    from .geometry import pseudoconvexity_constant  # only this function needs these two
+    from .measures import vc_dimension
     if not (0 < h < 1):
         raise ValueError("family construction needs h in (0, 1); h = 1 degenerates")
     d = vc_dimension(cls).value

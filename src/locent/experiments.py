@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import (DomainDistribution, HypothesisClass, MassartInstance,
-                      PointDomain, make_linear_separators, make_massart_instance,
-                      make_star_class, make_thresholds)
+                      make_massart_instance, make_star_class)
 from .erm import AdversarialSpec, ErmPolicy, _run_trials, excess_risk_all
 from .geometry import gamma_loc, gamma_star, packing_log_vc_bound
 from .measures import growth_function, star_number, vc_dimension
@@ -29,49 +28,9 @@ __all__ = [
     "star_class_separation",
     "lower_bound_report",
     "fit_loglog_slope",
-    "threshold_class",
-    "threshold_instance",
-    "circle_domain",
-    "circle_separator_class",
 ]
 
 CSV_HEADER = "h,n,trials,mean_excess,ci,gamma_loc,gamma_star,ratio,d,s,exact_flags"
-
-
-def threshold_class(n: int) -> HypothesisClass:
-    """Threshold class on n evenly spaced points."""
-    return make_thresholds(PointDomain.from_coords(np.arange(1.0, n + 1.0)))
-
-
-def threshold_instance(n: int, h: float, target: int | None = None) -> MassartInstance:
-    """Threshold class on n evenly spaced points, uniform marginal, middle target."""
-    cls = threshold_class(n)
-    if target is None:
-        target = (n + 1) // 2
-    return make_massart_instance(cls, target, h)
-
-
-def circle_separator_class(n: int) -> HypothesisClass:
-    """Affine-separator dichotomies of circle_domain(n)."""
-    return make_linear_separators(circle_domain(n))
-
-
-def circle_domain(n: int, radius: int = 10_000) -> PointDomain:
-    """n integer points near a circle (convex, hence general, position).
-
-    Integer coordinates keep the exact rational arithmetic of the separator
-    enumeration small; the rounding is tiny against the vertex gaps, and
-    strict convexity (hence no collinear triple) is verified before
-    returning, so the class has exactly n(n-1)+2 dichotomies.
-    """
-    theta = 2.0 * math.pi * (np.arange(n) + 0.3) / n
-    pts = np.rint(np.c_[radius * np.cos(theta), radius * np.sin(theta)])
-    for i in range(n):  # strict left turns all around the hull
-        a, b, c = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
-        cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if cross <= 0:
-            raise ValueError(f"degenerate rounding at n={n}; increase the radius")
-    return PointDomain.from_coords(pts)
 
 
 @dataclass(frozen=True)

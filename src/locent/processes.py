@@ -162,7 +162,7 @@ def _sup_mean(values: np.ndarray, penalties: np.ndarray, exact: bool, reps: int,
     if exact:
         if n > ENUM_CAP:
             raise ValueError(
-                f"exact enumeration is limited to n <= {ENUM_CAP}; use monte_carlo for n = {n}")
+                f"exact enumeration is limited to n <= {ENUM_CAP}; use exact=False for n = {n}")
         pen = np.asarray(penalties, dtype=np.float32)
         # a row that repeats both its values and its penalty cannot raise the max
         rows, _ = _classes(zip(*v.T.tolist(), pen.tolist()))
@@ -187,24 +187,22 @@ def _sup_mean(values: np.ndarray, penalties: np.ndarray, exact: bool, reps: int,
     return float(sups.mean()), float(sups.std(ddof=1)) if reps > 1 else 0.0, False, reps
 
 
-def offset_rademacher_sup(values, c: float, mode: str = "exact_enumeration",
+def offset_rademacher_sup(values, c: float, exact: bool = True,
                           reps: int = 2000, seed: int = 0) -> ProcessEstimate:
     """(1/n) E_eps sup_g (sum_i eps_i g_i - c g_i^2).
 
     For values in {-1, 0, 1} the quadratic penalty equals c sum |g_i|.
-    Exact mode averages over all 2^n sign vectors (n <= 16), enumerating
+    exact=True averages over all 2^n sign vectors (n <= 16), enumerating
     only the distinct vectors of sums over groups of equal columns and
     weighting each by its number of sign vectors in a float64 sum.  For
     values in {-1, 0, 1} and c = 0 or c >= 2^-9, whose suprema span at
     most 53 - n bits, the mean is the exact mean of the float32
     per-sign-vector suprema; otherwise it is within float64 rounding of it.
-    Monte Carlo averages `reps` draws and reports a 99% CI half-width.
+    exact=False averages `reps` Monte Carlo draws and reports a 99% CI
+    half-width.
     """
     if c < 0:
         raise ValueError("c must be >= 0")
-    if mode not in ("exact_enumeration", "monte_carlo"):
-        raise ValueError(f"unknown mode {mode!r}")
-    exact = mode == "exact_enumeration"
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] < 1:
         raise ValueError("values must be a nonempty matrix")

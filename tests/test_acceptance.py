@@ -10,13 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from locent.classes import (DomainDistribution, make_massart_instance,
-                            make_star_class)
+from locent.classes import (DomainDistribution, circle_separator_class,
+                            make_massart_instance, make_star_class,
+                            threshold_class, threshold_instance)
 from locent.cli import dispatch
 from locent.erm import kl_closed_form
-from locent.experiments import (SweepConfig, circle_separator_class,
-                                fit_loglog_slope, run_rate_sweep, star_class_separation,
-                                threshold_class, threshold_instance)
+from locent.experiments import (SweepConfig, fit_loglog_slope, run_rate_sweep,
+                                star_class_separation)
 from locent.erm import version_space_disagreement
 from locent.geometry import (doubling_dimension, gamma_loc, gamma_star,
                              local_packing_number, max_packing,

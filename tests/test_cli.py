@@ -6,7 +6,7 @@ import pytest
 
 from locent.cli import dispatch
 from locent.erm import ErmPolicy
-from locent.experiments import threshold_instance
+from locent.classes import threshold_instance
 from locent.util import make_rng
 
 import oracles

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from locent.classes import (DomainDistribution, HypothesisClass, LabeledSample,
                             PointDomain, make_massart_instance, make_star_class,
-                            sample)
+                            sample, threshold_class, threshold_instance)
 from locent.erm import (ErmPolicy, build_adversarial_family, empirical_risks,
                         erm, excess_risk, excess_risk_all, kl_closed_form,
                         kl_exact, kl_product, run_trial,
                         version_space_disagreement)
 from locent.geometry import local_packing_number
-from locent.experiments import threshold_class, threshold_instance
 
 import oracles
 from conftest import random_class

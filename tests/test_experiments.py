@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from locent.classes import (HypothesisClass, PointDomain,
-                            make_massart_instance, make_star_class)
+from locent.classes import (HypothesisClass, PointDomain, circle_domain,
+                            make_massart_instance, make_star_class,
+                            threshold_class, threshold_instance)
 from locent.erm import ErmPolicy, build_adversarial_family, excess_risk_all
 from locent.experiments import (SweepConfig, check_sandwich, check_star_theorem,
-                                circle_domain, fit_loglog_slope,
-                                lower_bound_report, run_rate_sweep,
-                                star_class_separation, threshold_class,
-                                threshold_instance)
+                                fit_loglog_slope, lower_bound_report,
+                                run_rate_sweep, star_class_separation)
 from locent.util import make_rng, mean_ci99
 
 import oracles

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from locent import geometry
 from locent.classes import (DomainDistribution, HypothesisClass, PointDomain,
-                            make_massart_instance, make_star_class)
+                            circle_separator_class, make_massart_instance,
+                            make_star_class, threshold_class)
 from locent.geometry import (_BitRows, _blocks, _canonical_multisets, _exact_pack,
                              _greedy_pack, _local_profile, _members,
                              alexander_capacity, doubling_dimension, gamma_loc, gamma_star, global_packing_number,
@@ -17,7 +18,6 @@ from locent.geometry import (_BitRows, _blocks, _canonical_multisets, _exact_pac
                              pseudoconvexity_constant, verify_packing)
 from locent.measures import star_number, vc_dimension
 from locent.util import hamming_matrix, tlog
-from locent.experiments import circle_separator_class, threshold_class
 
 import oracles
 from conftest import random_class

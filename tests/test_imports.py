@@ -1,0 +1,78 @@
+"""Which locent modules an entry point loads, read off sys.modules in a fresh
+interpreter, and the lazy re-exports of the package."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+
+
+def _run(code: str) -> str:
+    """Run code in a fresh interpreter with src/ on the path; its stdout."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _loaded(code: str) -> set[str]:
+    """The locent submodules loaded once code has run."""
+    out = _run(code + "\nimport sys\n"
+               "print(*sorted(m for m in sys.modules if m.startswith('locent.')))")
+    return {name.removeprefix("locent.") for name in out.splitlines()[-1].split()}
+
+
+def _readme_entry_points() -> list[str]:
+    text = README.read_text(encoding="utf-8")
+    start = text.index("\n## Library entry points\n")
+    block = re.search(r"from locent import \(([^)]*)\)", text[start:]).group(1)
+    return [name.strip() for name in block.split(",") if name.strip()]
+
+
+def test_cli_import_loads_only_its_own_modules():
+    assert _loaded("import locent.cli") == {"cli", "classes", "util"}
+
+
+def test_measures_subcommand_skips_the_entropy_and_learning_stack(tmp_path):
+    out = tmp_path / "measures.json"
+    loaded = _loaded("from locent.cli import dispatch\n"
+                     "assert dispatch(['measures', '--points', '6', '--growth-max', '2', "
+                     f"'--out', {str(out)!r}]) == 0")
+    assert out.exists()
+    assert loaded.isdisjoint({"geometry", "erm", "experiments", "processes"})
+
+
+def test_readme_entry_points_resolve_and_are_listed():
+    names = _readme_entry_points()
+    assert len(names) > 20
+    out = _run(f"from locent import {', '.join(names)}\n"
+               "import locent\n"
+               f"print(*[n for n in {names!r} if n not in dir(locent)])")
+    assert out.strip() == ""
+
+
+@pytest.mark.parametrize("code", [
+    "import locent.erm\nfrom locent import erm",
+    "from locent import erm\nimport locent.erm",
+    "import locent.cli, locent.experiments\nfrom locent import erm",
+])
+def test_erm_names_the_function_in_either_import_order(code):
+    out = _run(code + "\nimport locent, sys, types\n"
+               "assert not isinstance(erm, types.ModuleType)\n"
+               "assert locent.erm is erm is sys.modules['locent.erm'].erm\n"
+               "print('ok')")
+    assert out.strip() == "ok"
+
+
+def test_unknown_attribute_raises_attribute_error():
+    out = _run("import locent\n"
+               "try:\n    locent.no_such_name\nexcept AttributeError as exc:\n    print(exc)\n"
+               "print(hasattr(locent, 'no_such_name'))")
+    assert out.splitlines() == ["module 'locent' has no attribute 'no_such_name'", "False"]

@@ -8,7 +8,7 @@ from locent import measures
 from locent.classes import HypothesisClass, PointDomain, make_star_class
 from locent.measures import (growth_function, star_number, vc_dimension,
                              verify_shattered, verify_star_witness)
-from locent.experiments import threshold_class
+from locent.classes import threshold_class
 
 import oracles
 from conftest import random_class

@@ -14,7 +14,7 @@ from locent.processes import (LossClassView, _sup_mean, check_contraction,
                               sudakov_check)
 from locent.erm import excess_risk
 from locent.util import tlog
-from locent.experiments import threshold_instance
+from locent.classes import threshold_instance
 
 import oracles
 from conftest import random_class
@@ -53,11 +53,11 @@ class TestOffsetRademacher:
         for _ in range(4):
             v = rng.choice(np.array([-1, 0, 1]), size=(5, 10))
             exact = offset_rademacher_sup(v, 0.5)
-            mc = offset_rademacher_sup(v, 0.5, mode="monte_carlo", reps=4000, seed=3)
+            mc = offset_rademacher_sup(v, 0.5, exact=False, reps=4000, seed=3)
             assert abs(mc.value - exact.value) <= 3 * mc.ci_halfwidth / 2.5758 * 3
 
     def test_enum_cap(self):
-        with pytest.raises(ValueError, match="monte_carlo"):
+        with pytest.raises(ValueError, match="exact=False"):
             offset_rademacher_sup(np.zeros((1, 20)), 1.0)
 
 

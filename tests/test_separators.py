@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from locent.experiments import circle_domain
+from locent.classes import circle_domain
 from locent.separators import enumerate_separator_patterns
 from oracles import is_affinely_separable
 
