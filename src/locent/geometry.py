@@ -16,6 +16,7 @@ log(x) = ln(max(x, e)).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -461,10 +462,12 @@ def _pooled_search(cls: HypothesisClass, n: int, exhaustive: bool, seed: int, pr
 @dataclass(frozen=True)
 class _Chain:
     """A class whose + sets are nested once each column is oriented so that
-    an end row is all -1.  gap_points[t] is one point whose column turns +
-    between the t-th and (t+1)-th rows in order of + count; const_point is
-    one point whose column never does, or None."""
+    an end row is all -1.  order lists the class rows by + count, from that
+    end row; gap_points[t] is one point whose column turns + between the
+    t-th and (t+1)-th rows of order; const_point is one point whose column
+    never does, or None."""
 
+    order: np.ndarray
     gap_points: tuple[int, ...]
     const_point: int | None
 
@@ -475,14 +478,25 @@ def _chain(cls: HypothesisClass) -> _Chain | None:
     In a chain the distance from row 0 grows strictly towards either end,
     so the row farthest from row 0 is an end; orienting the columns by it
     and sorting rows by + count leaves each row's + set inside the next.
+    Rows are compared in blocks, so no temporary is as large as the class.
     """
     pats = cls.patterns
-    end = pats[int(np.argmax((pats != pats[0]).sum(axis=1)))]
-    rows = pats[np.argsort((pats != end).sum(axis=1), kind="stable")] * -end
-    if not (rows[:-1] <= rows[1:]).all():
-        return None
-    const = np.flatnonzero(rows[-1] < 0)
-    return _Chain(gap_points=tuple(np.argmax(rows[1:] > rows[:-1], axis=1).tolist()),
+    step = max(1, (1 << 16) // pats.shape[1])  # rows per block
+
+    def differing(ref):  # entries of each row that differ from ref
+        return np.concatenate([np.count_nonzero(pats[s:s + step] != ref, axis=1)
+                               for s in range(0, len(pats), step)])
+
+    end = pats[int(np.argmax(differing(pats[0])))]
+    order = np.argsort(differing(end), kind="stable")
+    gap_points = []
+    for s in range(0, len(pats) - 1, step):
+        plus = pats[order[s:s + step + 1]] != end  # + sets once oriented by end
+        if (plus[:-1] > plus[1:]).any():
+            return None
+        gap_points += np.argmax(plus[1:] > plus[:-1], axis=1).tolist()
+    const = np.flatnonzero(pats[order[-1]] == end)
+    return _Chain(order=order, gap_points=tuple(gap_points),
                   const_point=int(const[0]) if const.size else None)
 
 
@@ -550,26 +564,64 @@ def _chain_plan(chain: _Chain, n: int, radius: int, sep: int) -> tuple[int, list
     return 1, []
 
 
-def _chain_multiset(chain: _Chain, weights: list[int], n: int) -> list[int]:
-    """The multiset with weights[t] picks on gap t, the rest on the sink."""
-    picks = [p for p, w in zip(chain.gap_points, weights) for _ in range(w)]
-    if len(picks) == n:
-        return picks
-    sink = chain.const_point if chain.const_point is not None else chain.gap_points[len(weights)]
-    return picks + [sink] * (n - len(picks))
+def _chain_picks(chain: _Chain, weights: list[int], n: int) -> tuple[tuple[int, ...], list[int]]:
+    """The planned multiset, weights[t] picks on gap t and the rest on the
+    sink, and its picks per gap (a constant column's picks move no row)."""
+    picks = list(weights) + [0] * (len(chain.gap_points) - len(weights))
+    sink = [chain.const_point] * (n - sum(weights))
+    if sink and chain.const_point is None:
+        picks[len(weights)] += len(sink)
+        sink = []
+    ms = [p for p, w in zip(chain.gap_points, picks) for _ in range(w)] + sink
+    return tuple(sorted(ms)), picks
 
 
-def _chain_pool(cls: HypothesisClass, chain: _Chain, n: int, plans: dict, profile):
+def _path_packing(chain: _Chain, picks: list[int], gamma: int, bound: int, ms):
+    """The planned multiset's gamma-packing as (size, packing, multiset,
+    row_map), certified from positions along the path, or None below the
+    path bound.
+
+    A class row's position is the picks on the gaps between it and the end
+    row chain.order starts from; rows at one position project to one row,
+    numbered as project numbers them (by lowest class row, ascending).  The
+    witness is _greedy_pack's: in index order, a row joins when no row taken
+    before it lies within gamma.  Reaching the bound, it is a maximum.
+    """
+    along = np.concatenate(([0], np.cumsum(picks)))  # positions of chain.order's rows
+    runs = np.flatnonzero(np.diff(along, prepend=-1))  # first row at each position
+    row_map = np.sort(np.minimum.reduceat(chain.order, runs))
+    pos = np.empty_like(along)
+    pos[chain.order] = along
+    witness, taken = [], []  # taken: the witness's positions, ascending
+    for i, p in enumerate(pos[row_map].tolist()):
+        k = bisect_left(taken, p - gamma)
+        if k == len(taken) or taken[k] > p + gamma:
+            taken.insert(k, p)
+            witness.append(i)
+    if len(witness) < bound:
+        return None
+    return bound, PackingResult(size=bound, witness=tuple(witness), radius=gamma,
+                                exact=True), ms, row_map
+
+
+def _chain_pool(cls: HypothesisClass, chain: _Chain, n: int, plans: dict, profile,
+                on_path: bool = False):
     """(pooled, exact) as _pooled_search returns them, from the planned
-    multiset of each key: plans maps a key to (path bound, gap weights), and
-    profile(key, projection) certifies the packing there.  exact when every
-    key's certified packing reaches its path bound."""
+    multiset of each key: plans maps a key to (path bound, gap weights).
+    With on_path, a key is a gamma whose packing _path_packing certifies
+    first; else, or when it falls short, profile(key, projection) certifies
+    the packing on the projection.  exact when every key's certified packing
+    reaches its path bound."""
     pooled, exact = {}, True
     for key, (bound, weights) in plans.items():
-        proj = project(cls, _chain_multiset(chain, weights, n))
-        prof, certified = profile(key, proj)
-        pooled[key] = (*prof[key], proj.multiset, proj.row_map)
-        exact = exact and certified and prof[key][0] == bound
+        ms, picks = _chain_picks(chain, weights, n)
+        pooled[key] = _path_packing(chain, picks, key, bound, ms) if on_path else None
+        certified = pooled[key] is not None
+        if not certified:
+            proj = project(cls, ms)
+            prof, certified = profile(key, proj)
+            pooled[key] = (*prof[key], ms, proj.row_map)
+        exact = exact and certified and pooled[key][0] == bound
     return pooled, exact
 
 
@@ -581,7 +633,7 @@ def _global_search(cls: HypothesisClass, n: int, gammas, exhaustive: bool, seed:
         return _pooled_search(cls, n, exhaustive, seed, _global_profile(gammas, exhaustive),
                               score)
     return _chain_pool(cls, chain, n, {g: _chain_plan(chain, n, n, g) for g in gammas},
-                       lambda g, proj: _global_profile([g], True)(proj))
+                       lambda g, proj: _global_profile([g], True)(proj), on_path=True)
 
 
 def _local_search(cls: HypothesisClass, n: int, h: float, gammas, exhaustive: bool,

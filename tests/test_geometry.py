@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locent import geometry
+from locent import geometry, util
 from locent.classes import (DomainDistribution, HypothesisClass, PointDomain,
                             circle_separator_class, make_massart_instance,
                             make_star_class, threshold_class)
@@ -371,6 +372,26 @@ def broken_chain(n):
     return HypothesisClass(PointDomain.of_size(n), np.vstack([pats, extra]))
 
 
+def assert_path_matches_gram(cls, n, gammas=range(13)):
+    """Chain global packings certified on path positions equal those the
+    packing core certifies on each projection's Gram, forced by turning the
+    path route off: sizes, witnesses, flags, multisets and row maps, both
+    pooled and through global_packing_number and gamma_star."""
+    def results():
+        pooled, exact = geometry._global_search(cls, n, gammas, True, 0, None)
+        rows = {g: (size, packing, ms, row_map.tolist())
+                for g, (size, packing, ms, row_map) in pooled.items()}
+        public = ([global_packing_number(cls, g, n) for g in gammas],
+                  [gamma_star(cls, c, n) for c in (1.0, 0.5, 0.25)])
+        return exact, rows, public
+
+    path = results()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(geometry, "_path_packing", lambda *args: None)
+        assert results() == path
+    assert path[0]
+
+
 def partition_blocks(rng, m):
     """A random partition of range(m) into ascending blocks, in order of
     their first points."""
@@ -709,8 +730,20 @@ class TestChainRoute:
         assert fp.exact and any(row["witness"] for row in fp.scan)
         assert_scan_certified(threshold_class(points), fp)
 
-    def test_projections_stay_small(self, monkeypatch):
-        # a scan row of packing size k is certified on at most k + 2 rows
+    def test_global_rows_skip_projection(self, monkeypatch):
+        # global rows are certified on path positions, with no projection and
+        # no Gram; a local row of packing size k projects at most k + 2 rows
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a global chain row built a projection")
+
+        cls = threshold_class(4096)
+        with monkeypatch.context() as m:
+            for module, name in ((geometry, "project"), (geometry, "hamming_matrix"),
+                                 (util, "hamming_matrix")):
+                m.setattr(module, name, forbidden)
+            star = gamma_star(cls, 0.5, 4096)
+            single = global_packing_number(cls, 3, 4096)
+        assert star.exact and single.exact and single.size == 1025
         projections = []
 
         def recording(cls, multiset):
@@ -718,17 +751,45 @@ class TestChainRoute:
             return projections[-1]
 
         monkeypatch.setattr(geometry, "project", recording)
-        cls = threshold_class(4096)
-        star = gamma_star(cls, 0.5, 4096)
-        assert star.exact and len(projections) == len(star.scan)
-        for proj, row in zip(projections, star.scan):
-            assert proj.n_patterns <= row["witness_size"] + 2
-        projections.clear()
         loc = gamma_loc(cls, 1.0, 1.0, 4096)
         assert loc.exact and projections
         for proj in projections:
             sizes = [r["witness_size"] for r in loc.scan if r["multiset"] == proj.multiset]
             assert sizes and proj.n_patterns <= max(sizes) + 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_path_matches_gram_on_random_chains(self, seed):
+        # shuffled rows, flipped columns and constant columns
+        rng = np.random.default_rng(seed)
+        assert_path_matches_gram(random_chain(rng, max_points=12), int(rng.integers(1, 30)))
+
+    @pytest.mark.parametrize("points", [2, 3, 8, 33, 129])
+    def test_path_matches_gram_from_mid_path_row_0(self, points):
+        pats = threshold_class(points).patterns
+        mid = points // 2
+        cls = HypothesisClass(PointDomain.of_size(points),
+                              np.vstack([pats[mid:mid + 1], pats[:mid], pats[mid + 1:]]))
+        chain = geometry._chain(cls)
+        assert chain.order[0] != 0 and chain.order[-1] != 0
+        for n in (points, 2 * points + 1):
+            assert_path_matches_gram(cls, n)
+
+    @pytest.mark.parametrize("points", sorted({*range(2, 24), *range(24, 301, 23), 300}))
+    def test_path_matches_gram_on_thresholds(self, points):
+        for n in (points, 2 * points + 1):
+            assert_path_matches_gram(threshold_class(points), n)
+
+    def test_peak_memory_below_class_size(self):
+        cls = threshold_class(2048)
+        for run in (lambda: geometry._chain(cls), lambda: gamma_star(cls, 0.5, 2048)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < cls.patterns.nbytes
 
     def test_detection(self):
         chain = geometry._chain(threshold_class(7))
