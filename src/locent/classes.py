@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .util import frozen_array, make_rng
+from .util import frozen_array
 
 __all__ = [
     "PointDomain",
@@ -449,13 +449,15 @@ def sample(instance: MassartInstance, n: int, seed: int) -> LabeledSample:
 def draw_samples(instance: MassartInstance, n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Point indices and +-1 labels of one sample per seed, as (len(seeds), n)
     arrays.  Each sample draws random(n) for its points, then random(n) for
-    its flips, from its own make_rng(seed), so row i is sample(instance, n,
-    seeds[i])."""
+    its flips, from make_rng(seed)'s generator, so row i is sample(instance,
+    n, seeds[i])."""
+    # erm and processes load seeding before any array; a lone sample loads it here
+    from .seeding import spawn_rngs
     if n < 1:
         raise ValueError("sample size must be >= 1")
     u = np.empty((len(seeds), 2, n))
-    for row, seed in zip(u, seeds):
-        make_rng(seed).random(out=row)  # the points' n draws, then the flips'
+    for row, rng in zip(u, spawn_rngs((seed, ()) for seed in seeds)):
+        rng.random(out=row)  # the points' n draws, then the flips'
     xs = instance.px.cdf.searchsorted(u[:, 0], side="right")
     flips = u[:, 1] < instance.flip_prob[xs]
     ys = instance.fstar[xs].astype(np.int8)

@@ -25,7 +25,6 @@ import sys
 import numpy as np
 
 from . import classes
-from .util import make_rng
 
 USAGE_ERROR = 1
 CHECK_FAILURE = 2
@@ -322,12 +321,13 @@ def _cmd_verify_lemmas(opts, config) -> int:
 
 def _cmd_erm_run(opts, config) -> int:
     from .erm import ErmPolicy, _run_trials, excess_risk
+    from .seeding import spawn_seeds
     cls, desc = _build_class(opts)
     instance = _build_instance(cls, desc, opts)
     policy = ErmPolicy(opts["policy"],
                        instance if opts["policy"] == "pessimistic" else None)
     n, trials, seed = int(opts["n"]), int(opts["trials"]), int(opts["seed"])
-    seeds = [int(make_rng(seed, t).integers(2 ** 31)) for t in range(trials)]
+    seeds = spawn_seeds((seed, (t,)) for t in range(trials))
     res = _run_trials(instance, n, seeds, policy, version_space=True)
     chosen = res.chosen.tolist()
     # excess_risk once per distinct chosen row, not excess_risk_all, whose

@@ -12,7 +12,10 @@ import numpy as np
 
 from .classes import (DomainDistribution, HypothesisClass, LabeledSample,
                       MassartInstance, draw_samples, make_massart_instance)
-from .util import make_rng, mean_ci99
+from .util import mean_ci99
+
+# the functions that run trials import seeding themselves: lower-bound-family
+# loads erm but runs no trial, so it skips compiling the generator hash
 
 __all__ = [
     "ErmPolicy",
@@ -112,8 +115,10 @@ def _choose(risks: np.ndarray, policy: ErmPolicy, seeds, exc_all) -> np.ndarray:
         return np.argmax(np.where(tie, exc_all, -np.inf), axis=1)
     chosen = np.argmax(tie, axis=1)
     if policy.kind == "seeded_random":  # a generator only where there is a tie
-        for t in np.flatnonzero(np.count_nonzero(tie, axis=1) > 1):
-            chosen[t] = make_rng(seeds[t], 21).choice(np.flatnonzero(tie[t]))
+        from .seeding import spawn_rngs
+        ties = np.flatnonzero(np.count_nonzero(tie, axis=1) > 1)
+        for t, rng in zip(ties, spawn_rngs((seeds[t], (21,)) for t in ties)):
+            chosen[t] = rng.choice(np.flatnonzero(tie[t]))
     return chosen
 
 
@@ -202,9 +207,10 @@ def version_space_disagreement(instance: MassartInstance, n: int, trials: int,
                                seed: int) -> tuple[float, float]:
     """Monte Carlo mean and 99% CI half-width of the disagreement mass of the
     version space after n realizable draws."""
+    from .seeding import spawn_seeds
     if not instance.realizable:
         raise ValueError("version-space diagnostics need a realizable instance (h = 1)")
-    seeds = [int(make_rng(seed, t, 31).integers(2 ** 31)) for t in range(trials)]
+    seeds = spawn_seeds((seed, (t, 31)) for t in range(trials))
     return mean_ci99(np.array(_run_trials(instance, n, seeds, version_space=True).dis_mass))
 
 

@@ -17,7 +17,8 @@ from .classes import (DomainDistribution, HypothesisClass, MassartInstance,
 from .erm import AdversarialSpec, ErmPolicy, _run_trials, excess_risk_all
 from .geometry import gamma_loc, gamma_star, packing_log_vc_bound
 from .measures import growth_function, star_number, vc_dimension
-from .util import make_rng, mean_ci99, tlog
+from .seeding import spawn_seeds
+from .util import mean_ci99, tlog
 
 __all__ = [
     "SweepConfig",
@@ -69,7 +70,7 @@ class SweepTable:
 def _cell_mean_excess(instance: MassartInstance, n: int, trials: int,
                       policy_kind: str, seed: int, cell_key: tuple) -> tuple[float, float, np.ndarray]:
     policy = ErmPolicy(policy_kind, instance if policy_kind == "pessimistic" else None)
-    seeds = [int(make_rng(seed, *cell_key, t).integers(2 ** 31)) for t in range(trials)]
+    seeds = spawn_seeds((seed, (*cell_key, t)) for t in range(trials))
     out = excess_risk_all(instance)[_run_trials(instance, n, seeds, policy).chosen]
     return *mean_ci99(out), out
 

@@ -21,13 +21,15 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, repeat
 
 import numpy as np
 
-from .classes import HypothesisClass, LabeledSample, MassartInstance, sample
+from .classes import HypothesisClass, LabeledSample, MassartInstance, draw_samples
 from .geometry import gamma_loc
-from .util import NORMAL_99, make_rng, tlog
+from .seeding import spawn_rngs, spawn_seeds
+from .util import NORMAL_99, frozen_array, make_rng, tlog
 
 __all__ = [
     "ProcessEstimate",
@@ -93,16 +95,19 @@ class LossClassView:
             raise ValueError("target row out of range")
 
     def domain_values(self) -> np.ndarray:
-        """Per-point values for the x-only views; the halved difference for excess_loss."""
+        """Per-point values for the x-only views; the halved difference for
+        excess_loss.  Computed once per view; the array is read-only."""
+        return self._domain
+
+    @cached_property
+    def _domain(self) -> np.ndarray:
         fstar = self.base.row(self.target).astype(np.float64)
         diff = (self.base.patterns - fstar) / 2.0
-        if self.view == "disagreement":
-            return np.abs(diff)
-        return diff
+        return frozen_array(np.abs(diff) if self.view == "disagreement" else diff)
 
     def values(self, xs: np.ndarray, ys: np.ndarray | None = None) -> np.ndarray:
         """Matrix of g values on sample entries, one row per classifier."""
-        base = self.domain_values()[:, xs]
+        base = self._domain[:, xs]
         if self.view == "excess_loss":
             if ys is None:
                 raise ValueError("excess_loss view needs labels")
@@ -208,7 +213,8 @@ def offset_rademacher_sup(values, c: float, exact: bool = True,
         raise ValueError("values must be a nonempty matrix")
     n = v.shape[1]
     penalties = c * (v ** 2).sum(axis=1)
-    mean, sd, _, m = _sup_mean(v, penalties, exact, reps, make_rng(seed, 11))
+    mean, sd, _, m = _sup_mean(v, penalties, exact, reps,
+                               None if exact else make_rng(seed, 11))
     ci = 0.0 if exact else NORMAL_99 * sd / math.sqrt(m) / n
     return ProcessEstimate(value=mean / n, ci_halfwidth=ci, exact=exact,
                            replicates=m, seed=seed)
@@ -221,10 +227,21 @@ def shifted_process_sup(view: LossClassView, instance: MassartInstance,
         raise ValueError("c must be >= 0")
     if int(smp.xs.max()) >= instance.cls.n_points:
         raise ValueError("sample references unknown domain points")
-    pg = view.exact_means(instance)
-    vals = view.values(smp.xs, smp.ys)
-    png = vals.mean(axis=1)
-    return float((pg - (1.0 + c) * png).max())
+    return _shifted_sup(view.exact_means(instance), view.values(smp.xs, smp.ys), c)
+
+
+def _shifted_sup(pg: np.ndarray, vals: np.ndarray, c: float) -> float:
+    """sup_g (P g - (1 + c) P_n g) from the means pg and the sample values."""
+    return float((pg - (1.0 + c) * vals.mean(axis=1)).max())
+
+
+def _sign_rngs(seed: int, trials: int, n: int, *keys: int):
+    """The Monte Carlo sign generators make_rng(seed, t, key) of each trial t
+    and key, in that order, for n past ENUM_CAP; None for each up to it, where
+    the sums are enumerated and nothing is drawn."""
+    if n <= ENUM_CAP:
+        return repeat(None)
+    return spawn_rngs((seed, (t, key)) for t in range(trials) for key in keys)
 
 
 def _one_sided(name: str, lhs: np.ndarray, rhs: np.ndarray, details: dict) -> InequalityReport:
@@ -246,15 +263,16 @@ def check_symmetrization_expectation(view: LossClassView, instance: MassartInsta
     if trials < 100:
         raise ValueError("need at least 100 trials")
     shift = c / (c + 2.0)
+    pg = view.exact_means(instance)
+    samples = draw_samples(instance, n, spawn_seeds((seed, (t, 1)) for t in range(trials)))
+    signs = _sign_rngs(seed, trials, n, 2)
     lhs = np.empty(trials)
     rhs = np.empty(trials)
-    for t in range(trials):
-        smp = sample(instance, n, seed=int(make_rng(seed, t, 1).integers(2 ** 31)))
-        lhs[t] = shifted_process_sup(view, instance, smp, c)
-        vals = view.values(smp.xs, smp.ys)
-        penalties = shift * vals.sum(axis=1)
-        mean, _, _, _ = _sup_mean(vals, penalties, n <= ENUM_CAP, INNER_REPS,
-                                  make_rng(seed, t, 2))
+    for t, (xs, ys) in enumerate(zip(*samples)):
+        vals = view.values(xs, ys)
+        lhs[t] = _shifted_sup(pg, vals, c)
+        mean, _, _, _ = _sup_mean(vals, shift * vals.sum(axis=1), n <= ENUM_CAP, INNER_REPS,
+                                  next(signs))
         rhs[t] = (c + 2.0) / n * mean
     return _one_sided("shifted_symmetrization", lhs, rhs,
                       {"c": c, "n": n, "trials": trials, "seed": seed, "view": view.view})
@@ -275,18 +293,18 @@ def check_contraction(instance: MassartInstance, c: float, n: int, trials: int,
     halved = LossClassView(cls, target, "halved_difference")
     disagree = LossClassView(cls, target, "disagreement")
     h = instance.margin
+    samples = draw_samples(instance, n, spawn_seeds((seed, (t, 3)) for t in range(trials)))
+    signs = _sign_rngs(seed, trials, n, 4, 5)
     lhs = np.empty(trials)
     rhs = np.empty(trials)
-    for t in range(trials):
-        smp = sample(instance, n, seed=int(make_rng(seed, t, 3).integers(2 ** 31)))
-        xs, ys = smp.xs, smp.ys
+    for t, (xs, ys) in enumerate(zip(*samples)):
         gy = excess.values(xs, ys)
         mean, _, _, _ = _sup_mean(gy, c * gy.sum(axis=1), n <= ENUM_CAP, INNER_REPS,
-                                  make_rng(seed, t, 4))
+                                  next(signs))
         lhs[t] = mean
         fv = halved.values(xs)
         mean1, _, _, _ = _sup_mean(fv, 0.5 * h * c * np.abs(fv).sum(axis=1),
-                                   n <= ENUM_CAP, INNER_REPS, make_rng(seed, t, 5))
+                                   n <= ENUM_CAP, INNER_REPS, next(signs))
         hp = instance.abs_eta[xs]
         flip = (instance.fstar[xs] != ys)
         xi = (2.0 / 3.0) * (hp + np.where(flip, 1.0, -1.0))
@@ -316,12 +334,15 @@ def check_localization_bound(instance: MassartInstance, view_kind: str, c: float
     vals_domain = view.domain_values()
     if not np.any(np.all(vals_domain == 0, axis=1)):
         vals_domain = np.vstack([vals_domain, np.zeros(vals_domain.shape[1])])
+    u = np.empty((trials, n))
+    for row, rng in zip(u, spawn_rngs((seed, (t, 6)) for t in range(trials))):
+        rng.random(out=row)
+    signs = _sign_rngs(seed, trials, n, 7)
     totals = np.empty(trials)
-    for t in range(trials):
-        xs = instance.px.cdf.searchsorted(make_rng(seed, t, 6).random(n), side="right")
+    for t, xs in enumerate(instance.px.cdf.searchsorted(u, side="right")):
         vals = vals_domain[:, xs]
         mean, _, _, _ = _sup_mean(vals, 4.0 * c * np.abs(vals).sum(axis=1),
-                                  n <= ENUM_CAP, INNER_REPS, make_rng(seed, t, 7))
+                                  n <= ENUM_CAP, INNER_REPS, next(signs))
         totals[t] = mean / n
     fp = gamma_loc(instance.cls, c, c, n, seed=seed)
     bound = fp.gamma / n
@@ -353,7 +374,9 @@ def sudakov_check(vectors, trials: int = 4000, seed: int = 0) -> InequalityRepor
         a = float(d2[~np.eye(nvec, dtype=bool)].min())
     else:
         a = 0.0
-    mean, sd, exact, m = _sup_mean(v, np.zeros(nvec), n <= ENUM_CAP, trials, make_rng(seed, 8))
+    exact = n <= ENUM_CAP
+    mean, sd, _, m = _sup_mean(v, np.zeros(nvec), exact, trials,
+                               None if exact else make_rng(seed, 8))
     denom = min(a * math.sqrt(tlog(nvec)), (a * a / b) if b > 0 else math.inf)
     ratio = 0.0 if denom == 0 or nvec == 1 else mean / denom
     se = 0.0 if exact else sd / math.sqrt(m)

@@ -298,6 +298,48 @@ def brute_excess_risk(instance, row):
     return risk - risk_star
 
 
+def ref_lemma_trials(instance, c, n, trials, seed):
+    """Per-trial (lhs, rhs) of the symmetrization (excess-loss view, shift c)
+    and contraction checks, and per-trial totals of the localization check
+    (halved-difference view), with each trial's sample and signs drawn from
+    its own make_rng generators, as the checks drew them one trial at a
+    time; the batched checks must match them to the bit."""
+    from locent.classes import sample
+    from locent.processes import (ENUM_CAP, INNER_REPS, LossClassView, _sup_mean,
+                                  shifted_process_sup)
+    from locent.util import make_rng
+
+    def sup(vals, pen, t, key):
+        return _sup_mean(vals, pen, n <= ENUM_CAP, INNER_REPS, make_rng(seed, t, key))[0]
+
+    def draw(t, key):
+        return sample(instance, n, seed=int(make_rng(seed, t, key).integers(2 ** 31)))
+
+    h = instance.margin
+    excess, halved, disagree = (LossClassView(instance.cls, instance.target, view)
+                                for view in ("excess_loss", "halved_difference",
+                                             "disagreement"))
+    sym, con, loc = [], [], []
+    for t in range(trials):
+        smp = draw(t, 1)
+        vals = excess.values(smp.xs, smp.ys)
+        sym.append((shifted_process_sup(excess, instance, smp, c),
+                    (c + 2.0) / n * sup(vals, c / (c + 2.0) * vals.sum(axis=1), t, 2)))
+        smp = draw(t, 3)
+        gy, fv, gv = (excess.values(smp.xs, smp.ys), halved.values(smp.xs),
+                      disagree.values(smp.xs))
+        xi = (2.0 / 3.0) * (instance.abs_eta[smp.xs]
+                            + np.where(instance.fstar[smp.xs] != smp.ys, 1.0, -1.0))
+        term2 = float((gv @ xi - (h / 3.0) * gv.sum(axis=1)).max())
+        con.append((sup(gy, c * gy.sum(axis=1), t, 4),
+                    sup(fv, 0.5 * h * c * np.abs(fv).sum(axis=1), t, 5) + 1.5 * c * term2))
+        # the target's own row is the zero function the check requires
+        xs = instance.px.cdf.searchsorted(make_rng(seed, t, 6).random(n), side="right")
+        vals = halved.values(xs)
+        loc.append(sup(vals, 4.0 * c * np.abs(vals).sum(axis=1), t, 7) / n)
+    return np.array(sym), np.array(con), np.array(loc)
+
+
 def ref_run_trial(instance, n, policy, seed):
     """One ERM trial, sample to version space, as the per-trial loop ran it
     before the batched trial engine; the engine must match it to the bit."""

@@ -168,6 +168,12 @@ class TestErrorPaths:
         assert "trials must be >=" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["erm-run", "--seed", "-1", "--out", str(out)]) == 1
+        assert "expected non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])

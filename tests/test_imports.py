@@ -46,7 +46,7 @@ def test_measures_subcommand_skips_the_entropy_and_learning_stack(tmp_path):
                      "assert dispatch(['measures', '--points', '6', '--growth-max', '2', "
                      f"'--out', {str(out)!r}]) == 0")
     assert out.exists()
-    assert loaded.isdisjoint({"geometry", "erm", "experiments", "processes"})
+    assert loaded.isdisjoint({"geometry", "erm", "experiments", "processes", "seeding"})
 
 
 def test_readme_entry_points_resolve_and_are_listed():

@@ -257,6 +257,19 @@ class TestInequalityChecks:
         assert rep.passed
 
 
+    @pytest.mark.parametrize("n", [12, 20])  # exact signs, then Monte Carlo
+    def test_checks_match_per_trial_draws(self, n):
+        inst = threshold_instance(16, 0.5)
+        c, trials, seed = 0.25, 100, 3
+        sym, con, loc = oracles.ref_lemma_trials(inst, c, n, trials, seed)
+        view = LossClassView(inst.cls, inst.target, "excess_loss")
+        for got, ref in ((check_symmetrization_expectation(view, inst, c, n, trials, seed), sym),
+                         (check_contraction(inst, c, n, trials, seed), con)):
+            assert (got.lhs, got.rhs) == (float(ref[:, 0].mean()), float(ref[:, 1].mean()))
+        got = check_localization_bound(inst, "halved_difference", c, n, trials, seed)
+        assert got.lhs == float(loc.mean())
+
+
 class TestSudakov:
     def test_singleton_ratio_zero(self):
         rep = sudakov_check(np.array([[1.0, -1.0, 1.0]]))
