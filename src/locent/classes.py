@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .util import frozen_array
+from .util import distinct, frozen_array
 
 __all__ = [
     "PointDomain",
@@ -260,7 +260,7 @@ def make_thresholds(domain: PointDomain) -> HypothesisClass:
     if domain.coords is None or domain.dim != 1:
         raise ValueError("thresholds need 1-d coordinates")
     xs = domain.coords[:, 0]
-    if len(np.unique(xs)) != xs.size:
+    if len(distinct(xs)) != xs.size:
         raise ValueError("duplicate coordinates make thresholds degenerate; points must be distinct reals")
     order = np.argsort(xs, kind="stable")
     n = xs.size

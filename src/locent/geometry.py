@@ -16,14 +16,14 @@ log(x) = ln(max(x, e)).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 
 from .classes import DomainDistribution, HypothesisClass, MassartInstance
-from .util import hamming_matrix, make_rng, tlog
+from .util import distinct, hamming_matrix, make_rng, tlog
 
 __all__ = [
     "Projection",
@@ -714,11 +714,20 @@ class GlobalPackingResult:
 
 
 def _global_profile(gammas, exhaustive: bool):
-    """Profile of a projection's maximal gamma-packings, one key per gamma."""
+    """Profile of a projection's maximal gamma-packings, one key per gamma.
+    Gammas of one distance class (_levels) share their conflict rows, so
+    the class's packing is solved once and relabelled with each gamma."""
     def profile(proj: Projection):
-        packs = {g: _packing(proj.dists, g, exhaustive) for g in gammas}
+        levels = _levels(proj.dists)
+        solved: dict[int, PackingResult] = {}
+        packs = {}
+        for g in gammas:
+            c = bisect_right(levels, g)
+            if c not in solved:
+                solved[c] = _packing(proj.dists, g, exhaustive)
+            packs[g] = replace(solved[c], radius=g)
         return ({g: (res.size, res) for g, res in packs.items()},
-                all(res.exact for res in packs.values()))
+                all(res.exact for res in solved.values()))
     return profile
 
 
@@ -794,7 +803,7 @@ def _center_indices(u: int, exact: bool) -> np.ndarray:
         return np.arange(u)
     if u <= CENTER_CAP:
         return np.arange(u)
-    return np.unique(np.round(np.linspace(0, u - 1, CENTER_CAP)).astype(int))
+    return distinct(np.round(np.linspace(0, u - 1, CENTER_CAP)).astype(int))
 
 
 def _discretize(eps: int, h: float, total: int) -> tuple[int, int]:
@@ -802,22 +811,33 @@ def _discretize(eps: int, h: float, total: int) -> tuple[int, int]:
     return min(int(math.floor(eps / h + 1e-12)), total), int(math.ceil(eps / 2 - 1e-12))
 
 
+def _levels(dists: np.ndarray) -> list[int]:
+    """The distinct entries of a distance matrix, ascending.  A ball of
+    radius r, or the conflict rows at separation s, select only through the
+    levels at most r (or s): bisect_right(levels, r) is r's distance class."""
+    return distinct(dists).tolist()
+
+
 def _local_profile(proj: Projection, h: float, eps_values: list[int], exact: bool):
     """Best packing per radius: eps -> (size, center_pattern_idx, witness_pattern_idxs).
 
     For a center f and radius eps the ball holds patterns within
     floor(eps/h) of f and the packing separation is ceil(eps/2) (strict).
-    A ball of radius at least the largest distance holds every pattern, so
-    its packing is solved once per separation and credited to the first
-    center.  Each ball's exact packing only has to beat the best earlier
-    center at its radius.  Returns (profile, all_certified).
+    Each ball's exact packing only has to beat the best earlier center at
+    its radius.  Radii are solved once per key, the distance classes of
+    their ball radius and separation: under one key the balls, the conflict
+    rows and the sequence of packings are the same, so a radius whose key
+    repeats the previous radius's shares its entry.  A ball in the top
+    radius class holds every pattern, so its packing is solved once and
+    credited to the first center.  Returns (profile, all_certified).
     """
     out: dict[int, tuple[int, int, tuple]] = {}
     dists = proj.dists
     u = proj.n_patterns
+    total = proj.size
+    levels = _levels(dists)
     centers = _center_indices(u, exact).tolist()
     center_rows = dists[centers]
-    max_dist = int(dists.max()) if u > 1 else 0
     certified_all = True
 
     def pack(conflicts: _BitRows, ball: int, beat: int = 0) -> tuple[int, ...]:
@@ -826,28 +846,33 @@ def _local_profile(proj: Projection, h: float, eps_values: list[int], exact: boo
         certified_all = certified_all and certified
         return tuple(witness)
 
-    # callers pass radii in increasing order, so radii sharing a separation
-    # are adjacent and only one separation's conflict rows are alive at a time
-    sep_now, conflicts, saturated = None, None, None
+    # callers pass radii in increasing order, so radii sharing a key are
+    # adjacent and only one separation's conflict rows are alive at a time
+    key_now, entry, conflicts, balls = (None, None), None, None, None
     for eps in eps_values:
-        radius, sep = _discretize(eps, h, proj.size)
-        if sep != sep_now:
-            sep_now, conflicts, saturated = sep, _BitRows(dists <= sep), None
-        if radius >= max_dist:
-            if saturated is None:
-                saturated = pack(conflicts, (1 << u) - 1)
-            out[eps] = (len(saturated), centers[0], saturated)
+        radius, sep = _discretize(eps, h, total)
+        key = (bisect_right(levels, radius), bisect_right(levels, sep))
+        if key == key_now:
+            out[eps] = entry
             continue
-        balls = _BitRows(center_rows <= radius)
-        best = None
-        for k, f in enumerate(centers):
-            ball = balls[k]
-            if best is not None and ball.bit_count() <= best[0]:
-                continue  # packing cannot beat current best
-            witness = pack(conflicts, ball, 0 if best is None else best[0])
-            if best is None or len(witness) > best[0]:
-                best = (len(witness), f, witness)
-        out[eps] = best
+        if key[1] != key_now[1]:
+            conflicts = _BitRows(dists <= sep)
+        if key[0] == len(levels):  # the ball holds every pattern
+            witness = pack(conflicts, (1 << u) - 1)
+            entry = (len(witness), centers[0], witness)
+        else:
+            if key[0] != key_now[0]:
+                balls = _BitRows(center_rows <= radius)
+            entry = None
+            for k, f in enumerate(centers):
+                ball = balls[k]
+                if entry is not None and ball.bit_count() <= entry[0]:
+                    continue  # packing cannot beat current best
+                witness = pack(conflicts, ball, 0 if entry is None else entry[0])
+                if entry is None or len(witness) > entry[0]:
+                    entry = (len(witness), f, witness)
+        key_now = key
+        out[eps] = entry
     return out, certified_all
 
 

@@ -15,6 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .classes import HypothesisClass
+from .util import distinct
 
 __all__ = [
     "MeasureResult",
@@ -59,9 +60,9 @@ def _distinct_restrictions(cls: HypothesisClass, points: tuple[int, ...],
         mask = np.uint64(0)
         for p in points:
             mask |= np.uint64(1) << np.uint64(p)
-        return int(np.unique(supports & mask).size)
+        return int(distinct(supports & mask).size)
     sub = cls.patterns[:, list(points)]
-    return int(np.unique(sub, axis=0).shape[0])
+    return int(distinct(sub, axis=0).shape[0])
 
 
 def verify_shattered(cls: HypothesisClass, points: tuple[int, ...]) -> bool:

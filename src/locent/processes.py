@@ -29,7 +29,7 @@ import numpy as np
 from .classes import HypothesisClass, LabeledSample, MassartInstance, draw_samples
 from .geometry import gamma_loc
 from .seeding import spawn_rngs, spawn_seeds
-from .util import NORMAL_99, frozen_array, make_rng, tlog
+from .util import NORMAL_99, distinct, frozen_array, make_rng, tlog
 
 __all__ = [
     "ProcessEstimate",
@@ -133,14 +133,19 @@ def _classes(keys) -> tuple[list[int], list[int]]:
     return [ix[0] for ix in classes.values()], [len(ix) for ix in classes.values()]
 
 
-def _sum_table(ks: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _sum_table(ks: tuple[int, ...], tables: dict) -> tuple[np.ndarray, np.ndarray]:
     """(len(ks), cells) sum vectors of column groups of sizes ks, group j's sum
     running over -k_j, 2 - k_j, ..., k_j, and the number of sign vectors
-    giving each, prod_j C(k_j, (S_j + k_j) / 2)."""
-    sizes = list(accumulate((k + 1 for k in ks), operator.mul, initial=1))
-    k = np.array(ks, dtype=np.intp)[:, None]
-    plus = np.arange(sizes[-1]) // np.array(sizes[:-1], dtype=np.intp)[:, None] % (k + 1)
-    return (2 * plus - k).astype(np.float32), _COMB[k, plus].prod(axis=0)
+    giving each, prod_j C(k_j, (S_j + k_j) / 2); read-only, memoized in
+    tables by ks."""
+    table = tables.get(ks)
+    if table is None:
+        sizes = list(accumulate((k + 1 for k in ks), operator.mul, initial=1))
+        k = np.array(ks, dtype=np.intp)[:, None]
+        plus = np.arange(sizes[-1]) // np.array(sizes[:-1], dtype=np.intp)[:, None] % (k + 1)
+        table = tables[ks] = (frozen_array((2 * plus - k).astype(np.float32)),
+                              frozen_array(_COMB[k, plus].prod(axis=0)))
+    return table
 
 
 def _running_max(high: np.ndarray, low: np.ndarray, pen: np.ndarray) -> np.ndarray:
@@ -158,10 +163,12 @@ def _running_max(high: np.ndarray, low: np.ndarray, pen: np.ndarray) -> np.ndarr
 
 
 def _sup_mean(values: np.ndarray, penalties: np.ndarray, exact: bool, reps: int,
-              rng: np.random.Generator | None) -> tuple[float, float, bool, int]:
+              rng: np.random.Generator | None,
+              tables: dict | None = None) -> tuple[float, float, bool, int]:
     """(mean, sd of per-replicate sup, exact, replicates) of
     E_eps max_g (sum_i eps_i g_i - penalty_g), by exact enumeration or from
-    reps Monte Carlo draws of rng."""
+    reps Monte Carlo draws of rng.  A check passes one tables dict to all
+    its calls, so each half table (_sum_table) is built once per check."""
     v = np.asarray(values, dtype=np.float32)
     n = v.shape[1]
     if exact:
@@ -180,8 +187,9 @@ def _sup_mean(values: np.ndarray, penalties: np.ndarray, exact: bool, reps: int,
             side = int(cells[1] < cells[0])
             halves[side].append(j)
             cells[side] *= ks[j] + 1
-        low_s, low_w = _sum_table([ks[j] for j in halves[0]])
-        high_s, high_w = _sum_table([ks[j] for j in halves[1]])
+        tables = {} if tables is None else tables
+        low_s, low_w = _sum_table(tuple(ks[j] for j in halves[0]), tables)
+        high_s, high_w = _sum_table(tuple(ks[j] for j in halves[1]), tables)
         sups = _running_max(g[:, halves[1]] @ high_s, g[:, halves[0]] @ low_s, g[:, -1])
         # a float32 supremum times a count below 2^17 is exact in float64, and
         # no partial sum exceeds 2^n max|sup|; einsum casts in small buffers
@@ -266,13 +274,14 @@ def check_symmetrization_expectation(view: LossClassView, instance: MassartInsta
     pg = view.exact_means(instance)
     samples = draw_samples(instance, n, spawn_seeds((seed, (t, 1)) for t in range(trials)))
     signs = _sign_rngs(seed, trials, n, 2)
+    tables: dict = {}
     lhs = np.empty(trials)
     rhs = np.empty(trials)
     for t, (xs, ys) in enumerate(zip(*samples)):
         vals = view.values(xs, ys)
         lhs[t] = _shifted_sup(pg, vals, c)
         mean, _, _, _ = _sup_mean(vals, shift * vals.sum(axis=1), n <= ENUM_CAP, INNER_REPS,
-                                  next(signs))
+                                  next(signs), tables)
         rhs[t] = (c + 2.0) / n * mean
     return _one_sided("shifted_symmetrization", lhs, rhs,
                       {"c": c, "n": n, "trials": trials, "seed": seed, "view": view.view})
@@ -295,16 +304,17 @@ def check_contraction(instance: MassartInstance, c: float, n: int, trials: int,
     h = instance.margin
     samples = draw_samples(instance, n, spawn_seeds((seed, (t, 3)) for t in range(trials)))
     signs = _sign_rngs(seed, trials, n, 4, 5)
+    tables: dict = {}
     lhs = np.empty(trials)
     rhs = np.empty(trials)
     for t, (xs, ys) in enumerate(zip(*samples)):
         gy = excess.values(xs, ys)
         mean, _, _, _ = _sup_mean(gy, c * gy.sum(axis=1), n <= ENUM_CAP, INNER_REPS,
-                                  next(signs))
+                                  next(signs), tables)
         lhs[t] = mean
         fv = halved.values(xs)
         mean1, _, _, _ = _sup_mean(fv, 0.5 * h * c * np.abs(fv).sum(axis=1),
-                                   n <= ENUM_CAP, INNER_REPS, next(signs))
+                                   n <= ENUM_CAP, INNER_REPS, next(signs), tables)
         hp = instance.abs_eta[xs]
         flip = (instance.fstar[xs] != ys)
         xi = (2.0 / 3.0) * (hp + np.where(flip, 1.0, -1.0))
@@ -331,18 +341,17 @@ def check_localization_bound(instance: MassartInstance, view_kind: str, c: float
     if view_kind not in ("halved_difference", "disagreement"):
         raise ValueError("view must contain the zero function: use halved_difference or disagreement")
     view = LossClassView(instance.cls, instance.target, view_kind)
-    vals_domain = view.domain_values()
-    if not np.any(np.all(vals_domain == 0, axis=1)):
-        vals_domain = np.vstack([vals_domain, np.zeros(vals_domain.shape[1])])
+    vals_domain = view.domain_values()  # the target's own row is the zero function
     u = np.empty((trials, n))
     for row, rng in zip(u, spawn_rngs((seed, (t, 6)) for t in range(trials))):
         rng.random(out=row)
     signs = _sign_rngs(seed, trials, n, 7)
+    tables: dict = {}
     totals = np.empty(trials)
     for t, xs in enumerate(instance.px.cdf.searchsorted(u, side="right")):
         vals = vals_domain[:, xs]
         mean, _, _, _ = _sup_mean(vals, 4.0 * c * np.abs(vals).sum(axis=1),
-                                  n <= ENUM_CAP, INNER_REPS, next(signs))
+                                  n <= ENUM_CAP, INNER_REPS, next(signs), tables)
         totals[t] = mean / n
     fp = gamma_loc(instance.cls, c, c, n, seed=seed)
     bound = fp.gamma / n
@@ -365,7 +374,7 @@ def sudakov_check(vectors, trials: int = 4000, seed: int = 0) -> InequalityRepor
     and b the largest sup-norm.  The implied constant is unspecified, so
     the report never fails; it records the fitted ratio.
     """
-    v = np.unique(np.asarray(vectors, dtype=np.float64), axis=0)
+    v = distinct(np.asarray(vectors, dtype=np.float64), axis=0)
     nvec, n = v.shape
     b = float(np.abs(v).max()) if nvec else 0.0
     if nvec > 1:

@@ -225,6 +225,95 @@ class TestPackingCore:
         assert not certified
 
 
+def surplus_projection(seed):
+    """Projection of a random class onto more draws than it has points, so
+    that weights repeat and distances take few values."""
+    rng = np.random.default_rng(seed)
+    cls = random_class(rng, max_points=6, max_rows=12)
+    n = cls.n_points + int(rng.integers(1, 2 * cls.n_points + 1))
+    return project(cls, rng.integers(0, cls.n_points, size=n))
+
+
+def distance_class(proj, r):
+    """How many distinct distances of the projection are at most r."""
+    return len({d for d in proj.dists.ravel().tolist() if d <= r})
+
+
+class TestDistanceClasses:
+    """Radii whose ball radius and separation select the same distances share
+    one packing; sharing must change no entry and no flag."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_local_profile_matches_per_radius_and_reference(self, seed):
+        proj = surplus_projection(seed)
+        grid = list(range(1, proj.size + 2))
+        for h in (1.0, 0.5, 0.3):
+            for exact in (True, False):
+                for budget in (None, 1, 4):
+                    with pytest.MonkeyPatch.context() as m:
+                        if budget is not None:
+                            m.setattr(geometry, "PACK_NODE_BUDGET", budget)
+                        got = _local_profile(proj, h, grid, exact)
+                        alone = [_local_profile(proj, h, [eps], exact) for eps in grid]
+                    # one radius at a time, starved branch and bound included
+                    assert list(got[0].items()) == [item for prof, _ in alone
+                                                    for item in prof.items()]
+                    assert got[1] == all(certified for _, certified in alone)
+                    want = oracles.ref_local_profile(proj, h, grid, exact, node_budget=budget)
+                    if budget is None or not exact or want[1]:
+                        assert list(got[0].items()) == list(want[0].items())
+                        assert got[1] == want[1]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_global_profile_matches_per_gamma(self, seed):
+        proj = surplus_projection(seed)
+        gammas = list(range(1, proj.size + 2))
+        for exact in (True, False):
+            for budget in (None, 1, 4):
+                with pytest.MonkeyPatch.context() as m:
+                    if budget is not None:
+                        m.setattr(geometry, "PACK_NODE_BUDGET", budget)
+                    got = geometry._global_profile(gammas, exact)(proj)
+                    alone = {g: geometry._packing(proj.dists, g, exact) for g in gammas}
+                assert got == ({g: (res.size, res) for g, res in alone.items()},
+                               all(res.exact for res in alone.values()))
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_one_pack_per_class_and_center(self, monkeypatch, exact):
+        # F1(2,6) with every point drawn four times: distances are multiples
+        # of 4, so many radii share their distance classes
+        proj = project(make_star_class("F1", 2, 6), list(range(6)) * 4)
+        h, grid = 0.5, list(range(1, 13))
+        calls = []
+        pack = geometry._pack
+
+        def counted(*args):
+            calls.append(args[1])
+            return pack(*args)
+
+        monkeypatch.setattr(geometry, "_pack", counted)
+        keys = {}
+        for eps in grid:
+            radius, sep = geometry._discretize(eps, h, proj.size)
+            keys.setdefault((distance_class(proj, radius), distance_class(proj, sep)), eps)
+        for eps in keys.values():  # each key's first radius alone
+            _local_profile(proj, h, [eps], exact)
+        per_key = len(calls)
+        for eps in grid:
+            _local_profile(proj, h, [eps], exact)
+        per_radius = len(calls) - per_key
+        calls.clear()
+        _local_profile(proj, h, grid, exact)
+        assert len(keys) < len(grid) and per_key < per_radius
+        assert len(calls) == per_key <= len(keys) * proj.n_patterns
+
+        calls.clear()
+        geometry._global_profile(grid, exact)(proj)
+        assert len(calls) == len({distance_class(proj, g) for g in grid}) < len(grid)
+
+
 class TestExactBounds:
     """The clique-cover and dual cover bounds against the brute oracles."""
 

@@ -76,3 +76,18 @@ def test_unknown_attribute_raises_attribute_error():
                "try:\n    locent.no_such_name\nexcept AttributeError as exc:\n    print(exc)\n"
                "print(hasattr(locent, 'no_such_name'))")
     assert out.splitlines() == ["module 'locent' has no attribute 'no_such_name'", "False"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["measures", "--points", "6", "--growth-max", "2"],
+    ["fixed-point", "--generator", "thresholds", "--points", "12", "--n", "12", "--h", "0.5"],
+    ["verify-lemmas", "--points", "6", "--n", "6", "--trials", "100"],
+], ids=["measures", "fixed-point", "verify-lemmas"])
+def test_jobs_leave_numpy_ma_unloaded(tmp_path, argv):
+    # numpy 2.x imports numpy.ma (about 13 ms) in a plain np.unique call
+    out = tmp_path / "out.json"
+    done = _run("from locent.cli import dispatch\n"
+                f"assert dispatch({argv + ['--out', str(out)]!r}) == 0\n"
+                "import sys\nprint('numpy.ma' in sys.modules)")
+    assert out.exists()
+    assert done.splitlines()[-1] == "False"

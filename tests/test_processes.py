@@ -112,6 +112,22 @@ class TestExactEnumeration:
         mean = _sup_mean(v, pen, True, 0, None)[0]
         assert mean == pytest.approx(oracles.ref_sup_mean(v, pen), rel=1e-6, abs=1e-6)
 
+    def test_shared_tables_change_no_mean(self, rng):
+        # a check passes one dict to all its calls; each half table is built
+        # once, read-only, and the means are those of unshared calls
+        tables = {}
+        for _ in range(30):
+            n = int(rng.integers(1, 13))
+            base = rng.choice(np.array([-1.0, 0.0, 1.0]), size=(int(rng.integers(1, 9)), 4))
+            v = base[:, rng.integers(4, size=n)]
+            pen = 0.25 * np.abs(v).sum(axis=1)
+            built = dict(tables)
+            assert _sup_mean(v, pen, True, 0, None, tables) == _sup_mean(v, pen, True, 0, None)
+            assert all(tables[ks] is table for ks, table in built.items())
+        assert 1 < len(tables) < 60
+        for high, weights in tables.values():
+            assert not high.flags.writeable and not weights.flags.writeable
+
     def test_memory_bounded_at_the_cap(self, rng):
         v = rng.choice(np.array([-1.0, 0.0, 1.0]), size=(300, 16))
         real = rng.normal(size=(300, 16))
@@ -145,6 +161,14 @@ class TestLossViews:
                 assert np.allclose(g ** 2, np.abs(diff) / 2)
                 assert np.allclose(g ** 2, diff ** 2 / 4)
                 assert np.allclose(g, y * (fstar - cls.patterns) / 2)
+
+    @pytest.mark.parametrize("kind", ["halved_difference", "disagreement"])
+    def test_target_row_is_zero(self, rng, kind):
+        # the localization check relies on the target's own row being the zero function
+        for _ in range(10):
+            cls = random_class(rng)
+            target = int(rng.integers(cls.n_rows))
+            assert not LossClassView(cls, target, kind).domain_values()[target].any()
 
     def test_bernstein_property(self, rng):
         # P g^2 <= (1/h) P g exactly over the finite instance
