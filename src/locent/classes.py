@@ -361,6 +361,8 @@ def make_star_class(variant: str, d: int, s: int, grid: int = 8) -> HypothesisCl
     if variant == "F3":
         if s <= 2 * (d - 1):
             raise ValueError("F3 needs s > 2(d-1)")
+        if grid < 1:
+            raise ValueError("F3 needs grid >= 1")
         count = (grid + 1) ** (d - 1) * (s - 2 * (d - 1) + 1)
         if count > cap:
             raise PatternCountError(

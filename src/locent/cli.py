@@ -46,7 +46,7 @@ def _build_class(opts) -> tuple[classes.HypothesisClass, dict]:
         return classes.threshold_class(n), {"generator": gen, "points": n}
     if gen in ("f1", "f2", "f3"):
         d, s = int(opts["d"]), int(opts["s"])
-        grid = int(opts.get("grid") or 8)
+        grid = int(opts["grid"])
         cls = classes.make_star_class(gen.upper(), d, s, grid=grid)
         desc = {"generator": gen, "d": d, "s": s}
         if gen == "f3":
@@ -64,17 +64,16 @@ def _build_class(opts) -> tuple[classes.HypothesisClass, dict]:
     raise ValueError(f"unknown generator {gen!r}")
 
 
-def _default_target(cls, desc) -> int:
-    if desc.get("generator") == "thresholds":
-        return (cls.n_points + 1) // 2
-    return 0
+def _target(cls, desc, opts) -> int:
+    """The --target row, by default the middle threshold or else row 0."""
+    target = opts.get("target")
+    if target is not None:
+        return int(target)
+    return (cls.n_points + 1) // 2 if desc.get("generator") == "thresholds" else 0
 
 
 def _build_instance(cls, desc, opts) -> classes.MassartInstance:
-    target = opts.get("target")
-    target = _default_target(cls, desc) if target is None else int(target)
-    h = float(opts.get("h") or 1.0)
-    return classes.make_massart_instance(cls, target, h)
+    return classes.make_massart_instance(cls, _target(cls, desc, opts), float(opts["h"]))
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +161,16 @@ def _grid(text: str, conv) -> tuple:
 # artifact writing
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(payload: dict, out: str | None) -> None:
+    _write(json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n", out)
 
 
 def _json_default(obj):
@@ -178,19 +180,12 @@ def _json_default(obj):
         return float(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"not serializable: {type(obj)}")
 
 
 def _emit_csv(lines: list[str], config: dict, out: str | None) -> None:
     header = "# config " + json.dumps(config, sort_keys=True, default=_json_default)
-    text = "\n".join([header] + lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join([header] + lines) + "\n", out)
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +394,8 @@ def _cmd_lower_bound_family(opts, config) -> int:
 def _cmd_star_theorem(opts, config) -> int:
     from . import experiments
     cls, desc = _build_class(opts)
-    target = opts.get("target")
-    target = _default_target(cls, desc) if target is None else int(target)
     rep = experiments.check_star_theorem(cls, int(opts["n"]), int(opts["trials"]),
-                                         int(opts["seed"]), target=target)
+                                         int(opts["seed"]), target=_target(cls, desc, opts))
     _emit_json({"config": config,
                 "results": {"class": desc, "mean_risk": rep.mean_risk, "ci": rep.ci,
                             "bound": rep.bound, "implied_constant": rep.implied_constant,
@@ -446,6 +439,11 @@ def _add_options(parser: argparse.ArgumentParser, sub: str) -> None:
         parser.add_argument(flag, default=None)
 
 
+def _config(sub: str, opts: dict) -> dict:
+    """The configuration an artifact embeds: every resolved option but --out."""
+    return {"subcommand": sub, "args": {k: v for k, v in sorted(opts.items()) if k != "out"}}
+
+
 def dispatch(argv) -> int:
     parser = _Parser(prog="locent", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="subcommand", required=True)
@@ -461,9 +459,7 @@ def dispatch(argv) -> int:
             return _replay(ns.artifact, ns.out)
         cli_args = {k: v for k, v in vars(ns).items() if k not in ("subcommand", "config")}
         opts = _resolve(ns.subcommand, cli_args, ns.config)
-        config = {"subcommand": ns.subcommand,
-                  "args": {k: v for k, v in sorted(opts.items()) if k != "out"}}
-        return _BODIES[ns.subcommand](opts, config)
+        return _BODIES[ns.subcommand](opts, _config(ns.subcommand, opts))
     except (ValueError, FileNotFoundError) as exc:  # ClassFormatError, PatternCountError too
         sys.stderr.write(f"locent {ns.subcommand}: error: {exc}\n")
         return USAGE_ERROR
@@ -488,9 +484,7 @@ def _replay(artifact_path: str, out: str | None) -> int:
     opts = dict(_OPTION_DEFAULTS[sub])
     opts.update(config["args"])
     opts["out"] = out
-    run_config = {"subcommand": sub,
-                  "args": {k: v for k, v in sorted(opts.items()) if k != "out"}}
-    return _BODIES[sub](opts, run_config)
+    return _BODIES[sub](opts, _config(sub, opts))
 
 
 def main() -> None:

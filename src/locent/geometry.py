@@ -504,7 +504,8 @@ def _path_weights(k: int, g: int, radius: int, n: int, gaps: int,
                   const: bool) -> list[int] | None:
     """Weights of consecutive chain gaps, summing to at most n, on which k
     rows lie pairwise at least g apart and within radius of one row (the
-    center); None when no n-pick multiset allows it.
+    center); None when no n-pick multiset allows it.  The caller keeps
+    (k - 1) g <= n, so the spare picks are never negative.
 
     The center is either the j-th packing row (k - 1 gaps) or a row that
     splits the spacing after the j-th into a + b >= g (k gaps).  Picks the
@@ -513,8 +514,6 @@ def _path_weights(k: int, g: int, radius: int, n: int, gaps: int,
     of the center, each up to the radius.
     """
     spare = n - (k - 1) * g
-    if spare < 0:
-        return None
     for j in range(k):
         left, right = j * g, (k - 1 - j) * g
         if max(left, right) > radius:
@@ -576,17 +575,27 @@ def _chain_picks(chain: _Chain, weights: list[int], n: int) -> tuple[tuple[int, 
     return tuple(sorted(ms)), picks
 
 
-def _path_packing(chain: _Chain, picks: list[int], gamma: int, bound: int, ms):
-    """The planned multiset's gamma-packing as (size, packing, multiset,
-    row_map), certified from positions along the path, or None below the
-    path bound.
+def _path_packing(chain: _Chain, n: int, gamma: int):
+    """The largest gamma-packing over n-point multisets of a chain class as
+    (size, packing, multiset, row_map): _chain_plan's multiset, with a
+    packing read from positions along the path.
 
     A class row's position is the picks on the gaps between it and the end
     row chain.order starts from; rows at one position project to one row,
     numbered as project numbers them (by lowest class row, ascending).  The
     witness is _greedy_pack's: in index order, a row joins when no row taken
-    before it lies within gamma.  Reaching the bound, it is a maximum.
+    before it lies within gamma.  It always reaches the path bound k, so it
+    is a maximum, and exact says that it did.  With g = gamma + 1 the plan
+    takes k = 1 + min(gaps, n // g) at once, on weights [g] * (k - 1).  Its
+    spare picks go to a constant column (moving no row), or onto the last
+    gap when the path takes every gap, or else to the next gap, where
+    k - 1 = n // g < gaps leaves fewer than g of them.  So the positions are
+    0, g, ..., (k - 1) g, the last perhaps moved further out, plus at most
+    one more that lies closer than g to the last alone: the greedy drops at
+    most one of that pair.
     """
+    bound, weights = _chain_plan(chain, n, n, gamma)
+    ms, picks = _chain_picks(chain, weights, n)
     along = np.concatenate(([0], np.cumsum(picks)))  # positions of chain.order's rows
     runs = np.flatnonzero(np.diff(along, prepend=-1))  # first row at each position
     row_map = np.sort(np.minimum.reduceat(chain.order, runs))
@@ -598,31 +607,8 @@ def _path_packing(chain: _Chain, picks: list[int], gamma: int, bound: int, ms):
         if k == len(taken) or taken[k] > p + gamma:
             taken.insert(k, p)
             witness.append(i)
-    if len(witness) < bound:
-        return None
-    return bound, PackingResult(size=bound, witness=tuple(witness), radius=gamma,
-                                exact=True), ms, row_map
-
-
-def _chain_pool(cls: HypothesisClass, chain: _Chain, n: int, plans: dict, profile,
-                on_path: bool = False):
-    """(pooled, exact) as _pooled_search returns them, from the planned
-    multiset of each key: plans maps a key to (path bound, gap weights).
-    With on_path, a key is a gamma whose packing _path_packing certifies
-    first; else, or when it falls short, profile(key, projection) certifies
-    the packing on the projection.  exact when every key's certified packing
-    reaches its path bound."""
-    pooled, exact = {}, True
-    for key, (bound, weights) in plans.items():
-        ms, picks = _chain_picks(chain, weights, n)
-        pooled[key] = _path_packing(chain, picks, key, bound, ms) if on_path else None
-        certified = pooled[key] is not None
-        if not certified:
-            proj = project(cls, ms)
-            prof, certified = profile(key, proj)
-            pooled[key] = (*prof[key], ms, proj.row_map)
-        exact = exact and certified and pooled[key][0] == bound
-    return pooled, exact
+    return len(witness), PackingResult(size=len(witness), witness=tuple(witness),
+                                       radius=gamma, exact=len(witness) == bound), ms, row_map
 
 
 def _global_search(cls: HypothesisClass, n: int, gammas, exhaustive: bool, seed: int, score):
@@ -630,10 +616,10 @@ def _global_search(cls: HypothesisClass, n: int, gammas, exhaustive: bool, seed:
     closed form, else the multiset search."""
     chain = _chain(cls)
     if chain is None:
-        return _pooled_search(cls, n, exhaustive, seed, _global_profile(gammas, exhaustive),
-                              score)
-    return _chain_pool(cls, chain, n, {g: _chain_plan(chain, n, n, g) for g in gammas},
-                       lambda g, proj: _global_profile([g], True)(proj), on_path=True)
+        return _pooled_search(cls, n, exhaustive, seed,
+                              lambda proj: _global_profile(proj, gammas, exhaustive), score)
+    pooled = {g: _path_packing(chain, n, g) for g in gammas}
+    return pooled, all(packing.exact for _, packing, _, _ in pooled.values())
 
 
 def _local_search(cls: HypothesisClass, n: int, h: float, gammas, exhaustive: bool,
@@ -641,7 +627,9 @@ def _local_search(cls: HypothesisClass, n: int, h: float, gammas, exhaustive: bo
     """Pooled per-radius local packings over n-point multisets for the local
     packing numbers at gammas: a chain class's closed form, certified at the
     radius each gamma reads (the largest packing over radii >= gamma, at the
-    smallest such radius, when it beats beat), else the multiset search."""
+    smallest such radius, when it beats beat) on the projection of the
+    planned multiset, else the multiset search.  exact when every radius's
+    certified packing reaches its path bound."""
     lo, hi = min(gammas), int(math.floor(n * h + 1e-12))
     chain = _chain(cls)
     if chain is None:
@@ -654,9 +642,15 @@ def _local_search(cls: HypothesisClass, n: int, h: float, gammas, exhaustive: bo
         if plans[eps][0] >= best[0]:
             best = (plans[eps][0], eps)
         suffix[eps] = best
-    keys = sorted({suffix[g][1] for g in gammas if g <= hi and suffix[g][0] > beat})
-    return _chain_pool(cls, chain, n, {eps: plans[eps] for eps in keys},
-                       lambda eps, proj: _local_profile(proj, h, [eps], True))
+    pooled, exact = {}, True
+    for eps in sorted({suffix[g][1] for g in gammas if g <= hi and suffix[g][0] > beat}):
+        bound, weights = plans[eps]
+        ms, _ = _chain_picks(chain, weights, n)
+        proj = project(cls, ms)
+        prof, certified = _local_profile(proj, h, [eps], True)
+        pooled[eps] = (*prof[eps], ms, proj.row_map)
+        exact = exact and certified and prof[eps][0] == bound
+    return pooled, exact
 
 
 @dataclass(frozen=True)
@@ -672,24 +666,23 @@ def _satisfied(slope: float, gamma: int, size: int) -> bool:
     return slope * gamma <= tlog(size) + 1e-12
 
 
-def _fixed_point(cls: HypothesisClass, slope: float, n: int, params: dict,
-                 search) -> FixedPointResult:
+def _scan_cap(cls: HypothesisClass, slope: float, n: int) -> int:
+    """The last gamma a fixed-point scan takes, min(n, floor(tlog(#patterns)/slope)):
+    larger gamma cannot satisfy the inequality because no packing has more
+    patterns than the class."""
+    return min(n, int(math.floor(tlog(cls.n_rows) / slope + 1e-12)))
+
+
+def _fixed_point(slope: float, scan: list, params: dict, exact: bool) -> FixedPointResult:
     """Largest gamma with slope*gamma <= log of the packing size at gamma.
 
-    The scan covers gamma in [1, g_cap], g_cap = min(n,
-    floor(tlog(#patterns)/slope)); larger gamma cannot satisfy the
-    inequality because no packing has more patterns than the class.  Values
-    of gamma up to floor(1/slope) always satisfy it (truncated log >= 1),
-    which also bounds the result from below past the scan, hence
-    slope * gamma >= 1/2 always.  search(g_cap) runs the multiset search,
-    or a chain class's closed form, and returns (read, exact), read(g)
-    giving (size, columns) of scan row g.
+    scan holds (size, columns) for gamma = 1, ..., _scan_cap.  Values of
+    gamma up to floor(1/slope) always satisfy the inequality (truncated
+    log >= 1), which also bounds the result from below past the scan, hence
+    slope * gamma >= 1/2 always.
     """
-    g_cap = min(n, int(math.floor(tlog(cls.n_rows) / slope + 1e-12)))
-    read, exact = search(g_cap)
     rows = []
-    for g in range(1, g_cap + 1):
-        size, columns = read(g)
+    for g, (size, columns) in enumerate(scan, 1):
         rows.append({"gamma": g, "log_packing": tlog(size),
                      "satisfied": _satisfied(slope, g, size), "witness_size": size, **columns})
     gamma = max([1, int(math.floor(1.0 / slope + 1e-12))]
@@ -713,22 +706,20 @@ class GlobalPackingResult:
         return self.packing.size
 
 
-def _global_profile(gammas, exhaustive: bool):
+def _global_profile(proj: Projection, gammas, exhaustive: bool):
     """Profile of a projection's maximal gamma-packings, one key per gamma.
     Gammas of one distance class (_levels) share their conflict rows, so
     the class's packing is solved once and relabelled with each gamma."""
-    def profile(proj: Projection):
-        levels = _levels(proj.dists)
-        solved: dict[int, PackingResult] = {}
-        packs = {}
-        for g in gammas:
-            c = bisect_right(levels, g)
-            if c not in solved:
-                solved[c] = _packing(proj.dists, g, exhaustive)
-            packs[g] = replace(solved[c], radius=g)
-        return ({g: (res.size, res) for g, res in packs.items()},
-                all(res.exact for res in solved.values()))
-    return profile
+    levels = _levels(proj.dists)
+    solved: dict[int, PackingResult] = {}
+    packs = {}
+    for g in gammas:
+        c = bisect_right(levels, g)
+        if c not in solved:
+            solved[c] = _packing(proj.dists, g, exhaustive)
+        packs[g] = replace(solved[c], radius=g)
+    return ({g: (res.size, res) for g, res in packs.items()},
+            all(res.exact for res in solved.values()))
 
 
 def global_packing_number(cls: HypothesisClass, gamma: int, n: int,
@@ -758,13 +749,11 @@ def gamma_star(cls: HypothesisClass, c: float, n: int, search: str = "auto",
     def score(prof):  # the fixed point the multiset certifies alone
         return max([0] + [g for g, (size, _) in prof.items() if _satisfied(c, g, size)])
 
-    def search_scan(g_cap):
-        exhaustive = _exhaustive_multisets(cls, n, search, eval_work=cls.n_rows * g_cap)
-        pooled, exact = _global_search(cls, n, range(1, g_cap + 1), exhaustive, seed, score)
-        return (lambda g: (pooled[g][0], {"exact": pooled[g][1].exact})), exact
-
-    return _fixed_point(cls, c, n, {"c": c, "n": n, "search": search, "seed": seed},
-                        search_scan)
+    g_cap = _scan_cap(cls, c, n)
+    exhaustive = _exhaustive_multisets(cls, n, search, eval_work=cls.n_rows * g_cap)
+    pooled, exact = _global_search(cls, n, range(1, g_cap + 1), exhaustive, seed, score)
+    scan = [(pooled[g][0], {"exact": pooled[g][1].exact}) for g in range(1, g_cap + 1)]
+    return _fixed_point(c, scan, {"c": c, "n": n, "search": search, "seed": seed}, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -936,28 +925,25 @@ def gamma_loc(cls: HypothesisClass, h: float, h_prime: float, n: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     hi = int(math.floor(n * h_prime + 1e-12))
+    g_cap = _scan_cap(cls, h, n)
+    exhaustive = _exhaustive_multisets(cls, n, search, eval_work=cls.n_rows * max(hi, 1))
 
-    def search_scan(g_cap):
-        exhaustive = _exhaustive_multisets(cls, n, search, eval_work=cls.n_rows * max(hi, 1))
+    def score(prof):  # the fixed point the multiset certifies alone
+        suffix = 0
+        for eps in sorted(prof, reverse=True):
+            suffix = max(suffix, prof[eps][0])
+            if eps <= g_cap and _satisfied(h, eps, suffix):
+                return eps
+        return 0
 
-        def score(prof):  # the fixed point the multiset certifies alone
-            suffix = 0
-            for eps in sorted(prof, reverse=True):
-                suffix = max(suffix, prof[eps][0])
-                if eps <= g_cap and _satisfied(h, eps, suffix):
-                    return eps
-            return 0
-
-        pooled, exact = _local_search(cls, n, h_prime, range(1, g_cap + 1), exhaustive, seed,
-                                      score, beat=1)
-
-        def read(g):
-            size, fields = _packing_at(pooled, g, h_prime, n, beat=1)
-            return size, {"exact": exact, **fields}
-        return read, exact
-
-    return _fixed_point(cls, h, n, {"h": h, "h_prime": h_prime, "n": n,
-                                    "search": search, "seed": seed}, search_scan)
+    pooled, exact = _local_search(cls, n, h_prime, range(1, g_cap + 1), exhaustive, seed,
+                                  score, beat=1)
+    scan = []
+    for g in range(1, g_cap + 1):
+        size, fields = _packing_at(pooled, g, h_prime, n, beat=1)
+        scan.append((size, {"exact": exact, **fields}))
+    return _fixed_point(h, scan, {"h": h, "h_prime": h_prime, "n": n,
+                                  "search": search, "seed": seed}, exact)
 
 
 # ---------------------------------------------------------------------------

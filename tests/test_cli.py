@@ -174,6 +174,18 @@ class TestErrorPaths:
         assert "expected non-negative integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["erm-run", "--h", "0"], "margin h must lie in (0, 1]"),
+        (["verify-lemmas", "--h", "0"], "margin h must lie in (0, 1]"),
+        (["measures", "--generator", "f3", "--grid", "0"], "F3 needs grid >= 1"),
+    ], ids=["erm-run-h", "verify-lemmas-h", "f3-grid"])
+    def test_zero_option_is_not_replaced_by_its_default(self, argv, message, tmp_path,
+                                                        capsys):
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])

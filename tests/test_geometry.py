@@ -275,7 +275,7 @@ class TestDistanceClasses:
                 with pytest.MonkeyPatch.context() as m:
                     if budget is not None:
                         m.setattr(geometry, "PACK_NODE_BUDGET", budget)
-                    got = geometry._global_profile(gammas, exact)(proj)
+                    got = geometry._global_profile(proj, gammas, exact)
                     alone = {g: geometry._packing(proj.dists, g, exact) for g in gammas}
                 assert got == ({g: (res.size, res) for g, res in alone.items()},
                                all(res.exact for res in alone.values()))
@@ -310,7 +310,7 @@ class TestDistanceClasses:
         assert len(calls) == per_key <= len(keys) * proj.n_patterns
 
         calls.clear()
-        geometry._global_profile(grid, exact)(proj)
+        geometry._global_profile(proj, grid, exact)
         assert len(calls) == len({distance_class(proj, g) for g in grid}) < len(grid)
 
 
@@ -463,22 +463,25 @@ def broken_chain(n):
 
 def assert_path_matches_gram(cls, n, gammas=range(13)):
     """Chain global packings certified on path positions equal those the
-    packing core certifies on each projection's Gram, forced by turning the
-    path route off: sizes, witnesses, flags, multisets and row maps, both
-    pooled and through global_packing_number and gamma_star."""
-    def results():
-        pooled, exact = geometry._global_search(cls, n, gammas, True, 0, None)
-        rows = {g: (size, packing, ms, row_map.tolist())
-                for g, (size, packing, ms, row_map) in pooled.items()}
-        public = ([global_packing_number(cls, g, n) for g in gammas],
-                  [gamma_star(cls, c, n) for c in (1.0, 0.5, 0.25)])
-        return exact, rows, public
-
-    path = results()
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(geometry, "_path_packing", lambda *args: None)
-        assert results() == path
-    assert path[0]
+    packing core certifies on the Gram of each planned multiset's
+    projection: sizes, witnesses, flags and row maps, both pooled and
+    through global_packing_number and gamma_star's scans."""
+    stars = [gamma_star(cls, c, n) for c in (1.0, 0.5, 0.25)]
+    top = max([*gammas, *(len(fp.scan) for fp in stars)])
+    pooled, exact = geometry._global_search(cls, n, range(top + 1), True, 0, None)
+    assert exact
+    for g, (size, packing, ms, row_map) in pooled.items():
+        proj = project(cls, ms)
+        prof, certified = geometry._global_profile(proj, [g], True)
+        assert certified and (size, packing) == prof[g]
+        assert row_map.tolist() == proj.row_map.tolist()
+    for g in gammas:
+        assert global_packing_number(cls, g, n) == geometry.GlobalPackingResult(
+            packing=pooled[g][1], multiset=pooled[g][2], exact=True)
+    for fp in stars:
+        assert fp.exact
+        assert [(row["witness_size"], row["exact"]) for row in fp.scan] == [
+            (pooled[g][0], True) for g in range(1, len(fp.scan) + 1)]
 
 
 def partition_blocks(rng, m):
@@ -868,6 +871,18 @@ class TestChainRoute:
     def test_path_matches_gram_on_thresholds(self, points):
         for n in (points, 2 * points + 1):
             assert_path_matches_gram(threshold_class(points), n)
+
+    def test_global_plan_fits_at_its_first_size(self):
+        # a global plan (radius n) fits k = 1 + min(gaps, n // (gamma + 1)),
+        # the largest size its loop tries, so its path bound is that size
+        rng = np.random.default_rng(5)
+        chains = [geometry._chain(random_chain(rng, max_points=12)) for _ in range(200)]
+        chains += [geometry._chain(threshold_class(p)) for p in range(2, 301)]
+        for chain in chains:
+            gaps = len(chain.gap_points)
+            for n in sorted({1, 2, 3, gaps + 1, 2 * gaps + 1, int(rng.integers(1, 700))}):
+                for g in sorted({0, 1, 2, 5, n // 2, n, int(rng.integers(0, n + 1))}):
+                    assert geometry._chain_plan(chain, n, n, g)[0] == 1 + min(gaps, n // (g + 1))
 
     def test_peak_memory_below_class_size(self):
         cls = threshold_class(2048)

@@ -85,6 +85,19 @@ class TestGrowthFunction:
         assert not res.exact and res.search_budget_hit
         assert res.value <= brute
 
+    def test_more_than_64_points_match_the_bitmask_path(self):
+        # 60 constant columns push F1(2,8) past _support_ints' 64-point bitmasks
+        small = make_star_class("F1", 2, 8)
+        pad = np.broadcast_to(np.where(np.arange(60) % 2, 1, -1), (small.n_rows, 60))
+        cls = HypothesisClass(PointDomain.of_size(68),
+                              np.hstack([small.patterns, pad]).astype(np.int8))
+        assert measures._support_ints(cls) is None
+        assert vc_dimension(cls).value == vc_dimension(small).value == 2
+        for m in (1, 2, 3):
+            g = growth_function(cls, m)
+            assert g.exact
+            assert g.value == growth_function(small, m).value == oracles.brute_growth(cls, m)
+
 
 class TestStarNumber:
     def test_thresholds(self):

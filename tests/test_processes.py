@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locent.classes import (HypothesisClass, PointDomain,
+from locent.classes import (DomainDistribution, HypothesisClass, PointDomain,
                             make_massart_instance, make_star_class, sample)
 from locent.processes import (LossClassView, _sup_mean, check_contraction,
                               check_localization_bound,
@@ -181,6 +181,18 @@ class TestLossViews:
             pg = view.exact_means(inst)
             pg2 = (cls.patterns != inst.fstar) @ inst.px.weights
             assert np.all(pg2 <= pg / h + 1e-12)
+
+    def test_exact_means_of_x_only_views(self, rng):
+        for _ in range(20):
+            cls = random_class(rng)
+            target = int(rng.integers(cls.n_rows))
+            w = rng.random(cls.n_points)
+            inst = make_massart_instance(cls, target, 1.0, px=DomainDistribution.from_counts(w))
+            px, fstar = inst.px.weights, inst.fstar
+            assert np.allclose(LossClassView(cls, target, "disagreement").exact_means(inst),
+                               (cls.patterns != fstar) @ px)
+            assert np.allclose(LossClassView(cls, target, "halved_difference").exact_means(inst),
+                               ((cls.patterns - fstar) / 2) @ px)
 
 
 class TestShiftedProcess:
