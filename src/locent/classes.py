@@ -150,6 +150,8 @@ class DomainDistribution:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a nonempty vector")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-12:

@@ -245,6 +245,8 @@ def _cmd_packing(opts, config) -> int:
 
 def _cmd_fixed_point(opts, config) -> int:
     from . import geometry
+    if opts["format"] not in ("json", "csv"):
+        raise ValueError(f"unknown fixed-point format {opts['format']!r}")
     cls, desc = _build_class(opts)
     n = int(opts["n"])
     if opts["kind"] == "star":

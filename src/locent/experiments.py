@@ -68,17 +68,17 @@ class SweepTable:
 
 
 def _cell_mean_excess(instance: MassartInstance, n: int, trials: int,
-                      policy_kind: str, seed: int, cell_key: tuple) -> tuple[float, float, np.ndarray]:
+                      policy_kind: str, seed: int, cell_key: tuple) -> tuple[float, float]:
     policy = ErmPolicy(policy_kind, instance if policy_kind == "pessimistic" else None)
     seeds = spawn_seeds((seed, (*cell_key, t)) for t in range(trials))
     out = excess_risk_all(instance)[_run_trials(instance, n, seeds, policy).chosen]
-    return *mean_ci99(out), out
+    return mean_ci99(out)
 
 
 def _sweep_cell(config: SweepConfig, hi: int, h, ni: int, n, memo: dict) -> dict:
     instance = config.instance_factory(h, n)
-    mean, ci, _ = _cell_mean_excess(instance, n, config.trials,
-                                    config.policy, config.seed, (hi, ni))
+    mean, ci = _cell_mean_excess(instance, n, config.trials,
+                                 config.policy, config.seed, (hi, ni))
     cls = instance.cls
     # equal pattern matrices share their fixed points and measures
     cls_key = (cls.patterns.shape, cls.patterns.tobytes())
@@ -192,7 +192,7 @@ def check_star_theorem(cls: HypothesisClass, n: int, trials: int, seed: int,
     growth = growth_function(cls, m)
     bound = tlog(growth.value) / n
     instance = make_massart_instance(cls, target, 1.0)
-    mean, ci, _ = _cell_mean_excess(instance, n, trials, "first_index", seed, (0,))
+    mean, ci = _cell_mean_excess(instance, n, trials, "first_index", seed, (0,))
     return StarTheoremReport(mean_risk=mean, ci=ci, bound=bound,
                              implied_constant=mean / bound, s=s.value,
                              growth_value=growth.value,
@@ -221,8 +221,8 @@ def star_class_separation(d: int, s: int, n: int, trials: int, seed: int) -> dic
         target = 0  # all-minus row in both generators
         assert np.all(cls.row(target) == -1)
         instance = make_massart_instance(cls, target, 1.0, px=px)
-        mean, ci, _ = _cell_mean_excess(instance, n, trials, "pessimistic", seed,
-                                        (0 if name == "wide" else 1,))
+        mean, ci = _cell_mean_excess(instance, n, trials, "pessimistic", seed,
+                                     (0 if name == "wide" else 1,))
         out[name] = {"mean": mean, "ci": ci, "rows": cls.n_rows}
     out["ratio"] = out["wide"]["mean"] / out["narrow"]["mean"]
     out["params"] = {"d": d, "s": s, "n": n, "trials": trials, "seed": seed,
@@ -237,8 +237,8 @@ def lower_bound_report(spec: AdversarialSpec, n_budget: int, trials: int,
     since the bound quantifies over all learners."""
     worst = (None, -1.0)
     for i, instance in enumerate(spec.instances):
-        mean, _, _ = _cell_mean_excess(instance, n_budget, trials, "first_index",
-                                       seed, (i,))
+        mean, _ = _cell_mean_excess(instance, n_budget, trials, "first_index",
+                                    seed, (i,))
         if mean > worst[1]:
             worst = (i, mean)
     reference = (1.0 - spec.h) * spec.gamma / (n_budget * spec.pseudoconvexity)

@@ -788,9 +788,7 @@ def _eps_grid(lo: int, hi: int, exact: bool) -> list[int]:
 
 
 def _center_indices(u: int, exact: bool) -> np.ndarray:
-    if exact:
-        return np.arange(u)
-    if u <= CENTER_CAP:
+    if exact or u <= CENTER_CAP:
         return np.arange(u)
     return distinct(np.round(np.linspace(0, u - 1, CENTER_CAP)).astype(int))
 

@@ -15,7 +15,6 @@ from itertools import combinations
 import numpy as np
 
 from .classes import HypothesisClass
-from .util import distinct
 
 __all__ = [
     "MeasureResult",
@@ -45,24 +44,16 @@ class MeasureResult:
         return not self.exact
 
 
-def _support_ints(cls: HypothesisClass) -> np.ndarray | None:
-    """Rows as uint64 bitmasks of their +1 positions (None when > 64 points)."""
-    if cls.n_points > 64:
-        return None
-    bits = (cls.patterns > 0).astype(np.uint64)
-    weights = np.uint64(1) << np.arange(cls.n_points, dtype=np.uint64)
-    return (bits * weights).sum(axis=1, dtype=np.uint64)
+def _bitsets(bits: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as a Python-int bitset (bit j: column j)."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _distinct_restrictions(cls: HypothesisClass, points: tuple[int, ...],
-                           supports: np.ndarray | None) -> int:
-    if supports is not None:
-        mask = np.uint64(0)
-        for p in points:
-            mask |= np.uint64(1) << np.uint64(p)
-        return int(distinct(supports & mask).size)
-    sub = cls.patterns[:, list(points)]
-    return int(distinct(sub, axis=0).shape[0])
+def _distinct_restrictions(rows: list[int], points: tuple[int, ...]) -> int:
+    """Distinct restrictions of the row bitsets to `points` (distinct indices)."""
+    mask = sum(1 << p for p in points)
+    return len({row & mask for row in rows})
 
 
 def verify_shattered(cls: HypothesisClass, points: tuple[int, ...]) -> bool:
@@ -93,7 +84,7 @@ def vc_dimension(cls: HypothesisClass) -> MeasureResult:
     level 3 on; on exhaustion the best witness so far is returned with
     exact=False.
     """
-    supports = _support_ints(cls)
+    rows = _bitsets(cls.patterns > 0)
     p = cls.n_points
     max_level = min(p, int(math.floor(math.log2(cls.n_rows))) if cls.n_rows > 1 else 0)
 
@@ -122,7 +113,7 @@ def vc_dimension(cls: HypothesisClass) -> MeasureResult:
                 if checks > VC_BUDGET:
                     stop = True
                     break
-                if _distinct_restrictions(cls, cand, supports) == 2 ** (k + 1):
+                if _distinct_restrictions(rows, cand) == 2 ** (k + 1):
                     nxt.append(cand)
             if stop:
                 break
@@ -147,16 +138,16 @@ def growth_function(cls: HypothesisClass, m: int) -> MeasureResult:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    supports = _support_ints(cls)
+    rows = _bitsets(cls.patterns > 0)
     p = cls.n_points
     if m >= p:
         full = tuple(range(p))
-        return MeasureResult(value=_distinct_restrictions(cls, full, supports),
+        return MeasureResult(value=_distinct_restrictions(rows, full),
                              witness=full, exact=True)
     if math.comb(p, m) <= GROWTH_BUDGET:
         best_v, best_s = -1, None
         for s in combinations(range(p), m):
-            v = _distinct_restrictions(cls, s, supports)
+            v = _distinct_restrictions(rows, s)
             if v > best_v:
                 best_v, best_s = v, s
         return MeasureResult(value=best_v, witness=best_s, exact=True)
@@ -166,11 +157,11 @@ def growth_function(cls: HypothesisClass, m: int) -> MeasureResult:
         for j in range(p):
             if j in chosen:
                 continue
-            v = _distinct_restrictions(cls, tuple(chosen + [j]), supports)
+            v = _distinct_restrictions(rows, tuple(chosen + [j]))
             if v > best_v:
                 best_v, best_j = v, j
         chosen.append(best_j)
-    return MeasureResult(value=_distinct_restrictions(cls, tuple(chosen), supports),
+    return MeasureResult(value=_distinct_restrictions(rows, tuple(chosen)),
                          witness=tuple(chosen), exact=False)
 
 
@@ -216,8 +207,7 @@ def star_number(cls: HypothesisClass) -> MeasureResult:
     best set reaches its chain bound; STAR_BUDGET caps search nodes.
     """
     full = (1 << cls.n_rows) - 1
-    packed = np.packbits(cls.patterns.T > 0, axis=1, bitorder="little")
-    plus = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    plus = _bitsets(cls.patterns.T > 0)
 
     best_set: tuple[int, ...] = ()
     best_center = 0

@@ -150,6 +150,14 @@ class TestMassartInstance:
         with pytest.raises(ValueError):
             DomainDistribution([1.5, -0.5])
 
+    def test_nan_weights_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            DomainDistribution(np.array([np.nan, 1.0]))
+
+    def test_all_zero_counts_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            DomainDistribution.from_counts([0, 0])
+
 
 class TestClassInvariants:
     def test_duplicate_rows_rejected(self):

@@ -146,6 +146,13 @@ class TestErrorPaths:
                     "--trials", "5", "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_unknown_fixed_point_format(self, tmp_path, capsys):
+        out = tmp_path / "fp.yaml"
+        assert run(["fixed-point", "--format", "yaml", "--points", "8", "--n", "8",
+                    "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "format" in capsys.readouterr().err
+
     def test_unknown_generator(self):
         assert run(["measures", "--generator", "mystery"]) == 1
 

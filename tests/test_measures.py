@@ -85,18 +85,45 @@ class TestGrowthFunction:
         assert not res.exact and res.search_budget_hit
         assert res.value <= brute
 
-    def test_more_than_64_points_match_the_bitmask_path(self):
-        # 60 constant columns push F1(2,8) past _support_ints' 64-point bitmasks
+    def test_more_than_64_points_match_the_narrow_class(self):
+        # 60 constant columns widen F1(2,8) to 68 points, past one machine word
         small = make_star_class("F1", 2, 8)
         pad = np.broadcast_to(np.where(np.arange(60) % 2, 1, -1), (small.n_rows, 60))
         cls = HypothesisClass(PointDomain.of_size(68),
                               np.hstack([small.patterns, pad]).astype(np.int8))
-        assert measures._support_ints(cls) is None
         assert vc_dimension(cls).value == vc_dimension(small).value == 2
         for m in (1, 2, 3):
             g = growth_function(cls, m)
             assert g.exact
             assert g.value == growth_function(small, m).value == oracles.brute_growth(cls, m)
+
+
+def padded(cls, width, seed):
+    """`cls` with constant columns appended up to `width` points."""
+    pad = max(width - cls.n_points, 0)
+    signs = np.random.default_rng(seed).choice(np.int8([-1, 1]), size=pad)
+    patterns = np.hstack([cls.patterns, np.broadcast_to(signs, (cls.n_rows, pad))])
+    return HypothesisClass(PointDomain.of_size(cls.n_points + pad), patterns.astype(np.int8))
+
+
+class TestRowBitsets:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000),
+           st.one_of(st.integers(1, 8), st.integers(60, 70)))
+    def test_padding_changes_no_measure(self, seed, width):
+        rng = np.random.default_rng(seed)
+        small = random_class(rng, max_points=6, max_rows=10)
+        cls = padded(small, width, seed)
+        rows = measures._bitsets(cls.patterns > 0)
+        for _ in range(5):
+            k = int(rng.integers(1, min(cls.n_points, 4) + 1))
+            pts = tuple(rng.choice(cls.n_points, size=k, replace=False).tolist())
+            want = len({tuple(r) for r in cls.patterns[:, list(pts)]})
+            assert measures._distinct_restrictions(rows, pts) == want
+        d_small, d = vc_dimension(small), vc_dimension(cls)
+        assert (d.value, d.witness, d.exact) == (d_small.value, d_small.witness, d_small.exact)
+        for m in (1, 2):
+            assert growth_function(cls, m).value == oracles.brute_growth(cls, m)
 
 
 class TestStarNumber:
