@@ -167,6 +167,8 @@ class DomainDistribution:
     @classmethod
     def from_counts(cls, counts) -> "DomainDistribution":
         c = np.asarray(counts, dtype=float)
+        if not (np.all(np.isfinite(c)) and np.all(c >= 0) and c.sum() > 0):
+            raise ValueError("counts must be finite and nonnegative with a positive total")
         return cls(c / c.sum())
 
 

@@ -978,30 +978,55 @@ class DoublingResult:
     cover_size: int
 
 
-def _greedy_cover_size(covers: np.ndarray) -> int:
-    """Sets a greedy cover takes: repeatedly the first set covering the most
-    uncovered elements."""
-    counts = covers.astype(np.int32)
-    left = np.ones(covers.shape[1], dtype=np.int32)
-    size = 0
-    while left.any():
-        left[covers[int(np.argmax(counts @ left))]] = 0
-        size += 1
-    return size
+def _greedy_cover_sizes(rho: np.ndarray, levels: np.ndarray, balls: np.ndarray) -> np.ndarray:
+    """Sets a greedy cover of each of one center's balls takes, repeatedly
+    taking the first set covering the most uncovered elements.  balls[k]
+    marks the rows within levels[k] of the center, the balls growing with k;
+    its sets are its rows' (levels[k] / 2)-balls within it.
 
-
-def _exact_cover_size(covers: np.ndarray, node_budget: int, beat: int) -> tuple[int, bool]:
-    """Fewest sets covering every element, covers[i, j] saying set i covers
-    element j, by branch and bound from the greedy cover; returns (size,
-    certified), certified=False when the node budget ran out.  A greedy
-    cover of at most beat sets (it cannot raise the caller's maximum) or one
-    meeting ceil(elements / largest set) is returned at once.  Nodes are
-    pruned by that bound and a dual one: uncovered elements picked so that
-    no set covers two of them each need a set of their own.
+    The balls run as one batch, in blocks whose (levels, rows, rows) cover
+    tensor holds at most 2^16 entries, on the rows of the block's largest
+    ball.  A set outside a level's ball covers nothing, and each uncovered
+    element covers itself, so the first-index argmax of a step picks the set
+    a greedy on that ball alone picks.
     """
-    best = _greedy_cover_size(covers)
+    tol = 1e-12
+    sizes = np.zeros(len(levels), dtype=np.int64)
+    rows = balls.sum(axis=1).tolist()
+    hi = 0
+    while hi < len(levels):
+        lo, hi = hi, hi + 1
+        # the block takes levels while its cover tensor stays within 2^16 entries
+        while hi < len(levels) and (hi + 1 - lo) * rows[hi] ** 2 <= 1 << 16:
+            hi += 1
+        idx = np.nonzero(balls[hi - 1])[0]
+        inside = balls[lo:hi, idx]
+        covers = rho[np.ix_(idx, idx)] <= levels[lo:hi, None, None] / 2.0 + tol
+        covers &= inside[:, :, None]
+        gains = covers.astype(np.float32)
+        left = inside.astype(np.float32)
+        block = np.arange(hi - lo)
+        while True:
+            open_ = left.any(axis=1)
+            if not open_.any():
+                break
+            sizes[lo:hi] += open_
+            picks = np.matmul(gains, left[:, :, None])[:, :, 0].argmax(axis=1)
+            left[covers[block, picks]] = 0
+    return sizes
+
+
+def _exact_cover_size(covers: np.ndarray, greedy: int, node_budget: int) -> tuple[int, bool]:
+    """Fewest sets covering every element, covers[i, j] saying set i covers
+    element j, by branch and bound from a greedy cover of `greedy` sets that
+    the caller found; returns (size, certified), certified=False when the
+    node budget ran out.  A greedy cover meeting ceil(elements / largest set)
+    is returned at once.  Nodes are pruned by that bound and a dual one: uncovered elements
+    picked so that no set covers two of them each need a set of their own.
+    """
+    best = greedy
     max_gain = int(covers.sum(axis=1).max())
-    if best <= beat or math.ceil(covers.shape[1] / max_gain) >= best:
+    if math.ceil(covers.shape[1] / max_gain) >= best:
         return best, True
     masks = _BitRows(covers)
     cover_masks = [masks[i] for i in range(covers.shape[0])]
@@ -1057,11 +1082,17 @@ def doubling_dimension(cls: HypothesisClass, px: DomainDistribution,
 
     The px pseudo-metric is P_X(f != g); covers use centers from the ball
     itself.  Candidate radii are the attainable distance levels (the cover
-    is otherwise constant between levels).  _exact_cover_size's bounds
-    certify each cover; a greedy cover not above the best so far is final.
+    is otherwise constant between levels).  The greedy covers of all of one
+    center's radii larger than the best cover so far run as one batch, in
+    blocks of at most 2^16 cover entries, with the picks of a one-ball
+    greedy.  A greedy cover not above the best so far is final; any other
+    is handed with its greedy size to _exact_cover_size, whose bounds
+    certify it.
     """
     if not (0 < gamma_frac <= 1):
         raise ValueError("gamma_frac must lie in (0, 1]")
+    if px.weights.size != cls.n_points:
+        raise ValueError("px must weight every domain point")
     a = cls.patterns.astype(np.float64)
     w = px.weights.astype(np.float64)
     gram = (a * w) @ a.T
@@ -1071,13 +1102,19 @@ def doubling_dimension(cls: HypothesisClass, px: DomainDistribution,
     all_exact = True
     for f in range(cls.n_rows):
         drow = rho[f]
-        levels = {gamma_frac} | {float(v) for v in drow if v >= gamma_frac - tol}
-        for eps in sorted(levels):
-            ball = np.nonzero(drow <= eps + tol)[0]
-            if ball.size <= best.cover_size:
+        levels = np.unique(np.append(drow[drow >= gamma_frac - tol], gamma_frac))
+        balls = drow <= levels[:, None] + tol
+        keep = balls.sum(axis=1) > best.cover_size
+        levels, balls = levels[keep], balls[keep]
+        greedy = _greedy_cover_sizes(rho, levels, balls)
+        for eps, ball, size in zip(levels.tolist(), balls, greedy.tolist()):
+            # a greedy cover is no larger than its ball, so this also skips
+            # the balls that the best cover outgrew within this center
+            if size <= best.cover_size:
                 continue
-            covers = rho[np.ix_(ball, ball)] <= eps / 2.0 + tol
-            size, certified = _exact_cover_size(covers, COVER_NODE_BUDGET, best.cover_size)
+            idx = np.nonzero(ball)[0]
+            covers = rho[np.ix_(idx, idx)] <= eps / 2.0 + tol
+            size, certified = _exact_cover_size(covers, size, COVER_NODE_BUDGET)
             all_exact = all_exact and certified
             if size > best.cover_size:
                 best = DoublingResult(value=tlog(size), exact=True, center_row=f,

@@ -11,7 +11,9 @@ sign-enumeration mean) wherever they finish.  ref_blocks and
 ref_orbit_minima find the interchangeable points and the multiset orbits
 by trying every permutation.  is_affinely_separable decides
 separability by an exact-rational simplex, independently of the library's
-planar pair-line enumeration."""
+planar pair-line enumeration.  greedy_cover_size is the one-ball greedy
+cover that the doubling dimension's batched greedy replaced; the library
+must reproduce its size on every ball."""
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -186,6 +188,18 @@ def brute_growth(cls, m):
     for pts in combinations(range(p), m):
         best = max(best, len({tuple(row) for row in cls.patterns[:, list(pts)]}))
     return best
+
+
+def greedy_cover_size(covers):
+    """Sets the one-ball greedy cover takes, covers[i, j] saying set i covers
+    element j: repeatedly the first set covering the most uncovered elements."""
+    counts = covers.astype(np.int32)
+    left = np.ones(covers.shape[1], dtype=np.int32)
+    size = 0
+    while left.any():
+        left[covers[int(np.argmax(counts @ left))]] = 0
+        size += 1
+    return size
 
 
 def brute_min_cover(dist_rows, ball, half):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,8 +157,17 @@ class TestMassartInstance:
             DomainDistribution(np.array([np.nan, 1.0]))
 
     def test_all_zero_counts_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            DomainDistribution.from_counts([0, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                DomainDistribution.from_counts([0, 0])
+
+    @pytest.mark.parametrize("counts", [[1, -1], [np.inf, 1], [np.nan, 1], []])
+    def test_bad_counts_rejected_before_dividing(self, counts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                DomainDistribution.from_counts(counts)
 
 
 class TestClassInvariants:

@@ -12,7 +12,7 @@ from locent.classes import (DomainDistribution, HypothesisClass, PointDomain,
                             circle_separator_class, make_massart_instance,
                             make_star_class, threshold_class)
 from locent.geometry import (_BitRows, _blocks, _canonical_multisets, _exact_pack,
-                             _greedy_pack, _local_profile, _members,
+                             _greedy_cover_sizes, _greedy_pack, _local_profile, _members,
                              alexander_capacity, doubling_dimension, gamma_loc, gamma_star, global_packing_number,
                              local_packing_number, max_packing,
                              packing_log_vc_bound, project,
@@ -955,6 +955,58 @@ class TestDoublingDimension:
                 px = DomainDistribution.from_counts(counts)
                 dd = doubling_dimension(cls, px, gamma / n)
                 assert tlog(lp.value) <= 2.0 * dd.value + 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 100_000), st.booleans(), st.sampled_from([0.1, 0.25, 0.5]))
+    def test_batched_greedy_matches_one_ball_greedy(self, seed, uniform, gamma_frac):
+        # from_counts draws leave some points weightless, so distinct rows
+        # can sit at distance 0, as on criterion 06's exact points
+        rng = np.random.default_rng(seed)
+        cls = random_class(rng, max_points=7, max_rows=24)
+        if uniform:
+            px = DomainDistribution.uniform(cls.n_points)
+        else:
+            counts = rng.integers(0, 3, size=cls.n_points)
+            counts[rng.integers(cls.n_points)] += 1
+            px = DomainDistribution.from_counts(counts)
+        rho = oracles.pairwise_dists(cls.patterns, px.weights)
+        for f in range(cls.n_rows):
+            levels = np.array(sorted({gamma_frac} | {float(v) for v in rho[f]
+                                                      if v >= gamma_frac - 1e-12}))
+            balls = rho[f] <= levels[:, None] + 1e-12
+            got = _greedy_cover_sizes(rho, levels, balls)
+            for eps, ball, size in zip(levels, balls, got):
+                idx = np.nonzero(ball)[0]
+                covers = rho[np.ix_(idx, idx)] <= eps / 2.0 + 1e-12
+                assert size == oracles.greedy_cover_size(covers)
+        res = doubling_dimension(cls, px, gamma_frac)
+        assert res.exact and res.value == pytest.approx(oracles.brute_doubling(cls, px, gamma_frac))
+
+    def test_blocks_span_many_levels(self):
+        # thresholds 64: 65 levels of up to 65^2 cover entries run in several
+        # 2^16-entry blocks per center
+        cls = threshold_class(64)
+        px = DomainDistribution.uniform(cls.n_points)
+        rho = oracles.pairwise_dists(cls.patterns, px.weights)
+        levels = np.unique(rho[0])
+        balls = rho[0] <= levels[:, None] + 1e-12
+        got = _greedy_cover_sizes(rho, levels, balls)
+        want = [oracles.greedy_cover_size(rho[np.ix_(b, b)] <= eps / 2.0 + 1e-12)
+                for eps, b in zip(levels, balls)]
+        assert got.tolist() == want
+        assert doubling_dimension(cls, px, 0.05) == geometry.DoublingResult(
+            value=math.log(3), exact=True, center_row=3, eps=0.05, cover_size=3)
+
+    def test_f1_benchmark_result(self):
+        cls = make_star_class("F1", 2, 10)
+        res = doubling_dimension(cls, DomainDistribution.uniform(10), 0.1)
+        assert (res.exact, res.center_row, res.eps, res.cover_size) == (True, 0, 0.1, 11)
+        assert res.value == pytest.approx(math.log(11))
+
+    @pytest.mark.parametrize("points", [1, 3])
+    def test_wrong_size_px_rejected(self, points):
+        with pytest.raises(ValueError, match="every domain point"):
+            doubling_dimension(threshold_class(8), DomainDistribution.uniform(points), 0.2)
 
     def test_starved_cover_budget_is_not_exact(self, monkeypatch):
         # the greedy cover of the radius-0.2 ball around the all-minus row
