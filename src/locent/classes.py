@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .util import distinct, frozen_array
+from .util import bitsets, distinct, frozen_array
 
 __all__ = [
     "PointDomain",
@@ -105,15 +105,15 @@ class HypothesisClass:
         if a.shape[1] != self.domain.size:
             raise ValueError("pattern width must match domain size")
         # entries are checked a block of rows at a time and rows compared by
-        # their sign bits, 8 to a byte: no temporary is as large as the matrix
-        signs = np.empty((a.shape[0], -(-a.shape[1] // 8)), dtype=np.uint8)
+        # their sign bitsets: no temporary is as large as the matrix
+        signs: set[int] = set()
         step = max(1, _CHECK_BLOCK // a.shape[1])
         for lo in range(0, a.shape[0], step):
             block = a[lo:lo + step]
             if not np.all(np.abs(block) == 1):
                 raise ValueError("pattern entries must be +-1")
-            signs[lo:lo + step] = np.packbits(block > 0, axis=1)
-        if len({row.tobytes() for row in signs}) != a.shape[0]:
+            signs.update(bitsets(block > 0))
+        if len(signs) != a.shape[0]:
             raise ValueError("patterns must be pairwise distinct")
         object.__setattr__(self, "patterns", frozen_array(a))
 

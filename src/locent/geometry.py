@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .classes import DomainDistribution, HypothesisClass, MassartInstance
-from .util import distinct, hamming_matrix, make_rng, tlog
+from .util import bitsets, distinct, hamming_matrix, make_rng, tlog
 
 __all__ = [
     "Projection",
@@ -122,31 +122,8 @@ class PackingResult:
 
 
 # Pattern sets are Python-int bitsets over projected-row indices (bit j is
-# row j).  For one distance matrix and separation sep, the conflict row of i
-# is the bitset {j : dists[i, j] <= sep}; it always holds i itself.
-
-
-class _BitRows:
-    """Rows of a boolean matrix as bitsets (bit j = column j).
-
-    The matrix is packed in one numpy pass; a row becomes a Python int the
-    first time it is read, so a caller that reads few rows allocates few
-    integers.
-    """
-
-    __slots__ = ("_packed", "_nbytes", "_rows")
-
-    def __init__(self, flags: np.ndarray):
-        self._nbytes = (flags.shape[1] + 7) // 8
-        self._packed = np.packbits(flags, axis=1, bitorder="little").tobytes()
-        self._rows: dict[int, int] = {}
-
-    def __getitem__(self, i: int) -> int:
-        row = self._rows.get(i)
-        if row is None:
-            k = i * self._nbytes
-            row = self._rows[i] = int.from_bytes(self._packed[k:k + self._nbytes], "little")
-        return row
+# row j).  For one distance matrix and separation sep, the conflict rows are
+# bitsets(dists <= sep): row i is {j : dists[i, j] <= sep}, which holds i.
 
 
 def _members(mask: int) -> list[int]:
@@ -159,7 +136,7 @@ def _members(mask: int) -> list[int]:
     return out
 
 
-def _greedy_pack(conflicts: _BitRows, cand: int) -> list[int]:
+def _greedy_pack(conflicts: list[int], cand: int) -> list[int]:
     """Maximal-by-inclusion packing of the bitset cand by minimum-index
     elimination: take the lowest candidate, clear its conflict row, repeat."""
     chosen: list[int] = []
@@ -170,7 +147,7 @@ def _greedy_pack(conflicts: _BitRows, cand: int) -> list[int]:
     return chosen
 
 
-def _exact_pack(conflicts: _BitRows, ball: int, node_budget: int,
+def _exact_pack(conflicts: list[int], ball: int, node_budget: int,
                 beat: int = 0) -> tuple[list[int], bool]:
     """Maximum packing of the bitset ball as a maximum independent set in the
     conflict graph.
@@ -191,7 +168,6 @@ def _exact_pack(conflicts: _BitRows, ball: int, node_budget: int,
     """
     if not ball:
         return [], True
-    rows = {v: conflicts[v] for v in _members(ball)}
     greedy = _greedy_pack(conflicts, ball)
     best_mask = 0
     for i in greedy:
@@ -216,11 +192,11 @@ def _exact_pack(conflicts: _BitRows, ball: int, node_budget: int,
             return
         rest, k = cand, cur_size
         while rest and k <= best_size:  # grow a clique from the lowest candidate
-            clique, grow = 0, rest & rows[(rest & -rest).bit_length() - 1]
+            clique, grow = 0, rest & conflicts[(rest & -rest).bit_length() - 1]
             while grow:
                 b = grow & -grow
                 clique |= b
-                grow &= rows[b.bit_length() - 1] & ~b
+                grow &= conflicts[b.bit_length() - 1] & ~b
             rest &= ~clique  # only the clique: its seed's other conflicts stay
             k += 1
         if k <= best_size:
@@ -230,18 +206,18 @@ def _exact_pack(conflicts: _BitRows, ball: int, node_budget: int,
         while rest:
             b = rest & -rest
             u = b.bit_length() - 1
-            deg = (rows[u] & cand).bit_count()
+            deg = (conflicts[u] & cand).bit_count()
             if deg > vdeg:
                 v, vdeg = u, deg
             rest ^= b
-        expand(cand & ~rows[v], cur | 1 << v, cur_size + 1)
+        expand(cand & ~conflicts[v], cur | 1 << v, cur_size + 1)
         expand(cand & ~(1 << v), cur, cur_size)
 
     expand(ball, 0, 0)
     return _members(best_mask), exhausted
 
 
-def _pack(conflicts: _BitRows, ball: int, exact: bool, beat: int = 0) -> tuple[list[int], bool]:
+def _pack(conflicts: list[int], ball: int, exact: bool, beat: int = 0) -> tuple[list[int], bool]:
     """Packing of the bitset ball as (witness, certified), by branch and bound
     under PACK_NODE_BUDGET when exact, else greedy (uncertified).  A branch
     and bound that runs out of nodes returns its incumbent, never smaller
@@ -253,7 +229,7 @@ def _pack(conflicts: _BitRows, ball: int, exact: bool, beat: int = 0) -> tuple[l
 
 def _packing(dists: np.ndarray, eps: int, exact: bool) -> PackingResult:
     """Packing of every row of a distance matrix at separation > eps."""
-    witness, certified = _pack(_BitRows(dists <= eps), (1 << dists.shape[0]) - 1, exact)
+    witness, certified = _pack(bitsets(dists <= eps), (1 << dists.shape[0]) - 1, exact)
     return PackingResult(size=len(witness), witness=tuple(witness), radius=eps, exact=certified)
 
 
@@ -266,6 +242,8 @@ def max_packing(patterns, eps: int) -> PackingResult:
     pats = np.asarray(patterns)
     if pats.ndim != 2 or pats.shape[0] < 1:
         raise ValueError("patterns must be a nonempty matrix")
+    if not np.all(np.abs(pats) == 1):
+        raise ValueError("pattern entries must be +-1")
     return _packing(hamming_matrix(pats), eps, exact=True)
 
 
@@ -827,7 +805,7 @@ def _local_profile(proj: Projection, h: float, eps_values: list[int], exact: boo
     center_rows = dists[centers]
     certified_all = True
 
-    def pack(conflicts: _BitRows, ball: int, beat: int = 0) -> tuple[int, ...]:
+    def pack(conflicts: list[int], ball: int, beat: int = 0) -> tuple[int, ...]:
         nonlocal certified_all
         witness, certified = _pack(conflicts, ball, exact, beat)
         certified_all = certified_all and certified
@@ -843,13 +821,13 @@ def _local_profile(proj: Projection, h: float, eps_values: list[int], exact: boo
             out[eps] = entry
             continue
         if key[1] != key_now[1]:
-            conflicts = _BitRows(dists <= sep)
+            conflicts = bitsets(dists <= sep)
         if key[0] == len(levels):  # the ball holds every pattern
             witness = pack(conflicts, (1 << u) - 1)
             entry = (len(witness), centers[0], witness)
         else:
             if key[0] != key_now[0]:
-                balls = _BitRows(center_rows <= radius)
+                balls = bitsets(center_rows <= radius)
             entry = None
             for k, f in enumerate(centers):
                 ball = balls[k]
@@ -1028,11 +1006,10 @@ def _exact_cover_size(covers: np.ndarray, greedy: int, node_budget: int) -> tupl
     max_gain = int(covers.sum(axis=1).max())
     if math.ceil(covers.shape[1] / max_gain) >= best:
         return best, True
-    masks = _BitRows(covers)
-    cover_masks = [masks[i] for i in range(covers.shape[0])]
+    cover_masks = bitsets(covers)
     universe = (1 << covers.shape[1]) - 1
     f = covers.astype(np.float32)
-    near = _BitRows(f.T @ f > 0)   # element pairs some set covers together
+    near = bitsets(f.T @ f > 0)   # element pairs some set covers together
     n_covering = covers.sum(axis=0).tolist()
     nodes = 0
     exhausted = True
@@ -1102,7 +1079,7 @@ def doubling_dimension(cls: HypothesisClass, px: DomainDistribution,
     all_exact = True
     for f in range(cls.n_rows):
         drow = rho[f]
-        levels = np.unique(np.append(drow[drow >= gamma_frac - tol], gamma_frac))
+        levels = distinct(np.append(drow[drow >= gamma_frac - tol], gamma_frac))
         balls = drow <= levels[:, None] + tol
         keep = balls.sum(axis=1) > best.cover_size
         levels, balls = levels[keep], balls[keep]

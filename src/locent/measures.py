@@ -15,6 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .classes import HypothesisClass
+from .util import bitsets
 
 __all__ = [
     "MeasureResult",
@@ -42,12 +43,6 @@ class MeasureResult:
     def search_budget_hit(self) -> bool:
         """A budget stopped the search; the value is a lower bound."""
         return not self.exact
-
-
-def _bitsets(bits: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as a Python-int bitset (bit j: column j)."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _distinct_restrictions(rows: list[int], points: tuple[int, ...]) -> int:
@@ -84,7 +79,7 @@ def vc_dimension(cls: HypothesisClass) -> MeasureResult:
     level 3 on; on exhaustion the best witness so far is returned with
     exact=False.
     """
-    rows = _bitsets(cls.patterns > 0)
+    rows = bitsets(cls.patterns > 0)
     p = cls.n_points
     max_level = min(p, int(math.floor(math.log2(cls.n_rows))) if cls.n_rows > 1 else 0)
 
@@ -138,7 +133,7 @@ def growth_function(cls: HypothesisClass, m: int) -> MeasureResult:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    rows = _bitsets(cls.patterns > 0)
+    rows = bitsets(cls.patterns > 0)
     p = cls.n_points
     if m >= p:
         full = tuple(range(p))
@@ -207,7 +202,7 @@ def star_number(cls: HypothesisClass) -> MeasureResult:
     best set reaches its chain bound; STAR_BUDGET caps search nodes.
     """
     full = (1 << cls.n_rows) - 1
-    plus = _bitsets(cls.patterns.T > 0)
+    plus = bitsets(cls.patterns.T > 0)
 
     best_set: tuple[int, ...] = ()
     best_center = 0

@@ -162,16 +162,17 @@ def _running_max(high: np.ndarray, low: np.ndarray, pen: np.ndarray) -> np.ndarr
     return sups
 
 
-def _sup_mean(values: np.ndarray, penalties: np.ndarray, exact: bool, reps: int,
+def _sup_mean(values: np.ndarray, penalties: np.ndarray, reps: int,
               rng: np.random.Generator | None,
               tables: dict | None = None) -> tuple[float, float, bool, int]:
     """(mean, sd of per-replicate sup, exact, replicates) of
-    E_eps max_g (sum_i eps_i g_i - penalty_g), by exact enumeration or from
-    reps Monte Carlo draws of rng.  A check passes one tables dict to all
-    its calls, so each half table (_sum_table) is built once per check."""
+    E_eps max_g (sum_i eps_i g_i - penalty_g), by exact enumeration when rng
+    is None, else from reps Monte Carlo draws of rng.  A check passes one
+    tables dict to all its calls, so each half table (_sum_table) is built
+    once per check."""
     v = np.asarray(values, dtype=np.float32)
     n = v.shape[1]
-    if exact:
+    if rng is None:
         if n > ENUM_CAP:
             raise ValueError(
                 f"exact enumeration is limited to n <= {ENUM_CAP}; use exact=False for n = {n}")
@@ -221,8 +222,7 @@ def offset_rademacher_sup(values, c: float, exact: bool = True,
         raise ValueError("values must be a nonempty matrix")
     n = v.shape[1]
     penalties = c * (v ** 2).sum(axis=1)
-    mean, sd, _, m = _sup_mean(v, penalties, exact, reps,
-                               None if exact else make_rng(seed, 11))
+    mean, sd, _, m = _sup_mean(v, penalties, reps, None if exact else make_rng(seed, 11))
     ci = 0.0 if exact else NORMAL_99 * sd / math.sqrt(m) / n
     return ProcessEstimate(value=mean / n, ci_halfwidth=ci, exact=exact,
                            replicates=m, seed=seed)
@@ -280,8 +280,8 @@ def check_symmetrization_expectation(view: LossClassView, instance: MassartInsta
     for t, (xs, ys) in enumerate(zip(*samples)):
         vals = view.values(xs, ys)
         lhs[t] = _shifted_sup(pg, vals, c)
-        mean, _, _, _ = _sup_mean(vals, shift * vals.sum(axis=1), n <= ENUM_CAP, INNER_REPS,
-                                  next(signs), tables)
+        mean, _, _, _ = _sup_mean(vals, shift * vals.sum(axis=1), INNER_REPS, next(signs),
+                                  tables)
         rhs[t] = (c + 2.0) / n * mean
     return _one_sided("shifted_symmetrization", lhs, rhs,
                       {"c": c, "n": n, "trials": trials, "seed": seed, "view": view.view})
@@ -309,12 +309,11 @@ def check_contraction(instance: MassartInstance, c: float, n: int, trials: int,
     rhs = np.empty(trials)
     for t, (xs, ys) in enumerate(zip(*samples)):
         gy = excess.values(xs, ys)
-        mean, _, _, _ = _sup_mean(gy, c * gy.sum(axis=1), n <= ENUM_CAP, INNER_REPS,
-                                  next(signs), tables)
+        mean, _, _, _ = _sup_mean(gy, c * gy.sum(axis=1), INNER_REPS, next(signs), tables)
         lhs[t] = mean
         fv = halved.values(xs)
-        mean1, _, _, _ = _sup_mean(fv, 0.5 * h * c * np.abs(fv).sum(axis=1),
-                                   n <= ENUM_CAP, INNER_REPS, next(signs), tables)
+        mean1, _, _, _ = _sup_mean(fv, 0.5 * h * c * np.abs(fv).sum(axis=1), INNER_REPS,
+                                   next(signs), tables)
         hp = instance.abs_eta[xs]
         flip = (instance.fstar[xs] != ys)
         xi = (2.0 / 3.0) * (hp + np.where(flip, 1.0, -1.0))
@@ -350,8 +349,8 @@ def check_localization_bound(instance: MassartInstance, view_kind: str, c: float
     totals = np.empty(trials)
     for t, xs in enumerate(instance.px.cdf.searchsorted(u, side="right")):
         vals = vals_domain[:, xs]
-        mean, _, _, _ = _sup_mean(vals, 4.0 * c * np.abs(vals).sum(axis=1),
-                                  n <= ENUM_CAP, INNER_REPS, next(signs), tables)
+        mean, _, _, _ = _sup_mean(vals, 4.0 * c * np.abs(vals).sum(axis=1), INNER_REPS,
+                                  next(signs), tables)
         totals[t] = mean / n
     fp = gamma_loc(instance.cls, c, c, n, seed=seed)
     bound = fp.gamma / n
@@ -384,8 +383,7 @@ def sudakov_check(vectors, trials: int = 4000, seed: int = 0) -> InequalityRepor
     else:
         a = 0.0
     exact = n <= ENUM_CAP
-    mean, sd, _, m = _sup_mean(v, np.zeros(nvec), exact, trials,
-                               None if exact else make_rng(seed, 8))
+    mean, sd, _, m = _sup_mean(v, np.zeros(nvec), trials, None if exact else make_rng(seed, 8))
     denom = min(a * math.sqrt(tlog(nvec)), (a * a / b) if b > 0 else math.inf)
     ratio = 0.0 if denom == 0 or nvec == 1 else mean / denom
     se = 0.0 if exact else sd / math.sqrt(m)

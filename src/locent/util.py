@@ -1,5 +1,5 @@
-"""Shared numeric helpers: truncated logarithm, Hamming kernels, seeded RNG,
-Monte Carlo confidence intervals."""
+"""Shared numeric helpers: truncated logarithm, Hamming kernels, row bitsets,
+seeded RNG, Monte Carlo confidence intervals."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ __all__ = [
     "make_rng",
     "hamming_matrix",
     "distinct",
+    "bitsets",
     "frozen_array",
     "NORMAL_99",
     "mean_ci99",
@@ -44,6 +45,12 @@ def distinct(values, axis=None) -> np.ndarray:
     masked-array check imports numpy.ma (about 13 ms) on the first call.
     """
     return np.unique(values, return_counts=True, axis=axis)[0]
+
+
+def bitsets(flags: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as a Python-int bitset (bit j: column j)."""
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def frozen_array(values, dtype=None) -> np.ndarray:

@@ -324,7 +324,8 @@ def ref_lemma_trials(instance, c, n, trials, seed):
     from locent.util import make_rng
 
     def sup(vals, pen, t, key):
-        return _sup_mean(vals, pen, n <= ENUM_CAP, INNER_REPS, make_rng(seed, t, key))[0]
+        rng = None if n <= ENUM_CAP else make_rng(seed, t, key)
+        return _sup_mean(vals, pen, INNER_REPS, rng)[0]
 
     def draw(t, key):
         return sample(instance, n, seed=int(make_rng(seed, t, key).integers(2 ** 31)))

@@ -176,6 +176,15 @@ class TestClassInvariants:
             HypothesisClass(PointDomain.of_size(2),
                             np.array([[1, -1], [1, -1]], dtype=np.int8))
 
+    @pytest.mark.parametrize("width", [7, 8, 9, 70])
+    def test_rows_compared_to_the_last_column(self, width):
+        row = np.ones(width, dtype=np.int8)
+        last = row.copy()
+        last[-1] = -1
+        assert HypothesisClass(PointDomain.of_size(width), np.stack([row, last])).n_rows == 2
+        with pytest.raises(ValueError, match="distinct"):
+            HypothesisClass(PointDomain.of_size(width), np.stack([last, last]))
+
     def test_nonsign_entries_rejected(self):
         with pytest.raises(ValueError, match="\\+-1"):
             HypothesisClass(PointDomain.of_size(2),

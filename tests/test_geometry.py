@@ -11,14 +11,14 @@ from locent import geometry, util
 from locent.classes import (DomainDistribution, HypothesisClass, PointDomain,
                             circle_separator_class, make_massart_instance,
                             make_star_class, threshold_class)
-from locent.geometry import (_BitRows, _blocks, _canonical_multisets, _exact_pack,
+from locent.geometry import (_blocks, _canonical_multisets, _exact_pack,
                              _greedy_cover_sizes, _greedy_pack, _local_profile, _members,
                              alexander_capacity, doubling_dimension, gamma_loc, gamma_star, global_packing_number,
                              local_packing_number, max_packing,
                              packing_log_vc_bound, project,
                              pseudoconvexity_constant, verify_packing)
 from locent.measures import star_number, vc_dimension
-from locent.util import hamming_matrix, tlog
+from locent.util import bitsets, hamming_matrix, tlog
 
 import oracles
 from conftest import random_class
@@ -53,6 +53,14 @@ class TestMaxPacking:
         for eps in (0, 1, 5):
             assert max_packing(np.array([[1, -1, 1]]), eps).size == 1
 
+    @pytest.mark.parametrize("patterns", [[[0, 0], [1, 1]], [[0.5, -1.0], [1.0, -1.0]]],
+                             ids=["zero-one", "real"])
+    def test_non_sign_entries_rejected(self, patterns):
+        # the Hamming kernel reads +-1 entries: [0, 0] and [1, 1] differ in
+        # both coordinates, yet the kernel puts them at distance 1
+        with pytest.raises(ValueError, match="\\+-1"):
+            max_packing(np.array(patterns), 1)
+
     def test_cube_eps0_keeps_all(self):
         res = max_packing(cube_class().patterns, 0)
         assert res.size == 8 and res.mode == "exact"
@@ -73,7 +81,7 @@ class TestMaxPacking:
             pats = random_class(rng).patterns
             d = hamming_matrix(pats)
             for eps in (0, 1, 2):
-                witness = _greedy_pack(_BitRows(d <= eps), (1 << len(d)) - 1)
+                witness = _greedy_pack(bitsets(d <= eps), (1 << len(d)) - 1)
                 assert verify_packing(d, eps, witness)
                 # maximal packing doubles as an eps-cover
                 cover_dist = d[:, witness].min(axis=1)
@@ -126,7 +134,7 @@ class TestPackingCore:
         for eps in range(proj.size + 1):
             subset = np.nonzero(rng.random(proj.n_patterns) < 0.7)[0]
             ball = sum(1 << int(i) for i in subset)
-            conflicts = _BitRows(d <= eps)
+            conflicts = bitsets(d <= eps)
             assert _members(ball) == subset.tolist()
             assert _greedy_pack(conflicts, ball) == oracles.ref_greedy_pack(d, eps, subset)
             assert (_exact_pack(conflicts, ball, 200_000)
@@ -153,7 +161,7 @@ class TestPackingCore:
         for eps in range(proj.size + 1):
             subset = np.nonzero(rng.random(proj.n_patterns) < 0.7)[0]
             ball = sum(1 << int(i) for i in subset)
-            conflicts = _BitRows(d <= eps)
+            conflicts = bitsets(d <= eps)
             for budget in (200_000, 4, 1):
                 plain, plain_certified = _exact_pack(conflicts, ball, budget)
                 for beat in range(len(subset) + 1):
@@ -193,7 +201,7 @@ class TestPackingCore:
             pats = random_class(rng).patterns
             d = hamming_matrix(pats)
             for eps in (0, 1, 2):
-                witness = _greedy_pack(_BitRows(d <= eps), (1 << len(d)) - 1)
+                witness = _greedy_pack(bitsets(d <= eps), (1 << len(d)) - 1)
                 assert witness == oracles.ref_greedy_pack(d, eps)
 
     def test_one_fallback_for_an_exhausted_budget(self, monkeypatch):
@@ -203,7 +211,7 @@ class TestPackingCore:
                          [1, -1, -1, -1], [1, 1, -1, -1], [1, 1, -1, 1]], dtype=np.int8)
         proj = project(HypothesisClass(PointDomain.of_size(4), pats), range(4))
         assert proj.size == 4 and int(proj.dists.max()) == 4
-        greedy = _greedy_pack(_BitRows(proj.dists <= 2), (1 << proj.n_patterns) - 1)
+        greedy = _greedy_pack(bitsets(proj.dists <= 2), (1 << proj.n_patterns) - 1)
         for budget in range(12):
             monkeypatch.setattr(geometry, "PACK_NODE_BUDGET", budget)
             # eps=4 at h=1: the ball of radius 4 holds every pattern

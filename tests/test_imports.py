@@ -1,6 +1,7 @@
 """Which locent modules an entry point loads, read off sys.modules in a fresh
 interpreter, and the lazy re-exports of the package."""
 
+import ast
 import os
 import re
 import subprocess
@@ -78,16 +79,36 @@ def test_unknown_attribute_raises_attribute_error():
     assert out.splitlines() == ["module 'locent' has no attribute 'no_such_name'", "False"]
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("job", [
     ["measures", "--points", "6", "--growth-max", "2"],
     ["fixed-point", "--generator", "thresholds", "--points", "12", "--n", "12", "--h", "0.5"],
     ["verify-lemmas", "--points", "6", "--n", "6", "--trials", "100"],
-], ids=["measures", "fixed-point", "verify-lemmas"])
-def test_jobs_leave_numpy_ma_unloaded(tmp_path, argv):
+    "doubling_dimension(threshold_class(8), DomainDistribution.uniform(8), 0.2)",
+], ids=["measures", "fixed-point", "verify-lemmas", "doubling"])
+def test_jobs_leave_numpy_ma_unloaded(tmp_path, job):
     # numpy 2.x imports numpy.ma (about 13 ms) in a plain np.unique call
     out = tmp_path / "out.json"
-    done = _run("from locent.cli import dispatch\n"
-                f"assert dispatch({argv + ['--out', str(out)]!r}) == 0\n"
-                "import sys\nprint('numpy.ma' in sys.modules)")
-    assert out.exists()
+    if isinstance(job, str):
+        code = ("from locent.classes import DomainDistribution, threshold_class\n"
+                f"from locent.geometry import doubling_dimension\nassert {job}.exact\n")
+    else:
+        code = ("from locent.cli import dispatch\n"
+                f"assert dispatch({job + ['--out', str(out)]!r}) == 0\n")
+    done = _run(code + "import sys\nprint('numpy.ma' in sys.modules)")
+    assert isinstance(job, str) or out.exists()
     assert done.splitlines()[-1] == "False"
+
+
+def test_src_calls_np_unique_with_counts():
+    # a plain np.unique call is what loads numpy.ma; util.distinct gives the
+    # same sorted values without it
+    plain = []
+    for path in sorted((ROOT / "src" / "locent").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "unique"
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                    and not {kw.arg for kw in node.keywords}
+                    & {"return_counts", "return_index", "return_inverse"}):
+                plain.append(f"{path.name}:{node.lineno}")
+    assert plain == []

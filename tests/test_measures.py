@@ -9,6 +9,7 @@ from locent.classes import HypothesisClass, PointDomain, make_star_class
 from locent.measures import (growth_function, star_number, vc_dimension,
                              verify_shattered, verify_star_witness)
 from locent.classes import threshold_class
+from locent.util import bitsets
 
 import oracles
 from conftest import random_class
@@ -107,6 +108,13 @@ def padded(cls, width, seed):
 
 
 class TestRowBitsets:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 6), st.one_of(st.integers(0, 70), st.sampled_from([7, 9, 63, 65, 70])),
+           st.integers(0, 2 ** 32 - 1))
+    def test_bit_j_is_column_j(self, rows, width, seed):
+        flags = np.random.default_rng(seed).random((rows, width)) < 0.5
+        assert bitsets(flags) == [sum(1 << int(j) for j in np.flatnonzero(row)) for row in flags]
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000),
            st.one_of(st.integers(1, 8), st.integers(60, 70)))
@@ -114,7 +122,7 @@ class TestRowBitsets:
         rng = np.random.default_rng(seed)
         small = random_class(rng, max_points=6, max_rows=10)
         cls = padded(small, width, seed)
-        rows = measures._bitsets(cls.patterns > 0)
+        rows = bitsets(cls.patterns > 0)
         for _ in range(5):
             k = int(rng.integers(1, min(cls.n_points, 4) + 1))
             pts = tuple(rng.choice(cls.n_points, size=k, replace=False).tolist())

@@ -68,7 +68,7 @@ class TestExactEnumeration:
     def test_bit_identical_to_full_sign_matrix(self, n, rows, c, seed):
         v = np.random.default_rng(seed).choice(np.array([-1.0, 0.0, 1.0]), size=(rows, n))
         pen = c * np.abs(v).sum(axis=1)
-        mean, sd, exact, terms = _sup_mean(v, pen, True, 0, None)
+        mean, sd, exact, terms = _sup_mean(v, pen, 0, None)
         assert mean == oracles.ref_exact_sup_mean(v, pen)
         if c != 1 / 3:
             # dyadic penalties keep the float32 mean of the full table exact
@@ -84,7 +84,7 @@ class TestExactEnumeration:
         base = g.choice(np.array([-1.0, 0.0, 1.0]), size=(base_rows, points))
         v = base[:, g.integers(points, size=n)][g.integers(base_rows, size=rows)]
         pen = c * np.abs(v).sum(axis=1)
-        mean, sd, exact, terms = _sup_mean(v, pen, True, 0, None)
+        mean, sd, exact, terms = _sup_mean(v, pen, 0, None)
         assert mean == oracles.ref_exact_sup_mean(v, pen)
         assert (sd, exact, terms) == (0.0, True, 2 ** n)
         if n <= 10:
@@ -100,7 +100,7 @@ class TestExactEnumeration:
         # most 53 - n bits for c >= 2^-9, so the float64 sum is exact
         v = np.random.default_rng(seed).choice(np.array([-1.0, 0.0, 1.0]), size=(rows, n))
         pen = c * v.sum(axis=1)
-        mean = _sup_mean(v, pen, True, 0, None)[0]
+        mean = _sup_mean(v, pen, 0, None)[0]
         assert mean == oracles.ref_exact_sup_mean(v, pen)
 
     @settings(max_examples=25, deadline=None)
@@ -109,7 +109,7 @@ class TestExactEnumeration:
         g = np.random.default_rng(seed)
         v = g.normal(size=(rows, n))
         pen = g.random() * (v ** 2).sum(axis=1)
-        mean = _sup_mean(v, pen, True, 0, None)[0]
+        mean = _sup_mean(v, pen, 0, None)[0]
         assert mean == pytest.approx(oracles.ref_sup_mean(v, pen), rel=1e-6, abs=1e-6)
 
     def test_shared_tables_change_no_mean(self, rng):
@@ -122,7 +122,7 @@ class TestExactEnumeration:
             v = base[:, rng.integers(4, size=n)]
             pen = 0.25 * np.abs(v).sum(axis=1)
             built = dict(tables)
-            assert _sup_mean(v, pen, True, 0, None, tables) == _sup_mean(v, pen, True, 0, None)
+            assert _sup_mean(v, pen, 0, None, tables) == _sup_mean(v, pen, 0, None)
             assert all(tables[ks] is table for ks, table in built.items())
         assert 1 < len(tables) < 60
         for high, weights in tables.values():
@@ -137,7 +137,7 @@ class TestExactEnumeration:
             pen = c * (vals ** 2).sum(axis=1)
             tracemalloc.start()
             try:
-                terms = _sup_mean(vals, pen, True, 0, None)[3]
+                terms = _sup_mean(vals, pen, 0, None)[3]
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
