@@ -404,14 +404,15 @@ def threshold_class(n: int) -> HypothesisClass:
 def circle_domain(n: int, radius: int = 10_000) -> PointDomain:
     """n integer points near a circle (convex, hence general, position).
 
-    Integer coordinates keep the exact rational arithmetic of the separator
+    Integer coordinates keep the exact cross products of the separator
     enumeration small; the rounding is tiny against the vertex gaps, and
     strict convexity (hence no collinear triple) is verified before
-    returning, so the class has exactly n(n-1)+2 dichotomies.
+    returning, so the class has exactly n(n-1)+2 dichotomies.  One or two
+    points have no triple to check.
     """
     theta = 2.0 * math.pi * (np.arange(n) + 0.3) / n
     pts = np.rint(np.c_[radius * np.cos(theta), radius * np.sin(theta)])
-    for i in range(n):  # strict left turns all around the hull
+    for i in range(n if n >= 3 else 0):  # strict left turns all around the hull
         a, b, c = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
         cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
         if cross <= 0:

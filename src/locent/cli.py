@@ -194,6 +194,8 @@ def _emit_csv(lines: list[str], config: dict, out: str | None) -> None:
 
 def _cmd_measures(opts, config) -> int:
     from . import measures
+    if int(opts["growth_max"]) < 0:
+        raise ValueError("growth-max must be >= 0 (0 writes no growth rows)")
     cls, desc = _build_class(opts)
     d = measures.vc_dimension(cls)
     s = measures.star_number(cls)

@@ -118,7 +118,8 @@ def _choose(risks: np.ndarray, policy: ErmPolicy, seeds, exc_all) -> np.ndarray:
         from .seeding import spawn_rngs
         ties = np.flatnonzero(np.count_nonzero(tie, axis=1) > 1)
         for t, rng in zip(ties, spawn_rngs((seeds[t], (21,)) for t in ties)):
-            chosen[t] = rng.choice(np.flatnonzero(tie[t]))
+            rows = np.flatnonzero(tie[t])  # rng.choice(rows) draws this index
+            chosen[t] = rows[rng.integers(len(rows))]
     return chosen
 
 

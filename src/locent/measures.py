@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -45,12 +45,6 @@ class MeasureResult:
         return not self.exact
 
 
-def _distinct_restrictions(rows: list[int], points: tuple[int, ...]) -> int:
-    """Distinct restrictions of the row bitsets to `points` (distinct indices)."""
-    mask = sum(1 << p for p in points)
-    return len({row & mask for row in rows})
-
-
 def verify_shattered(cls: HypothesisClass, points: tuple[int, ...]) -> bool:
     """Definition replay: every +-1 assignment on `points` realized by some row."""
     if not points:
@@ -59,66 +53,90 @@ def verify_shattered(cls: HypothesisClass, points: tuple[int, ...]) -> bool:
     return len(realized) == 2 ** len(points)
 
 
-def _shattered_pairs(cls: HypothesisClass) -> list[tuple[int, int]]:
-    """All shattered point pairs at once: four boolean Gram products count the
-    label combinations realized on every pair."""
-    plus = (cls.patterns > 0).astype(np.float32)
-    minus = 1.0 - plus
-    ok = ((plus.T @ plus) >= 1) & ((plus.T @ minus) >= 1) \
-        & ((minus.T @ plus) >= 1) & ((minus.T @ minus) >= 1)
-    i, j = np.nonzero(np.triu(ok, k=1))
-    return list(zip(i.tolist(), j.tolist()))
+# Most (subset, row) codes one counting pass holds, so a pass's arrays stay
+# within a few hundred kB however many subsets a search visits; a class with
+# more rows than this counts one subset per pass.
+_BLOCK_CODES = 2 ** 14
+
+
+def _restriction_counts(labels: np.ndarray, subsets):
+    """Distinct restrictions of the rows to many equal-size point subsets, a
+    block at a time: yields each block of subsets, taken in order from the
+    iterable as a (k, m) array, with its k counts.
+
+    labels is `patterns.T > 0`, C-contiguous so that gathering a point's
+    labels reads one run of memory.  Each row's labels on a subset become one
+    int64 code, one shift-or per subset column; past 62 bits the codes are
+    first replaced by their rank within their subset, which keeps distinct
+    codes distinct.  The count is one plus the neighbours that differ
+    once the codes are sorted.
+    """
+    n_rows = labels.shape[1]
+    subsets = iter(subsets)
+    while block := list(islice(subsets, max(1, _BLOCK_CODES // n_rows))):
+        idx = np.array(block, dtype=np.intp)
+        code = np.zeros((len(block), n_rows), dtype=np.int64)
+        bits = 0
+        for col in idx.T:
+            if bits == 62:
+                order = np.argsort(code, axis=1)
+                ranked = np.take_along_axis(code, order, axis=1)
+                steps = np.diff(ranked, axis=1, prepend=ranked[:, :1]) != 0
+                np.put_along_axis(code, order, np.cumsum(steps, axis=1), axis=1)
+                bits = (n_rows - 1).bit_length()
+            code |= labels[col].astype(np.int64) << bits
+            bits += 1
+        code.sort(axis=1)
+        yield idx, 1 + np.count_nonzero(code[:, 1:] != code[:, :-1], axis=1)
+
+
+def _most_restrictions(labels: np.ndarray, subsets) -> tuple[int, tuple[int, ...]]:
+    """The most distinct restrictions over `subsets`, and the first subset in
+    iteration order that realizes them."""
+    best_v, best_s = -1, ()
+    for block, counts in _restriction_counts(labels, subsets):
+        i = int(counts.argmax())
+        if counts[i] > best_v:
+            best_v, best_s = int(counts[i]), tuple(block[i].tolist())
+    return best_v, best_s
 
 
 def vc_dimension(cls: HypothesisClass) -> MeasureResult:
     """Largest cardinality of a shattered point set, by level-wise extension.
 
     Every subset of a shattered set is shattered, so level k only extends
-    shattered (k-1)-sets by larger indices (Apriori); levels 1 and 2 are
-    fully vectorized.  VC_BUDGET caps the number of shatter checks from
-    level 3 on; on exhaustion the best witness so far is returned with
-    exact=False.
+    shattered (k-1)-sets by larger indices (Apriori), in lexicographic
+    order; level 1 is a column min/max, and every later level counts the
+    restrictions of its candidates in blocks.  VC_BUDGET caps the number of
+    shatter checks from level 3 on; on exhaustion the best witness so far
+    is returned with exact=False.
     """
-    rows = bitsets(cls.patterns > 0)
+    labels = np.ascontiguousarray(cls.patterns.T > 0)
     p = cls.n_points
     max_level = min(p, int(math.floor(math.log2(cls.n_rows))) if cls.n_rows > 1 else 0)
 
     cols = cls.patterns
-    level1 = [(j,) for j in range(p)
-              if cols[:, j].max() == 1 and cols[:, j].min() == -1]
-    if not level1 or max_level == 0:
+    current = [(j,) for j in range(p)
+               if cols[:, j].max() == 1 and cols[:, j].min() == -1]
+    if not current or max_level == 0:
         return MeasureResult(value=0, witness=(), exact=True)
-    best = level1[0]
-    if max_level == 1:
-        return MeasureResult(value=1, witness=best, exact=True)
-
-    current = _shattered_pairs(cls)
-    if current:
-        best = current[0]
-    k = 2
+    best = current[0]
+    k = 1
     checks = 0
     exact = True
     while k < max_level and current:
+        cands = (s + (j,) for s in current for j in range(s[-1] + 1, p))
+        limit = None if k == 1 else VC_BUDGET - checks
         nxt = []
-        stop = False
-        for s in current:
-            for j in range(s[-1] + 1, p):
-                cand = s + (j,)
-                checks += 1
-                if checks > VC_BUDGET:
-                    stop = True
-                    break
-                if _distinct_restrictions(rows, cand) == 2 ** (k + 1):
-                    nxt.append(cand)
-            if stop:
-                break
-        if stop:
-            exact = False
-            if nxt:
-                best = nxt[0]
-            break
+        for block, counts in _restriction_counts(labels, islice(cands, limit)):
+            nxt.extend(map(tuple, block[counts == 2 ** (k + 1)].tolist()))
+            if k > 1:
+                checks += len(block)
         if nxt:
             best = nxt[0]
+        if limit is not None and next(cands, None) is not None:
+            exact = False
+            break
         current = nxt
         k += 1
     return MeasureResult(value=len(best), witness=best, exact=exact)
@@ -129,35 +147,22 @@ def growth_function(cls: HypothesisClass, m: int) -> MeasureResult:
 
     Repetitions never increase the count, so distinct subsets suffice; for
     m >= |domain| the full point set is optimal.  Exhaustive when at most
-    GROWTH_BUDGET subsets, otherwise a greedy forward selection flagged exact=False.
+    GROWTH_BUDGET subsets, otherwise a greedy forward selection flagged
+    exact=False.  The witness is the first maximizer in lexicographic
+    (exhaustive) or point (greedy) order.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    rows = bitsets(cls.patterns > 0)
+    labels = np.ascontiguousarray(cls.patterns.T > 0)
     p = cls.n_points
-    if m >= p:
-        full = tuple(range(p))
-        return MeasureResult(value=_distinct_restrictions(rows, full),
-                             witness=full, exact=True)
-    if math.comb(p, m) <= GROWTH_BUDGET:
-        best_v, best_s = -1, None
-        for s in combinations(range(p), m):
-            v = _distinct_restrictions(rows, s)
-            if v > best_v:
-                best_v, best_s = v, s
-        return MeasureResult(value=best_v, witness=best_s, exact=True)
-    chosen: list[int] = []
+    if m >= p or math.comb(p, m) <= GROWTH_BUDGET:
+        value, witness = _most_restrictions(labels, combinations(range(p), min(m, p)))
+        return MeasureResult(value=value, witness=witness, exact=True)
+    witness = ()
     for _ in range(m):
-        best_v, best_j = -1, None
-        for j in range(p):
-            if j in chosen:
-                continue
-            v = _distinct_restrictions(rows, tuple(chosen + [j]))
-            if v > best_v:
-                best_v, best_j = v, j
-        chosen.append(best_j)
-    return MeasureResult(value=_distinct_restrictions(rows, tuple(chosen)),
-                         witness=tuple(chosen), exact=False)
+        value, witness = _most_restrictions(
+            labels, (witness + (j,) for j in range(p) if j not in witness))
+    return MeasureResult(value=value, witness=witness, exact=False)
 
 
 def verify_star_witness(cls: HypothesisClass, center: int, points: tuple[int, ...],

@@ -2,15 +2,13 @@
 
 A labeling v in {-1,+1}^n is realizable iff some line strictly separates
 the +1 points from the -1 points.  The dichotomies are read off the lines
-through pairs of points, with exact cross products: coordinates are
-converted to exact rationals (floats are rationals), so there is no
-tolerance and near-degenerate labelings are classified exactly.  Only
-planar points are enumerated.
+through pairs of points, with exact cross products: floats are dyadic
+rationals, so every coordinate scaled by their largest denominator is an
+exact Python int, there is no tolerance and near-degenerate labelings are
+classified exactly.  Only planar points are enumerated.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,7 +35,10 @@ def enumerate_separator_patterns(coords: np.ndarray) -> np.ndarray:
     if xy.ndim != 2 or xy.shape[1] != 2:
         raise ValueError(f"separator enumeration is planar: need 2-d coordinates, "
                          f"got shape {xy.shape}")
-    pts = [(Fraction(float(x)), Fraction(float(y))) for x, y in xy]
+    ratios = [v.as_integer_ratio() for v in xy.ravel().tolist()]
+    scale = max((den for _, den in ratios), default=1)
+    ints = [num * (scale // den) for num, den in ratios]
+    pts = list(zip(ints[0::2], ints[1::2]))
     n = len(pts)
     found = {(1,) * n, (-1,) * n}
     distinct = sorted(set(pts))

@@ -4,7 +4,10 @@ tricks, kept deliberately separate from the library's algorithms.
 The ref_* functions are the numpy routines that the library's bitset cores
 (packing, the star search), its grouped sign-sum kernel (ref_sup_mean, the
 full sign-matrix enumeration, and ref_exact_sup_mean, its exact mean) and
-its batched trial engine (ref_run_trial) replaced; the library must
+its batched trial engine (ref_run_trial) replaced; ref_vc_dimension and
+ref_growth_function are the per-subset Python-set counts that the blocked
+restriction counts replaced, and ref_separator_patterns the Fraction
+arithmetic that the integer cross products replaced.  The library must
 reproduce their outputs exactly (witnesses, certified flags, profile order,
 trial bits and, where the suprema span at most 53 - n bits, the exact
 sign-enumeration mean) wherever they finish.  ref_blocks and
@@ -557,6 +560,116 @@ def ref_star_number(cls, budget):
 
         extend([], [], np.ones(cls.n_rows, dtype=bool), 0)
     return len(best_set), (best_center, best_set, best_witnesses), not budget_hit
+
+
+def _ref_restrictions(rows, points):
+    """Distinct restrictions of the row bitsets to `points`."""
+    mask = sum(1 << p for p in points)
+    return len({row & mask for row in rows})
+
+
+def ref_vc_dimension(cls, budget):
+    """The level-wise VC search the blocked restriction counts replaced: one
+    Python set of row bitsets per candidate, level 2 read off four boolean
+    Gram products; returns (value, witness, exact)."""
+    from locent.util import bitsets
+    rows = bitsets(cls.patterns > 0)
+    p = cls.n_points
+    max_level = min(p, int(math.floor(math.log2(cls.n_rows))) if cls.n_rows > 1 else 0)
+    cols = cls.patterns
+    level1 = [(j,) for j in range(p) if cols[:, j].max() == 1 and cols[:, j].min() == -1]
+    if not level1 or max_level == 0:
+        return 0, (), True
+    best = level1[0]
+    if max_level == 1:
+        return 1, best, True
+    plus = (cls.patterns > 0).astype(np.float32)
+    minus = 1.0 - plus
+    ok = ((plus.T @ plus) >= 1) & ((plus.T @ minus) >= 1) \
+        & ((minus.T @ plus) >= 1) & ((minus.T @ minus) >= 1)
+    i, j = np.nonzero(np.triu(ok, k=1))
+    current = list(zip(i.tolist(), j.tolist()))
+    if current:
+        best = current[0]
+    k = 2
+    checks = 0
+    exact = True
+    while k < max_level and current:
+        nxt = []
+        stop = False
+        for s in current:
+            for j in range(s[-1] + 1, p):
+                cand = s + (j,)
+                checks += 1
+                if checks > budget:
+                    stop = True
+                    break
+                if _ref_restrictions(rows, cand) == 2 ** (k + 1):
+                    nxt.append(cand)
+            if stop:
+                break
+        if stop:
+            exact = False
+            if nxt:
+                best = nxt[0]
+            break
+        if nxt:
+            best = nxt[0]
+        current = nxt
+        k += 1
+    return len(best), best, exact
+
+
+def ref_growth_function(cls, m, budget):
+    """The growth scan the blocked restriction counts replaced: the first
+    maximum over all m-subsets in lexicographic order while there are at most
+    `budget` of them, else a greedy forward selection; returns (value,
+    witness, exact)."""
+    from locent.util import bitsets
+    rows = bitsets(cls.patterns > 0)
+    p = cls.n_points
+    if m >= p:
+        full = tuple(range(p))
+        return _ref_restrictions(rows, full), full, True
+    if math.comb(p, m) <= budget:
+        best_v, best_s = -1, None
+        for s in combinations(range(p), m):
+            v = _ref_restrictions(rows, s)
+            if v > best_v:
+                best_v, best_s = v, s
+        return best_v, best_s, True
+    chosen = []
+    for _ in range(m):
+        best_v, best_j = -1, None
+        for j in range(p):
+            if j in chosen:
+                continue
+            v = _ref_restrictions(rows, tuple(chosen + [j]))
+            if v > best_v:
+                best_v, best_j = v, j
+        chosen.append(best_j)
+    return _ref_restrictions(rows, tuple(chosen)), tuple(chosen), False
+
+
+def ref_separator_patterns(coords):
+    """The planar pair-line enumeration on exact rationals (Fraction
+    coordinates), which the library's integer cross products replaced."""
+    pts = [(Fraction(float(x)), Fraction(float(y))) for x, y in np.asarray(coords, dtype=float)]
+    n = len(pts)
+    found = {(1,) * n, (-1,) * n}
+    distinct = sorted(set(pts))
+    for i, (ax, ay) in enumerate(distinct):
+        for bx, by in distinct[i + 1:]:
+            dx, dy = bx - ax, by - ay
+            side = [dx * (y - ay) - dy * (x - ax) for x, y in pts]
+            along = [dx * x + dy * y for x, y in pts]
+            for cut in {t for t, c in zip(along, side) if c == 0}:
+                for u in (1, -1):
+                    lab = tuple((u if t < cut else -u) if c == 0 else (1 if c > 0 else -1)
+                                for t, c in zip(along, side))
+                    found.add(lab)
+                    found.add(tuple(-v for v in lab))
+    return np.array(sorted(found, reverse=True), dtype=np.int8)
 
 
 def _phase1_witness(rows):

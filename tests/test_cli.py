@@ -43,6 +43,24 @@ class TestMeasuresCommand:
         assert payload["results"]["d"]["value"] == 3
 
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_circle_of_one_or_two_points(self, n, tmp_path):
+        out = tmp_path / "m.json"
+        assert run(["measures", "--generator", "linsep-circle", "--points", str(n),
+                    "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert results["d"]["value"] == n
+        assert results["growth"][-1]["value"] == 2 ** n
+
+    def test_negative_growth_max_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert run(["measures", "--growth-max", "-2", "--out", str(out)]) == 1
+        assert "growth-max must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["measures", "--growth-max", "0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["results"]["growth"] == []
+
+
 class TestDeterminism:
     def test_fixed_point_twice_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -54,6 +54,15 @@ class TestErm:
         picks = {erm(cls, smp, ErmPolicy("seeded_random"), seed=42) for _ in range(5)}
         assert len(picks) == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 41))
+    def test_tie_index_draws_what_choice_draws(self, seed, k):
+        # the seeded_random tie-break indexes the tied rows by rng.integers(k)
+        # and leaves the generator where rng.choice(rows) leaves it
+        rows = np.arange(k) * 3 + 1
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert (rows[a.integers(k)], a.random()) == (b.choice(rows), b.random())
+
     def test_chosen_attains_min_risk(self, rng):
         for _ in range(15):
             cls = random_class(rng)

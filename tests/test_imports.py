@@ -50,6 +50,16 @@ def test_measures_subcommand_skips_the_entropy_and_learning_stack(tmp_path):
     assert loaded.isdisjoint({"geometry", "erm", "experiments", "processes", "seeding"})
 
 
+def test_circle_separators_load_no_fractions(tmp_path):
+    # the separator enumeration takes exact cross products on Python ints
+    out = tmp_path / "measures.json"
+    done = _run("from locent.cli import dispatch\n"
+                "assert dispatch(['measures', '--generator', 'linsep-circle', '--points', '6', "
+                f"'--out', {str(out)!r}]) == 0\n"
+                "import sys\nprint('fractions' in sys.modules, 'decimal' in sys.modules)")
+    assert done.splitlines()[-1] == "False False"
+
+
 def test_readme_entry_points_resolve_and_are_listed():
     names = _readme_entry_points()
     assert len(names) > 20

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -122,16 +124,77 @@ class TestRowBitsets:
         rng = np.random.default_rng(seed)
         small = random_class(rng, max_points=6, max_rows=10)
         cls = padded(small, width, seed)
-        rows = bitsets(cls.patterns > 0)
+        labels = cls.patterns.T > 0
         for _ in range(5):
             k = int(rng.integers(1, min(cls.n_points, 4) + 1))
             pts = tuple(rng.choice(cls.n_points, size=k, replace=False).tolist())
             want = len({tuple(r) for r in cls.patterns[:, list(pts)]})
-            assert measures._distinct_restrictions(rows, pts) == want
+            [(block, counts)] = measures._restriction_counts(labels, [pts])
+            assert block.tolist() == [list(pts)] and counts.tolist() == [want]
         d_small, d = vc_dimension(small), vc_dimension(cls)
         assert (d.value, d.witness, d.exact) == (d_small.value, d_small.witness, d_small.exact)
         for m in (1, 2):
             assert growth_function(cls, m).value == oracles.brute_growth(cls, m)
+
+
+def small_class(seed, max_points=14, max_rows=60):
+    """A random class of 1 to max_points points and 1 to max_rows distinct rows."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, max_points + 1))
+    rows = rng.choice(np.int8([-1, 1]), size=(int(rng.integers(1, max_rows + 1)), p))
+    return HypothesisClass(PointDomain.of_size(p), np.unique(rows, axis=0))
+
+
+def assert_matches_the_references(cls, growth_m, vc=True):
+    if vc:
+        res = vc_dimension(cls)
+        ref = oracles.ref_vc_dimension(cls, measures.VC_BUDGET)
+        assert (res.value, res.witness, res.exact) == ref
+    for m in growth_m:
+        res = growth_function(cls, m)
+        ref = oracles.ref_growth_function(cls, m, measures.GROWTH_BUDGET)
+        assert (res.value, res.witness, res.exact) == ref
+
+
+class TestBlockedCounts:
+    """The blocked restriction counts give the per-subset Python-set searches'
+    values, witnesses and exact flags, budgets and greedy branch included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 3, 10, 57, 500_000]),
+           st.sampled_from([0, 200_000]))
+    def test_matches_the_set_searches(self, seed, vc_budget, growth_budget):
+        cls = small_class(seed)
+        with mock.patch.object(measures, "VC_BUDGET", vc_budget), \
+                mock.patch.object(measures, "GROWTH_BUDGET", growth_budget):
+            assert_matches_the_references(cls, range(1, cls.n_points + 2))
+
+    def test_block_boundaries(self, monkeypatch):
+        # F1(2,20) spans several blocks per level and scan; the budgets cut
+        # its level-3 candidates inside a block and at a block's end
+        cls = make_star_class("F1", 2, 20)
+        per_block = measures._BLOCK_CODES // cls.n_rows
+        for budget in (3, per_block - 1, per_block, 2 * per_block + 5, 500_000):
+            monkeypatch.setattr(measures, "VC_BUDGET", budget)
+            assert_matches_the_references(cls, (1, 2, 3))
+
+    def test_past_62_points_ranks_the_codes(self):
+        assert_matches_the_references(threshold_class(70), range(63, 71))
+        rows = np.random.default_rng(7).choice(np.int8([-1, 1]), size=(40, 70))
+        cls = HypothesisClass(PointDomain.of_size(70), np.unique(rows, axis=0))
+        assert_matches_the_references(cls, (1, 2, 62, 63, 64, 69, 70), vc=False)
+
+    def test_scan_memory_is_one_block(self):
+        # the codes of all 34,220 subsets by 61 rows would take 16.7 MB
+        cls = threshold_class(60)
+        tracemalloc.start()
+        try:
+            res = growth_function(cls, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.value, res.witness, res.exact) == (4, (0, 1, 2), True)
+        assert peak < 2 ** 20
 
 
 class TestStarNumber:

@@ -5,10 +5,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locent.classes import circle_domain
 from locent.separators import enumerate_separator_patterns
-from oracles import is_affinely_separable
+from oracles import is_affinely_separable, ref_separator_patterns
 
 
 def assert_matches_lp(pts):
@@ -25,6 +27,22 @@ def test_hull_matches_lp_random(seed):
     assert_matches_lp(rng.integers(-5, 6, size=(5, 2)).astype(float))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9),
+       st.sampled_from(["normal", "grid", "exponents"]))
+def test_integer_cross_products_match_the_rationals(seed, n, kind):
+    # dyadic coordinates from 1e-300 to 1e300, collinear and coincident
+    # integer grids and plain normals give the Fraction enumeration's bytes
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        pts = rng.normal(size=(n, 2))
+    elif kind == "grid":
+        pts = rng.integers(-2, 3, size=(n, 2)) * 0.5
+    else:
+        pts = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-300, 301, size=(n, 2))
+    assert enumerate_separator_patterns(pts).tobytes() == ref_separator_patterns(pts).tobytes()
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_degenerate_sets_match_lp(n):
     # nine integer positions in [-1,1]^2: many collinear triples and
@@ -35,7 +53,7 @@ def test_degenerate_sets_match_lp(n):
 
 
 def test_circle_domain_has_all_convex_dichotomies():
-    for n in range(3, 21):
+    for n in range(1, 21):
         pats = enumerate_separator_patterns(circle_domain(n).coords)
         assert pats.shape == (n * (n - 1) + 2, n)
         rows = [tuple(r) for r in pats]
