@@ -70,6 +70,10 @@ class PointDomain:
                 c = c[:, None]
             if c.ndim != 2 or c.shape[0] != len(self.points) or c.shape[1] < 1:
                 raise ValueError("coords must be one k-vector (k >= 1) per point")
+            bad = np.argwhere(~np.isfinite(c))
+            if len(bad):
+                i, k = bad[0]
+                raise ValueError(f"coords must be finite: coordinate {k} of point {i} is {c[i, k]}")
             object.__setattr__(self, "coords", frozen_array(c))
 
     @classmethod

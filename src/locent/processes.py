@@ -1,16 +1,21 @@
 """Offset Rademacher, shifted empirical, and multiplier processes for loss views.
 
 Exact enumeration over all 2^n sign vectors is used up to a size cap, Monte
-Carlo with per-replicate seeds beyond it.  Enumeration groups equal sample
-columns (multiplicity k_j), whose signs enter every sum only through the
-group sum S_j, and drops rows that repeat their values and penalty.  It adds
-the sums of two half tables of group sum vectors a block of rows at a time
-into a float32 running max over the prod_j (k_j + 1) cells, at most 2^n of
-them, never forming the (cells x rows) product.  The mean weighs each cell
-by its prod_j C(k_j, (S_j + k_j) / 2) sign vectors in a float64 dot
-product, which is exact while the suprema span at most 53 - n bits (all
-multiples of 2^-F below 2^(53 - n - F)): then it is the exact mean of the
-float32 per-sign-vector suprema.  That holds for values in {-1, 0, 1} with
+Carlo with per-replicate seeds beyond it.  Enumeration groups the sample
+columns that are equal up to sign (multiplicity k_j): a column and its
+negation enter every sum only through the group sum S_j, which has the law
+of a sum of k_j signs.  It drops all-zero columns and rows that repeat
+their values and penalty, keying rows and columns by their float32 bytes.
+It adds the sums of two half tables of group sum vectors, a block of rows
+and cells at a time, into float32 maxima over the prod_j (k_j + 1) cells,
+at most 2^n of them, never forming the (cells x rows) product.  Where every
+partial sum is exact in float32, it subtracts each row's penalty once, in
+the high half table; elsewhere after adding the halves, as the float32 sum
+of the full sign matrix rounds.  The mean weighs each cell by its
+prod_j C(k_j, (S_j + k_j) / 2) sign vectors in a float64 dot product, which
+is exact while the suprema span at most 53 - n bits (all multiples of 2^-F
+below 2^(53 - n - F)): then it is the exact mean of the float32
+per-sign-vector suprema.  That holds for values in {-1, 0, 1} with
 penalties c m, integer |m| <= n and c = 0 or |c| >= 2^-9.  The inequality
 checks are one-sided statistical tests with 3-sigma slack: they can refute
 but not prove, so they are calibrated to be stable under reseeding.
@@ -22,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 
 import numpy as np
 
@@ -125,12 +130,10 @@ class LossClassView:
         return self.domain_values() @ px
 
 
-def _classes(keys) -> tuple[list[int], list[int]]:
-    """First index and size of each class of equal keys."""
-    classes: dict[tuple, list[int]] = {}
-    for i, key in enumerate(keys):
-        classes.setdefault(key, []).append(i)
-    return [ix[0] for ix in classes.values()], [len(ix) for ix in classes.values()]
+def _row_bytes(a: np.ndarray) -> list[bytes]:
+    """Each row of a float32 matrix as one bytes key."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, 4 * a.shape[1]))).ravel().tolist()
 
 
 def _sum_table(ks: tuple[int, ...], tables: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -148,17 +151,36 @@ def _sum_table(ks: tuple[int, ...], tables: dict) -> tuple[np.ndarray, np.ndarra
     return table
 
 
-def _running_max(high: np.ndarray, low: np.ndarray, pen: np.ndarray) -> np.ndarray:
-    """(a, b) -> max_r (high[r, a] + low[r, b] - pen[r]) in float32, adding a
-    block of rows at a time into buffers of at most 2^16 floats."""
-    sups = np.full((high.shape[1], low.shape[1]), -np.inf, dtype=np.float32)
-    block = max(1, (1 << 16) // sups.size)
-    work = np.empty((block, *sups.shape), dtype=np.float32)
-    for start in range(0, len(pen), block):
-        w, part = work[:min(block, len(pen) - start)], slice(start, start + block)
-        np.add(high[part, :, None], low[part, None, :], out=w)
-        w -= pen[part, None, None]
-        np.maximum(sups, w[0] if len(w) == 1 else w.max(axis=0), out=sups)
+def _exact_sums(terms: np.ndarray) -> bool:
+    """Whether every sum of a row's terms, each taken at most once with either
+    sign, is exact in float32: so it is when all terms are multiples of
+    2^(e - 24), 2^e bounding len(row) times the largest |term|."""
+    top = float(np.abs(terms).max()) * terms.shape[1]
+    scaled = terms * np.float64(2.0 ** (24 - math.frexp(top)[1]))
+    return math.isfinite(top) and bool((scaled == np.rint(scaled)).all())
+
+
+def _running_max(high: np.ndarray, low: np.ndarray, pen: np.ndarray | None) -> np.ndarray:
+    """(a, b) -> max_r (high[r, a] + low[r, b] - pen[r]) in float32, without
+    the penalty when pen is None.  A block of high cells and of at most 2^16
+    floats' worth of rows is one add into a buffer and one max-reduce over
+    its rows (then a maximum with the earlier rows, when there are more)."""
+    (rows, cells), width = high.shape, low.shape[1]
+    sups = np.empty((cells, width), dtype=np.float32)
+    depth = max(1, min(rows, (1 << 16) // width))
+    tile = max(1, (1 << 16) // (depth * width))
+    work = np.empty((depth, tile, width), dtype=np.float32)
+    for a in range(0, cells, tile):
+        out = sups[a:a + tile]
+        for r in range(0, rows, depth):
+            w = work[:min(depth, rows - r), :len(out)]
+            np.add(high[r:r + depth, a:a + tile, None], low[r:r + depth, None, :], out=w)
+            if pen is not None:
+                w -= pen[r:r + depth, None, None]
+            if r:
+                np.maximum(out, w.max(axis=0), out=out)
+            else:
+                w.max(axis=0, out=out)
     return sups
 
 
@@ -176,12 +198,23 @@ def _sup_mean(values: np.ndarray, penalties: np.ndarray, reps: int,
         if n > ENUM_CAP:
             raise ValueError(
                 f"exact enumeration is limited to n <= {ENUM_CAP}; use exact=False for n = {n}")
-        pen = np.asarray(penalties, dtype=np.float32)
+        # adding 0 turns -0.0 into 0.0, so that equal values have equal bytes
+        rows = np.concatenate([v, np.asarray(penalties, dtype=np.float32)[:, None]], axis=1)
+        rows += 0
         # a row that repeats both its values and its penalty cannot raise the max
-        rows, _ = _classes(zip(*v.T.tolist(), pen.tolist()))
-        # equal columns enter every row's sum only through their group's sign sum
-        cols, ks = _classes(zip(*v[rows].tolist()))
-        g = np.column_stack([v[rows][:, cols], pen[rows]])
+        rows = rows.take(list(dict(zip(_row_bytes(rows), count())).values()), axis=0)
+        # a column enters every sum only through its group's sign sum, and its
+        # negation through a sum of the same law: group the columns equal up
+        # to sign, keyed by the smaller of their two byte strings, and drop
+        # the zero columns
+        cols = rows[:, :n].T
+        zero = bytes(4 * len(rows))
+        groups: dict[bytes, list[int]] = {}
+        for j, keys in enumerate(zip(_row_bytes(cols), _row_bytes(0 - cols))):
+            if keys[0] != zero:
+                groups.setdefault(min(keys), []).append(j)
+        ks = [len(js) for js in groups.values()]
+        g, pen = cols[[js[0] for js in groups.values()]].T, rows[:, n]
         # split the groups so that both halves have about as many sum vectors
         halves, cells = ([], []), [1, 1]
         for j in sorted(range(len(ks)), key=ks.__getitem__, reverse=True):
@@ -191,11 +224,17 @@ def _sup_mean(values: np.ndarray, penalties: np.ndarray, reps: int,
         tables = {} if tables is None else tables
         low_s, low_w = _sum_table(tuple(ks[j] for j in halves[0]), tables)
         high_s, high_w = _sum_table(tuple(ks[j] for j in halves[1]), tables)
-        sups = _running_max(g[:, halves[1]] @ high_s, g[:, halves[0]] @ low_s, g[:, -1])
+        high = g[:, halves[1]] @ high_s
+        if _exact_sums(rows):
+            # high - pen is exact, so subtracting it once per row of the small
+            # high table changes no sum
+            high -= pen[:, None]
+            pen = None
+        sups = _running_max(high, g[:, halves[0]] @ low_s, pen)
         # a float32 supremum times a count below 2^17 is exact in float64, and
         # no partial sum exceeds 2^n max|sup|; einsum casts in small buffers
         total = float(high_w @ np.einsum("ab,b->a", sups, low_w))
-        return total / (1 << n), 0.0, True, 1 << n
+        return total / (1 << sum(ks)), 0.0, True, 1 << n
     signs = rng.choice(np.float32([-1.0, 1.0]), size=(reps, n))
     sups = (signs @ v.T - penalties.astype(np.float32)).max(axis=1)
     return float(sups.mean()), float(sups.std(ddof=1)) if reps > 1 else 0.0, False, reps
@@ -207,8 +246,9 @@ def offset_rademacher_sup(values, c: float, exact: bool = True,
 
     For values in {-1, 0, 1} the quadratic penalty equals c sum |g_i|.
     exact=True averages over all 2^n sign vectors (n <= 16), enumerating
-    only the distinct vectors of sums over groups of equal columns and
-    weighting each by its number of sign vectors in a float64 sum.  For
+    only the distinct vectors of sums over groups of columns equal up to
+    sign (all-zero columns dropped) and weighting each by its number of
+    sign vectors in a float64 sum.  For
     values in {-1, 0, 1} and c = 0 or c >= 2^-9, whose suprema span at
     most 53 - n bits, the mean is the exact mean of the float32
     per-sign-vector suprema; otherwise it is within float64 rounding of it.
@@ -376,12 +416,15 @@ def sudakov_check(vectors, trials: int = 4000, seed: int = 0) -> InequalityRepor
     v = distinct(np.asarray(vectors, dtype=np.float64), axis=0)
     nvec, n = v.shape
     b = float(np.abs(v).max()) if nvec else 0.0
+    a = 0.0
     if nvec > 1:
-        diffs = v[:, None, :] - v[None, :, :]
-        d2 = np.sqrt((diffs ** 2).sum(axis=2))
-        a = float(d2[~np.eye(nvec, dtype=bool)].min())
-    else:
-        a = 0.0
+        # the smallest pairwise l2 distance, one block of rows at a time in
+        # buffers of about 2^16 differences
+        a, step = math.inf, max(1, (1 << 16) // (nvec * n))
+        for i in range(0, nvec, step):
+            d2 = np.sqrt(((v[i:i + step, None, :] - v[None, :, :]) ** 2).sum(axis=2))
+            d2[np.arange(len(d2)), np.arange(i, i + len(d2))] = np.inf
+            a = min(a, float(d2.min()))
     exact = n <= ENUM_CAP
     mean, sd, _, m = _sup_mean(v, np.zeros(nvec), trials, None if exact else make_rng(seed, 8))
     denom = min(a * math.sqrt(tlog(nvec)), (a * a / b) if b > 0 else math.inf)

@@ -3,8 +3,9 @@ tricks, kept deliberately separate from the library's algorithms.
 
 The ref_* functions are the numpy routines that the library's bitset cores
 (packing, the star search), its grouped sign-sum kernel (ref_sup_mean, the
-full sign-matrix enumeration, and ref_exact_sup_mean, its exact mean) and
-its batched trial engine (ref_run_trial) replaced; ref_vc_dimension and
+full sign-matrix enumeration, and ref_exact_sup_mean, its exact mean), its
+grouping of columns equal up to sign (ref_grouped_sup_mean, which groups
+equal columns only) and its batched trial engine (ref_run_trial) replaced; ref_vc_dimension and
 ref_growth_function are the per-subset Python-set counts that the blocked
 restriction counts replaced, and ref_separator_patterns the Fraction
 arithmetic that the integer cross products replaced.  The library must
@@ -19,8 +20,9 @@ cover that the doubling dimension's batched greedy replaced; the library
 must reproduce its size on every ball."""
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
 import math
+import operator
 
 import numpy as np
 
@@ -275,6 +277,70 @@ def ref_exact_sup_mean(values, penalties):
     for values in {-1, 0, 1} with penalties c m, c >= 2^-9."""
     sups = _ref_sups(values, penalties)
     return math.fsum(sups.astype(np.float64).tolist()) / len(sups)
+
+
+def _grouped_classes(keys):
+    """First index and size of each class of equal keys."""
+    classes = {}
+    for i, key in enumerate(keys):
+        classes.setdefault(key, []).append(i)
+    return [ix[0] for ix in classes.values()], [len(ix) for ix in classes.values()]
+
+
+_GROUPED_COMB = np.array([[math.comb(k, i) for i in range(17)] for k in range(17)],
+                         dtype=np.float64)
+
+
+def _grouped_sum_table(ks, tables):
+    """(len(ks), cells) sum vectors of column groups of sizes ks and the
+    number of sign vectors giving each, memoized in tables by ks."""
+    table = tables.get(ks)
+    if table is None:
+        sizes = list(accumulate((k + 1 for k in ks), operator.mul, initial=1))
+        k = np.array(ks, dtype=np.intp)[:, None]
+        plus = np.arange(sizes[-1]) // np.array(sizes[:-1], dtype=np.intp)[:, None] % (k + 1)
+        table = tables[ks] = ((2 * plus - k).astype(np.float32), _GROUPED_COMB[k, plus].prod(axis=0))
+    return table
+
+
+def _grouped_running_max(high, low, pen):
+    """(a, b) -> max_r (high[r, a] + low[r, b] - pen[r]) in float32, adding a
+    block of rows at a time into buffers of at most 2^16 floats."""
+    sups = np.full((high.shape[1], low.shape[1]), -np.inf, dtype=np.float32)
+    block = max(1, (1 << 16) // sups.size)
+    work = np.empty((block, *sups.shape), dtype=np.float32)
+    for start in range(0, len(pen), block):
+        w, part = work[:min(block, len(pen) - start)], slice(start, start + block)
+        np.add(high[part, :, None], low[part, None, :], out=w)
+        w -= pen[part, None, None]
+        np.maximum(sups, w[0] if len(w) == 1 else w.max(axis=0), out=sups)
+    return sups
+
+
+def ref_grouped_sup_mean(values, penalties, tables=None):
+    """The exact mean as the grouped kernel computed it before sign-opposite
+    columns were merged: it groups equal columns only (keyed by tuples of
+    floats), keeps all-zero columns, and adds, subtracts the penalty,
+    reduces and takes the running maximum in every block of rows.  The
+    library's _sup_mean must reproduce it bit for bit wherever its mean is
+    the exact mean of the float32 suprema."""
+    v = np.asarray(values, dtype=np.float32)
+    n = v.shape[1]
+    pen = np.asarray(penalties, dtype=np.float32)
+    rows, _ = _grouped_classes(zip(*v.T.tolist(), pen.tolist()))
+    cols, ks = _grouped_classes(zip(*v[rows].tolist()))
+    g = np.column_stack([v[rows][:, cols], pen[rows]])
+    halves, cells = ([], []), [1, 1]
+    for j in sorted(range(len(ks)), key=ks.__getitem__, reverse=True):
+        side = int(cells[1] < cells[0])
+        halves[side].append(j)
+        cells[side] *= ks[j] + 1
+    tables = {} if tables is None else tables
+    low_s, low_w = _grouped_sum_table(tuple(ks[j] for j in halves[0]), tables)
+    high_s, high_w = _grouped_sum_table(tuple(ks[j] for j in halves[1]), tables)
+    sups = _grouped_running_max(g[:, halves[1]] @ high_s, g[:, halves[0]] @ low_s, g[:, -1])
+    total = float(high_w @ np.einsum("ab,b->a", sups, low_w))
+    return total / (1 << n)
 
 
 def brute_hamming(patterns, weights=None):

@@ -152,6 +152,11 @@ class TestMassartInstance:
         with pytest.raises(ValueError):
             DomainDistribution([1.5, -0.5])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_coordinates_rejected(self, bad):
+        with pytest.raises(ValueError, match="coordinate 1 of point 1"):
+            PointDomain.from_coords([[0.0, 0.0], [1.0, bad]])
+
     def test_nan_weights_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             DomainDistribution(np.array([np.nan, 1.0]))

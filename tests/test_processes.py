@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from locent.classes import (DomainDistribution, HypothesisClass, PointDomain,
                             make_massart_instance, make_star_class, sample)
-from locent.processes import (LossClassView, _sup_mean, check_contraction,
+from locent.processes import (LossClassView, _exact_sums, _sup_mean, check_contraction,
                               check_localization_bound,
                               check_symmetrization_expectation,
                               offset_rademacher_sup, shifted_process_sup,
@@ -92,6 +92,47 @@ class TestExactEnumeration:
             brute = oracles.brute_offset_sup(v, c)
             assert mean / n == (brute if c != 1 / 3 else pytest.approx(brute, abs=1e-6))
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 16), st.integers(0, 3), st.integers(1, 24),
+           st.sampled_from([0, 0.25, 1 / 3, 0.5, 1]), st.integers(0, 2 ** 32 - 1))
+    def test_bit_identical_to_the_grouped_kernel(self, points, n, zeros, rows, c, seed):
+        # columns drawn with replacement, some negated, some all zero, and
+        # repeated rows: the kernel must give the bits of the one it replaced
+        g = np.random.default_rng(seed)
+        base = g.choice(np.array([-1.0, 0.0, 1.0]), size=(int(g.integers(1, 9)), points))
+        v = base[:, g.integers(points, size=n)] * g.choice([-1.0, 1.0], size=n)
+        v[:, g.choice(n, size=min(zeros, n), replace=False)] = 0.0
+        v = v[g.integers(len(base), size=rows)]
+        pen = c * np.abs(v).sum(axis=1)
+        mean = _sup_mean(v, pen, 0, None)[0]
+        assert np.float64(mean).tobytes() == np.float64(oracles.ref_grouped_sup_mean(v, pen)).tobytes()
+        assert mean == oracles.ref_exact_sup_mean(v, pen)
+
+    def test_penalty_moves_into_the_high_table_only_on_the_exact_grid(self):
+        # 17 terms of magnitude at most 1 have partial sums below 2^5, exact in
+        # float32 on multiples of 2^-19; 16 + 2^-20 needs 25 bits
+        row = np.ones((1, 17), dtype=np.float32)
+        for last, exact in ((2.0 ** -19, True), (2.0 ** -20, False), (np.inf, False),
+                            (np.nan, False)):
+            row[0, -1] = last
+            assert _exact_sums(row) is exact
+
+    def test_sign_opposite_columns_share_a_group(self, rng):
+        # columns [c, -c, c] are one group of 3, and an all-zero column adds
+        # none: the only tables are those of (3,) and of the empty half
+        c = rng.choice(np.array([-1.0, 0.0, 1.0]), size=(6, 1))
+        c[:2] = [[1.0], [-1.0]]
+        for v in (np.hstack([c, -c, c]), np.hstack([c, np.zeros((6, 1)), -c, c])):
+            pen = 0.25 * np.abs(v).sum(axis=1)
+            tables = {}
+            mean = _sup_mean(v, pen, 0, None, tables)[0]
+            assert set(tables) == {(3,), ()}
+            assert mean == oracles.ref_grouped_sup_mean(v, pen)
+        # c and |c| differ in sign on some entries only: two groups of one
+        tables = {}
+        _sup_mean(np.hstack([c, np.abs(c)]), np.zeros(6), 0, None, tables)
+        assert set(tables) == {(1,)}
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 16), st.integers(1, 40), st.floats(2.0 ** -9, 8.0),
            st.integers(0, 2 ** 32 - 1))
@@ -111,6 +152,11 @@ class TestExactEnumeration:
         pen = g.random() * (v ** 2).sum(axis=1)
         mean = _sup_mean(v, pen, 0, None)[0]
         assert mean == pytest.approx(oracles.ref_sup_mean(v, pen), rel=1e-6, abs=1e-6)
+        # some columns negated: merged with their originals, they change the
+        # float32 rounding only
+        flipped = np.hstack([v, -v[:, :n // 2]])[:, :n]
+        assert _sup_mean(flipped, pen, 0, None)[0] == pytest.approx(
+            oracles.ref_grouped_sup_mean(flipped, pen), rel=1e-6, abs=1e-6)
 
     def test_shared_tables_change_no_mean(self, rng):
         # a check passes one dict to all its calls; each half table is built
@@ -319,6 +365,26 @@ class TestSudakov:
         exact = np.mean([abs(sum(s)) for s in product((-1, 1), repeat=6)])
         assert rep.lhs == pytest.approx(exact)
         assert rep.details["mode"] == "exact_enumeration"
+
+    def test_min_distance_matches_the_full_difference_tensor(self, rng):
+        for v in (rng.normal(size=(40, 7)), rng.integers(-2, 3, size=(90, 30)).astype(float)):
+            v = np.unique(v, axis=0)
+            d2 = np.sqrt(((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2))
+            a = float(d2[~np.eye(len(v), dtype=bool)].min())
+            assert sudakov_check(v, trials=200).details["a"] == a
+
+    def test_memory_bounded_at_256_points(self):
+        # a full (N, N, n) difference tensor would take about 259 MiB
+        cls = threshold_instance(256, 1.0).cls
+        v = LossClassView(cls, 128, "halved_difference").domain_values()
+        tracemalloc.start()
+        try:
+            rep = sudakov_check(v, trials=500, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.details["a"] == 1.0 and rep.details["count"] == 257
+        assert peak < 4 * 2 ** 20
 
     def test_orthogonal_rows_ratio_order_one(self):
         rep = sudakov_check(np.eye(8))
