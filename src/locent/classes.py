@@ -349,35 +349,31 @@ def make_star_class(variant: str, d: int, s: int, grid: int = 8) -> HypothesisCl
         discretization choice and is reported, not a quantity of the
         continuous class.
     """
-    cap = PATTERN_CAP
     if d < 1:
         raise ValueError("d must be >= 1")
     if variant in ("F1", "F2") and s < d:
         raise ValueError("s must be >= d")
     if variant == "F1":
         count = sum(math.comb(s, k) for k in range(d + 1))
-        if count > cap:
-            raise PatternCountError(
-                f"F1(d={d}, s={s}) would enumerate {count} patterns, above the cap {cap}")
-        return HypothesisClass(PointDomain.of_size(s), _star_f1_patterns(d, s))
-    if variant == "F2":
+    elif variant == "F2":
         count = 2 ** (d - 1) * (s - d + 2)
-        if count > cap:
-            raise PatternCountError(
-                f"F2(d={d}, s={s}) would enumerate {count} patterns, above the cap {cap}")
-        return HypothesisClass(PointDomain.of_size(s), _star_f2_patterns(d, s))
-    if variant == "F3":
+    elif variant == "F3":
         if s <= 2 * (d - 1):
             raise ValueError("F3 needs s > 2(d-1)")
         if grid < 1:
             raise ValueError("F3 needs grid >= 1")
         count = (grid + 1) ** (d - 1) * (s - 2 * (d - 1) + 1)
-        if count > cap:
-            raise PatternCountError(
-                f"F3(d={d}, s={s}, grid={grid}) would enumerate {count} patterns, above the cap {cap}")
+    else:
+        raise ValueError(f"unknown star-class variant {variant!r}")
+    if count > PATTERN_CAP:
+        shape = f"d={d}, s={s}" + (f", grid={grid}" if variant == "F3" else "")
+        raise PatternCountError(f"{variant}({shape}) would enumerate {count} patterns, "
+                                f"above the cap {PATTERN_CAP}")
+    if variant == "F3":
         patterns, coords = _star_f3_patterns(d, s, grid)
         return HypothesisClass(PointDomain.from_coords(coords), patterns)
-    raise ValueError(f"unknown star-class variant {variant!r}")
+    patterns = (_star_f1_patterns if variant == "F1" else _star_f2_patterns)(d, s)
+    return HypothesisClass(PointDomain.of_size(s), patterns)
 
 
 def make_linear_separators(domain: PointDomain) -> HypothesisClass:
@@ -453,21 +449,22 @@ def threshold_instance(n: int, h: float, target: int | None = None) -> MassartIn
 
 def sample(instance: MassartInstance, n: int, seed: int) -> LabeledSample:
     """n i.i.d. draws: point by px, label flipped from the target w.p. (1-|eta|)/2."""
-    xs, ys = draw_samples(instance, n, [seed])
+    xs, ys = draw_samples(instance, n, [(seed, ())])
     return LabeledSample(xs=xs[0], ys=ys[0], seed=seed)
 
 
-def draw_samples(instance: MassartInstance, n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Point indices and +-1 labels of one sample per seed, as (len(seeds), n)
-    arrays.  Each sample draws random(n) for its points, then random(n) for
-    its flips, from make_rng(seed)'s generator, so row i is sample(instance,
-    n, seeds[i])."""
+def draw_samples(instance: MassartInstance, n: int, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Point indices and +-1 labels of one sample per (seed, key) pair, as
+    (len(pairs), n) arrays.  Each sample draws random(n) for its points, then
+    random(n) for its flips, from make_rng(seed, *key)'s generator, so the
+    row of (seed, ()) is sample(instance, n, seed)."""
     # erm and processes load seeding before any array; a lone sample loads it here
     from .seeding import spawn_rngs
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    u = np.empty((len(seeds), 2, n))
-    for row, rng in zip(u, spawn_rngs((seed, ()) for seed in seeds)):
+    pairs = list(pairs)
+    u = np.empty((len(pairs), 2, n))
+    for row, rng in zip(u, spawn_rngs(pairs)):
         rng.random(out=row)  # the points' n draws, then the flips'
     xs = instance.px.cdf.searchsorted(u[:, 0], side="right")
     flips = u[:, 1] < instance.flip_prob[xs]

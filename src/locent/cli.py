@@ -22,8 +22,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import classes
 
 USAGE_ERROR = 1
@@ -42,18 +40,17 @@ class _Parser(argparse.ArgumentParser):
 def _build_class(opts) -> tuple[classes.HypothesisClass, dict]:
     gen = opts["generator"]
     if gen == "thresholds":
-        n = int(opts["points"])
+        n = opts["points"]
         return classes.threshold_class(n), {"generator": gen, "points": n}
     if gen in ("f1", "f2", "f3"):
-        d, s = int(opts["d"]), int(opts["s"])
-        grid = int(opts["grid"])
+        d, s, grid = opts["d"], opts["s"], opts["grid"]
         cls = classes.make_star_class(gen.upper(), d, s, grid=grid)
         desc = {"generator": gen, "d": d, "s": s}
         if gen == "f3":
             desc["grid"] = grid
         return cls, desc
     if gen == "linsep-circle":
-        n = int(opts["points"])
+        n = opts["points"]
         cls = classes.circle_separator_class(n)
         return cls, {"generator": gen, "points": n, "projected": True}
     if gen == "file":
@@ -68,12 +65,12 @@ def _target(cls, desc, opts) -> int:
     """The --target row, by default the middle threshold or else row 0."""
     target = opts.get("target")
     if target is not None:
-        return int(target)
+        return target
     return (cls.n_points + 1) // 2 if desc.get("generator") == "thresholds" else 0
 
 
 def _build_instance(cls, desc, opts) -> classes.MassartInstance:
-    return classes.make_massart_instance(cls, _target(cls, desc, opts), float(opts["h"]))
+    return classes.make_massart_instance(cls, _target(cls, desc, opts), opts["h"])
 
 
 # ---------------------------------------------------------------------------
@@ -110,18 +107,24 @@ _OPTION_DEFAULTS = {sub: {**_CLASS_DEFAULTS, **own} for sub, own in {
 _ALL_KEYS = set().union(*_OPTION_DEFAULTS.values())
 
 _INT_KEYS = {"points", "d", "s", "grid", "growth_max", "gamma", "n", "trials",
-             "seed", "n_budget"}
+             "seed", "n_budget", "target"}
 _FLOAT_KEYS = {"h", "c", "h_prime", "k_loc"}
 
 
 def _coerce(key: str, value):
-    if value is None:
-        return None
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    return value
+    """value as its option's type.  A string parses as on the command line; a
+    replayed artifact may also hold a number, but never a bool, nor a float
+    for an int option."""
+    if value is None or key not in _INT_KEYS | _FLOAT_KEYS:
+        return value
+    kind = int if key in _INT_KEYS else float
+    try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)):
+            raise TypeError(value)
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"--{key.replace('_', '-')} takes "
+                         f"{'an integer' if kind is int else 'a number'}, not {value!r}") from None
 
 
 def _resolve(sub: str, cli_args: dict, config_path: str | None) -> dict:
@@ -170,21 +173,11 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    _write(json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n", out)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not serializable: {type(obj)}")
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
 
 
 def _emit_csv(lines: list[str], config: dict, out: str | None) -> None:
-    header = "# config " + json.dumps(config, sort_keys=True, default=_json_default)
+    header = "# config " + json.dumps(config, sort_keys=True)
     _write("\n".join([header] + lines) + "\n", out)
 
 
@@ -194,13 +187,13 @@ def _emit_csv(lines: list[str], config: dict, out: str | None) -> None:
 
 def _cmd_measures(opts, config) -> int:
     from . import measures
-    if int(opts["growth_max"]) < 0:
+    if opts["growth_max"] < 0:
         raise ValueError("growth-max must be >= 0 (0 writes no growth rows)")
     cls, desc = _build_class(opts)
     d = measures.vc_dimension(cls)
     s = measures.star_number(cls)
     growth = []
-    for m in range(1, int(opts["growth_max"]) + 1):
+    for m in range(1, opts["growth_max"] + 1):
         g = measures.growth_function(cls, m)
         growth.append({"m": m, "value": g.value, "exact": g.exact})
     payload = {
@@ -222,17 +215,16 @@ def _cmd_measures(opts, config) -> int:
 def _cmd_packing(opts, config) -> int:
     from . import geometry
     cls, desc = _build_class(opts)
-    n = int(opts["n"])
-    gamma = int(opts["gamma"])
+    n, gamma = opts["n"], opts["gamma"]
     if opts["kind"] == "global":
         res = geometry.global_packing_number(cls, gamma, n, search=opts["search"],
-                                             seed=int(opts["seed"]))
+                                             seed=opts["seed"])
         body = {"kind": "global", "value": res.size, "multiset": list(res.multiset),
                 "witness": list(res.packing.witness),
                 "mode": "exact" if res.packing.exact else "greedy", "exact": res.exact}
     elif opts["kind"] == "local":
-        res = geometry.local_packing_number(cls, gamma, n, float(opts["h"]),
-                                            search=opts["search"], seed=int(opts["seed"]))
+        res = geometry.local_packing_number(cls, gamma, n, opts["h"],
+                                            search=opts["search"], seed=opts["seed"])
         body = {"kind": "local", "value": res.value, "eps": res.eps,
                 "center_row": res.center_row,
                 "multiset": None if res.multiset is None else list(res.multiset),
@@ -250,15 +242,14 @@ def _cmd_fixed_point(opts, config) -> int:
     if opts["format"] not in ("json", "csv"):
         raise ValueError(f"unknown fixed-point format {opts['format']!r}")
     cls, desc = _build_class(opts)
-    n = int(opts["n"])
+    n = opts["n"]
     if opts["kind"] == "star":
-        fp = geometry.gamma_star(cls, float(opts["c"]), n, search=opts["search"],
-                                 seed=int(opts["seed"]))
+        fp = geometry.gamma_star(cls, opts["c"], n, search=opts["search"],
+                                 seed=opts["seed"])
     elif opts["kind"] == "loc":
-        hp = opts["h_prime"]
-        hp = float(opts["h"]) if hp is None else float(hp)
-        fp = geometry.gamma_loc(cls, float(opts["h"]), hp, n, search=opts["search"],
-                                seed=int(opts["seed"]))
+        hp = opts["h"] if opts["h_prime"] is None else opts["h_prime"]
+        fp = geometry.gamma_loc(cls, opts["h"], hp, n, search=opts["search"],
+                                seed=opts["seed"])
     else:
         raise ValueError(f"unknown fixed-point kind {opts['kind']!r}")
     scan = [{"gamma": r["gamma"], "log_packing": r["log_packing"],
@@ -296,8 +287,7 @@ def _cmd_verify_lemmas(opts, config) -> int:
     cls, desc = _build_class(opts)
     instance = _build_instance(cls, desc, opts)
     h = instance.margin
-    c = float(opts["c"])
-    n, trials, seed = int(opts["n"]), int(opts["trials"]), int(opts["seed"])
+    c, n, trials, seed = opts["c"], opts["n"], opts["trials"], opts["seed"]
     view = processes.LossClassView(cls, instance.target, "excess_loss")
     reports = [
         processes.check_symmetrization_expectation(view, instance, 0.0, n, trials, seed),
@@ -305,7 +295,7 @@ def _cmd_verify_lemmas(opts, config) -> int:
         processes.check_contraction(instance, c, n, trials, seed),
         processes.check_localization_bound(instance, "halved_difference",
                                            min(c, 0.25), n, trials, seed,
-                                           k_loc=float(opts["k_loc"])),
+                                           k_loc=opts["k_loc"]),
         # informational: the minoration constant is unspecified, so this
         # report records the fitted ratio and never fails
         processes.sudakov_check(
@@ -325,7 +315,7 @@ def _cmd_erm_run(opts, config) -> int:
     instance = _build_instance(cls, desc, opts)
     policy = ErmPolicy(opts["policy"],
                        instance if opts["policy"] == "pessimistic" else None)
-    n, trials, seed = int(opts["n"]), int(opts["trials"]), int(opts["seed"])
+    n, trials, seed = opts["n"], opts["trials"], opts["seed"]
     seeds = spawn_seeds((seed, (t,)) for t in range(trials))
     res = _run_trials(instance, n, seeds, policy, version_space=True)
     chosen = res.chosen.tolist()
@@ -355,7 +345,7 @@ def _cmd_erm_sweep(opts, config) -> int:
 
     sweep = experiments.SweepConfig(
         instance_factory=factory, h_grid=h_grid, n_grid=n_grid,
-        trials=int(opts["trials"]), policy=opts["policy"], seed=int(opts["seed"]),
+        trials=opts["trials"], policy=opts["policy"], seed=opts["seed"],
         search=opts["search"])
     table = experiments.run_rate_sweep(sweep)
     _emit_csv(table.to_csv_lines(), config, opts["out"])
@@ -372,10 +362,7 @@ def _cmd_lower_bound_family(opts, config) -> int:
     from . import geometry, measures  # build_adversarial_family runs both
     from .erm import build_adversarial_family, kl_product
     cls, desc = _build_class(opts)
-    h = float(opts["h"])
-    n_budget = int(opts["n_budget"])
-    trials = int(opts["trials"])
-    seed = int(opts["seed"])
+    h, n_budget, trials, seed = opts["h"], opts["n_budget"], opts["trials"], opts["seed"]
     if trials < 0:
         raise ValueError("trials must be >= 0 (0 runs no experiment)")
     spec = build_adversarial_family(cls, h, n_budget, search=opts["search"], seed=seed)
@@ -398,8 +385,8 @@ def _cmd_lower_bound_family(opts, config) -> int:
 def _cmd_star_theorem(opts, config) -> int:
     from . import experiments
     cls, desc = _build_class(opts)
-    rep = experiments.check_star_theorem(cls, int(opts["n"]), int(opts["trials"]),
-                                         int(opts["seed"]), target=_target(cls, desc, opts))
+    rep = experiments.check_star_theorem(cls, opts["n"], opts["trials"],
+                                         opts["seed"], target=_target(cls, desc, opts))
     _emit_json({"config": config,
                 "results": {"class": desc, "mean_risk": rep.mean_risk, "ci": rep.ci,
                             "bound": rep.bound, "implied_constant": rep.implied_constant,
@@ -411,8 +398,8 @@ def _cmd_star_theorem(opts, config) -> int:
 def _cmd_sandwich(opts, config) -> int:
     from . import experiments
     cls, desc = _build_class(opts)
-    rep = experiments.check_sandwich(cls, float(opts["h"]), int(opts["n"]),
-                                     search=opts["search"], seed=int(opts["seed"]))
+    rep = experiments.check_sandwich(cls, opts["h"], opts["n"],
+                                     search=opts["search"], seed=opts["seed"])
     _emit_json({"config": config,
                 "results": {"class": desc, "gamma": rep.gamma,
                             "lower_form": rep.lower_form, "upper_form": rep.upper_form,
@@ -486,7 +473,7 @@ def _replay(artifact_path: str, out: str | None) -> int:
     if unknown:
         raise ValueError(f"unknown {sub} option(s) in the embedded config: {', '.join(unknown)}")
     opts = dict(_OPTION_DEFAULTS[sub])
-    opts.update(config["args"])
+    opts.update((key, _coerce(key, value)) for key, value in config["args"].items())
     opts["out"] = out
     return _BODIES[sub](opts, _config(sub, opts))
 

@@ -170,7 +170,7 @@ def _run_trials(instance: MassartInstance, n: int, seeds, policy: ErmPolicy | No
     for start in range(0, len(seeds), block):
         part = seeds[start:start + block]
         idx = np.arange(len(part))
-        xs, ys = draw_samples(instance, n, part)
+        xs, ys = draw_samples(instance, n, [(seed, ()) for seed in part])
         if policy is not None:
             risks = _risks(scores_t, xs, ys)
             pick = _choose(risks, policy, part, exc_all)

@@ -134,8 +134,8 @@ class SandwichReport:
     details: dict
 
 
-def check_sandwich(cls: HypothesisClass, h: float, n: int, d: int | None = None,
-                   s: int | None = None, search: str = "auto", seed: int = 0) -> SandwichReport:
+def check_sandwich(cls: HypothesisClass, h: float, n: int, search: str = "auto",
+                   seed: int = 0) -> SandwichReport:
     """Fixed point against its VC/star envelope.
 
     Reports gamma_loc(h, h, n) against the lower form
@@ -145,15 +145,12 @@ def check_sandwich(cls: HypothesisClass, h: float, n: int, d: int | None = None,
     scanned packing value (greedy values are lower bounds of the true
     packing, so they must satisfy the bound as well).
     """
-    dres = vc_dimension(cls) if d is None else None
-    sres = star_number(cls) if s is None else None
-    d_val = d if d is not None else dres.value
-    s_val = s if s is not None else sres.value
+    dres, sres = vc_dimension(cls), star_number(cls)
+    d_val, s_val = dres.value, sres.value
     if d_val < 1:
         raise ValueError(f"the sandwich forms divide by the VC dimension, here d = {d_val}")
-    soft = (dres is not None and not dres.exact) or (sres is not None and not sres.exact)
     fp = gamma_loc(cls, h, h, n, search=search, seed=seed)
-    soft = soft or not fp.exact
+    soft = not (dres.exact and sres.exact and fp.exact)
     gamma = fp.gamma
     lower = min((d_val + tlog(min(n * h * h, s_val))) / h, math.sqrt(d_val * n))
     upper = (d_val * tlog(min(n * h * h / d_val, s_val)) + d_val * tlog(1.0 / h)) / h

@@ -283,21 +283,35 @@ def _shifted_sup(pg: np.ndarray, vals: np.ndarray, c: float) -> float:
     return float((pg - (1.0 + c) * vals.mean(axis=1)).max())
 
 
-def _sign_rngs(seed: int, trials: int, n: int, *keys: int):
-    """The Monte Carlo sign generators make_rng(seed, t, key) of each trial t
-    and key, in that order, for n past ENUM_CAP; None for each up to it, where
-    the sums are enumerated and nothing is drawn."""
-    if n <= ENUM_CAP:
-        return repeat(None)
-    return spawn_rngs((seed, (t, key)) for t in range(trials) for key in keys)
+def _trials(instance: MassartInstance, n: int, trials: int, seed: int, pairs, *sign_keys):
+    """A check's trial samples, one per (seed, key) pair in one draw_samples
+    call, and sup(values, penalties), the _sup_mean of one sign draw: its
+    calls in trial t take the Monte Carlo signs of make_rng(seed, t, key) for
+    each sign key in turn past ENUM_CAP, none up to it, and share one tables
+    dict.  Symmetrization and contraction sample from trial seeds spawned
+    under keys 1 and 3; localization samples make_rng(seed, t, 6) and reads
+    only the points, the first n uniforms of each sample."""
+    if trials < 100:
+        raise ValueError("need at least 100 trials")
+    samples = zip(*draw_samples(instance, n, pairs))
+    signs = (repeat(None) if n <= ENUM_CAP else
+             spawn_rngs((seed, (t, key)) for t in range(trials) for key in sign_keys))
+    tables: dict = {}
+
+    def sup(values: np.ndarray, penalties: np.ndarray) -> float:
+        return _sup_mean(values, penalties, INNER_REPS, next(signs), tables)[0]
+    return samples, sup
+
+
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of per-trial values."""
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
 def _one_sided(name: str, lhs: np.ndarray, rhs: np.ndarray, details: dict) -> InequalityReport:
     """E lhs <= E rhs from per-trial values, with 3-sigma slack: passes unless
     the lhs mean exceeds the rhs mean by more than 3 hypot(lhs_se, rhs_se)."""
-    lhs_m, rhs_m = float(lhs.mean()), float(rhs.mean())
-    lhs_se = float(lhs.std(ddof=1) / math.sqrt(len(lhs)))
-    rhs_se = float(rhs.std(ddof=1) / math.sqrt(len(rhs)))
+    (lhs_m, lhs_se), (rhs_m, rhs_se) = _mean_se(lhs), _mean_se(rhs)
     return InequalityReport(
         name=name, lhs=lhs_m, rhs=rhs_m, lhs_ci=NORMAL_99 * lhs_se, rhs_ci=NORMAL_99 * rhs_se,
         passed=lhs_m <= rhs_m + 3.0 * math.hypot(lhs_se, rhs_se), details=details)
@@ -308,21 +322,15 @@ def check_symmetrization_expectation(view: LossClassView, instance: MassartInsta
     """Shifted symmetrization in expectation:
     E sup (P - (1+c)P_n) g  <=  ((c+2)/n) E E_eps sup (sum eps_i g_i - (c/(c+2)) g_i).
     """
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
+    seeds = spawn_seeds((seed, (t, 1)) for t in range(trials))
+    samples, sup = _trials(instance, n, trials, seed, ((s, ()) for s in seeds), 2)
     shift = c / (c + 2.0)
     pg = view.exact_means(instance)
-    samples = draw_samples(instance, n, spawn_seeds((seed, (t, 1)) for t in range(trials)))
-    signs = _sign_rngs(seed, trials, n, 2)
-    tables: dict = {}
-    lhs = np.empty(trials)
-    rhs = np.empty(trials)
-    for t, (xs, ys) in enumerate(zip(*samples)):
+    lhs, rhs = np.empty((2, trials))
+    for t, (xs, ys) in enumerate(samples):
         vals = view.values(xs, ys)
         lhs[t] = _shifted_sup(pg, vals, c)
-        mean, _, _, _ = _sup_mean(vals, shift * vals.sum(axis=1), INNER_REPS, next(signs),
-                                  tables)
-        rhs[t] = (c + 2.0) / n * mean
+        rhs[t] = (c + 2.0) / n * sup(vals, shift * vals.sum(axis=1))
     return _one_sided("shifted_symmetrization", lhs, rhs,
                       {"c": c, "n": n, "trials": trials, "seed": seed, "view": view.view})
 
@@ -335,31 +343,24 @@ def check_contraction(instance: MassartInstance, c: float, n: int, trials: int,
     being (2/3)(h'_i + 1[target != Y] - 1[target = Y])."""
     if not (0 <= c <= 1):
         raise ValueError("c must lie in [0, 1]")
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
+    seeds = spawn_seeds((seed, (t, 3)) for t in range(trials))
+    samples, sup = _trials(instance, n, trials, seed, ((s, ()) for s in seeds), 4, 5)
     cls, target = instance.cls, instance.target
     excess = LossClassView(cls, target, "excess_loss")
     halved = LossClassView(cls, target, "halved_difference")
     disagree = LossClassView(cls, target, "disagreement")
     h = instance.margin
-    samples = draw_samples(instance, n, spawn_seeds((seed, (t, 3)) for t in range(trials)))
-    signs = _sign_rngs(seed, trials, n, 4, 5)
-    tables: dict = {}
-    lhs = np.empty(trials)
-    rhs = np.empty(trials)
-    for t, (xs, ys) in enumerate(zip(*samples)):
+    lhs, rhs = np.empty((2, trials))
+    for t, (xs, ys) in enumerate(samples):
         gy = excess.values(xs, ys)
-        mean, _, _, _ = _sup_mean(gy, c * gy.sum(axis=1), INNER_REPS, next(signs), tables)
-        lhs[t] = mean
+        lhs[t] = sup(gy, c * gy.sum(axis=1))
         fv = halved.values(xs)
-        mean1, _, _, _ = _sup_mean(fv, 0.5 * h * c * np.abs(fv).sum(axis=1), INNER_REPS,
-                                   next(signs), tables)
         hp = instance.abs_eta[xs]
         flip = (instance.fstar[xs] != ys)
         xi = (2.0 / 3.0) * (hp + np.where(flip, 1.0, -1.0))
         gv = disagree.values(xs)
         term2 = float((gv @ xi - (h / 3.0) * gv.sum(axis=1)).max())
-        rhs[t] = mean1 + 1.5 * c * term2
+        rhs[t] = sup(fv, 0.5 * h * c * np.abs(fv).sum(axis=1)) + 1.5 * c * term2
     return _one_sided("excess_loss_contraction", lhs, rhs,
                       {"c": c, "n": n, "h": h, "trials": trials, "seed": seed})
 
@@ -375,27 +376,19 @@ def check_localization_bound(instance: MassartInstance, view_kind: str, c: float
     """
     if not (0 < c <= 0.25):
         raise ValueError("c must lie in (0, 1/4]")
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
     if view_kind not in ("halved_difference", "disagreement"):
         raise ValueError("view must contain the zero function: use halved_difference or disagreement")
+    samples, sup = _trials(instance, n, trials, seed,
+                           [(seed, (t, 6)) for t in range(trials)], 7)
     view = LossClassView(instance.cls, instance.target, view_kind)
     vals_domain = view.domain_values()  # the target's own row is the zero function
-    u = np.empty((trials, n))
-    for row, rng in zip(u, spawn_rngs((seed, (t, 6)) for t in range(trials))):
-        rng.random(out=row)
-    signs = _sign_rngs(seed, trials, n, 7)
-    tables: dict = {}
     totals = np.empty(trials)
-    for t, xs in enumerate(instance.px.cdf.searchsorted(u, side="right")):
+    for t, (xs, _) in enumerate(samples):
         vals = vals_domain[:, xs]
-        mean, _, _, _ = _sup_mean(vals, 4.0 * c * np.abs(vals).sum(axis=1), INNER_REPS,
-                                  next(signs), tables)
-        totals[t] = mean / n
+        totals[t] = sup(vals, 4.0 * c * np.abs(vals).sum(axis=1)) / n
     fp = gamma_loc(instance.cls, c, c, n, seed=seed)
     bound = fp.gamma / n
-    value = float(totals.mean())
-    se = float(totals.std(ddof=1) / math.sqrt(trials))
+    value, se = _mean_se(totals)
     ratio = value / bound
     return InequalityReport(
         name="localization_bound", lhs=value, rhs=k_loc * bound,

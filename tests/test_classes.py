@@ -68,6 +68,19 @@ class TestStarClasses:
         with pytest.raises(PatternCountError, match="cap"):
             make_star_class("F1", 10, 40)
 
+    @pytest.mark.parametrize("variant, args, count", [
+        ("F2", (3, 8), 2 ** 2 * (8 - 3 + 2)),
+        ("F3", (2, 6, 4), 5 * (6 - 2 + 1)),
+    ])
+    def test_cap_overflow_f2_f3(self, variant, args, count, monkeypatch):
+        from locent import classes
+        monkeypatch.setattr(classes, "PATTERN_CAP", count - 1)
+        with pytest.raises(PatternCountError, match=f"would enumerate {count} patterns, "
+                                                    f"above the cap {count - 1}"):
+            make_star_class(variant, *args)
+        monkeypatch.setattr(classes, "PATTERN_CAP", count)
+        assert make_star_class(variant, *args).n_rows == count
+
 
 class TestLinearSeparators:
     def test_square_is_14_of_16(self):

@@ -90,6 +90,32 @@ class TestDeterminism:
         assert run(["replay", str(a), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_replay_with_target(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["erm-run", "--points", "8", "--target", "5", "--n", "8",
+                    "--trials", "20", "--out", str(a)]) == 0
+        header = a.read_text().splitlines()[0]
+        assert json.loads(header[len("# config "):])["args"]["target"] == 5
+        assert run(["replay", str(a), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        # an older artifact embeds the flag's string, and still replays
+        a.write_text(a.read_text().replace('"target": 5', '"target": "5"'))
+        assert run(["replay", str(a), "--out", str(b)]) == 0
+        assert b.read_text().splitlines()[1:] == a.read_text().splitlines()[1:]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_fixed_point_star(self, fmt, tmp_path):
+        a, b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+        assert run(["fixed-point", "--kind", "star", "--points", "16", "--c", "0.5",
+                    "--n", "16", "--format", fmt, "--out", str(a)]) == 0
+        if fmt == "json":
+            results = json.loads(a.read_text())["results"]
+            assert results["exact"] and results["params"]["c"] == 0.5
+        else:
+            assert a.read_text().splitlines()[-1].endswith(" exact=True")
+        assert run(["replay", str(a), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_replay_csv(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(["erm-run", "--generator", "thresholds", "--points", "8", "--h", "0.5",
@@ -263,6 +289,27 @@ class TestErrorPaths:
         a.write_text(json.dumps(payload))
         self._replay_fails(a, capsys, "unknown search 'exactt'")
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("trials", 20.9, "--trials takes an integer, not 20.9"),
+        ("seed", True, "--seed takes an integer, not True"),
+        ("h", False, "--h takes a number, not False"),
+    ], ids=["float-trials", "bool-seed", "bool-h"])
+    def test_replay_refuses_a_mistyped_option(self, key, value, message, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        assert run(["erm-run", "--points", "8", "--n", "8", "--trials", "20",
+                    "--out", str(a)]) == 0
+        header, rest = a.read_text().split("\n", 1)
+        config = json.loads(header[len("# config "):])
+        config["args"][key] = value
+        a.write_text("# config " + json.dumps(config) + "\n" + rest)
+        self._replay_fails(a, capsys, message)
+
+    def test_mistyped_flag_names_the_option(self, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        assert run(["erm-run", "--trials", "20.9", "--out", str(out)]) == 1
+        assert "--trials takes an integer, not '20.9'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPipelines:
     def test_class_file_roundtrip_through_cli(self, tmp_path):
@@ -314,6 +361,18 @@ class TestPipelines:
         out = tmp_path / "s.json"
         assert run(["sandwich", "--generator", "thresholds", "--points", "16",
                     "--h", "1.0", "--n", "16", "--out", str(out)]) == 0
+
+    def test_sandwich_writes_the_violating_row(self, tmp_path, monkeypatch):
+        # a bound below every packing value: each scanned row violates it,
+        # and the report names the last one
+        from locent import experiments
+        monkeypatch.setattr(experiments, "packing_log_vc_bound", lambda *a: -1.0)
+        out = tmp_path / "s.json"
+        assert run(["sandwich", "--points", "16", "--n", "16", "--out", str(out)]) == 2
+        results = json.loads(out.read_text())["results"]
+        assert not results["explicit_ok"]
+        scan = experiments.gamma_loc(threshold_instance(16, 1.0).cls, 1.0, 1.0, 16).scan
+        assert results["violating_row"] == json.loads(json.dumps(scan[-1]))
 
     def test_sandwich_of_vc_dimension_zero_is_a_usage_error(self, tmp_path, capsys):
         # one classifier shatters no point, and the sandwich forms divide by d

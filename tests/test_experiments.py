@@ -88,10 +88,6 @@ class TestSandwich:
         rep = check_sandwich(make_star_class("F1", 2, 6), 0.5, 6, seed=1)
         assert rep.explicit_ok and not rep.soft
 
-    def test_supplied_measures_skip_search(self):
-        rep = check_sandwich(threshold_class(16), 1.0, 16, d=1, s=2, seed=1)
-        assert rep.explicit_ok
-
 
 class TestStarTheorem:
     def test_singleton_class(self):
