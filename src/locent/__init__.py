@@ -22,12 +22,13 @@ _EXPORTS = {
     **dict.fromkeys(("SweepConfig", "SweepTable", "check_sandwich",
                      "check_star_theorem", "fit_loglog_slope", "run_rate_sweep"),
                     "experiments"),
-    **dict.fromkeys(("FixedPointResult", "PackingResult", "alexander_capacity",
-                     "doubling_dimension", "gamma_loc", "gamma_star",
-                     "global_packing_number", "local_packing_number", "max_packing",
-                     "project", "pseudoconvexity_constant"), "geometry"),
+    **dict.fromkeys(("alexander_capacity", "doubling_dimension"), "doubling"),
+    **dict.fromkeys(("FixedPointResult", "gamma_loc", "gamma_star", "global_packing_number",
+                     "local_packing_number", "pseudoconvexity_constant"), "geometry"),
     **dict.fromkeys(("MeasureResult", "growth_function", "star_number",
                      "vc_dimension"), "measures"),
+    "project": "multisets",
+    **dict.fromkeys(("PackingResult", "max_packing"), "packing"),
     **dict.fromkeys(("LossClassView", "ProcessEstimate", "check_contraction",
                      "check_localization_bound", "check_symmetrization_expectation",
                      "offset_rademacher_sup", "shifted_process_sup", "sudakov_check"),

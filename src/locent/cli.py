@@ -51,6 +51,8 @@ def _build_class(opts) -> tuple[classes.HypothesisClass, dict]:
         return cls, desc
     if gen == "linsep-circle":
         n = opts["points"]
+        if n is None:  # erm-sweep defaults --points to None
+            raise ValueError("generator 'linsep-circle' needs --points")
         cls = classes.circle_separator_class(n)
         return cls, {"generator": gen, "points": n, "projected": True}
     if gen == "file":
@@ -270,12 +272,12 @@ def _cmd_fixed_point(opts, config) -> int:
 
 
 def _cmd_capacity(opts, config) -> int:
-    from . import geometry
+    from . import doubling
     cls, desc = _build_class(opts)
     instance = _build_instance(cls, desc, {**opts, "h": 1.0})
     values = []
     for eps in _grid(opts["eps"], float):
-        values.append({"eps": eps, "tau": geometry.alexander_capacity(instance, eps)})
+        values.append({"eps": eps, "tau": doubling.alexander_capacity(instance, eps)})
     _emit_json({"config": config,
                 "results": {"class": desc, "target": instance.target,
                             "capacity": values}}, opts["out"])
@@ -331,7 +333,7 @@ def _cmd_erm_run(opts, config) -> int:
 
 
 def _cmd_erm_sweep(opts, config) -> int:
-    from . import experiments
+    from . import experiments, geometry  # run_rate_sweep runs geometry's fixed points
     h_grid = _grid(opts["h_grid"], float)
     n_grid = _grid(opts["n_grid"], int)
     if opts["generator"] == "thresholds" and opts["points"] is None:
@@ -396,7 +398,7 @@ def _cmd_star_theorem(opts, config) -> int:
 
 
 def _cmd_sandwich(opts, config) -> int:
-    from . import experiments
+    from . import experiments, geometry  # check_sandwich runs gamma_loc
     cls, desc = _build_class(opts)
     rep = experiments.check_sandwich(cls, opts["h"], opts["n"],
                                      search=opts["search"], seed=opts["seed"])

@@ -15,10 +15,12 @@ import numpy as np
 from .classes import (DomainDistribution, HypothesisClass, MassartInstance,
                       make_massart_instance, make_star_class)
 from .erm import AdversarialSpec, ErmPolicy, _run_trials, excess_risk_all
-from .geometry import gamma_loc, gamma_star, packing_log_vc_bound
 from .measures import growth_function, star_number, vc_dimension
 from .seeding import spawn_seeds
 from .util import mean_ci99, tlog
+
+# run_rate_sweep and check_sandwich import geometry themselves, on their first
+# line: star-theorem runs neither, so it skips compiling the fixed-point stack
 
 __all__ = [
     "SweepConfig",
@@ -75,7 +77,8 @@ def _cell_mean_excess(instance: MassartInstance, n: int, trials: int,
     return mean_ci99(out)
 
 
-def _sweep_cell(config: SweepConfig, hi: int, h, ni: int, n, memo: dict) -> dict:
+def _sweep_cell(config: SweepConfig, hi: int, h, ni: int, n, memo: dict,
+                gamma_loc, gamma_star) -> dict:
     instance = config.instance_factory(h, n)
     mean, ci = _cell_mean_excess(instance, n, config.trials,
                                  config.policy, config.seed, (hi, ni))
@@ -115,8 +118,10 @@ def run_rate_sweep(config: SweepConfig) -> SweepTable:
     raises ValueError from the first cell's fixed point.  Fixed points and
     measures are memoized per pattern matrix within the sweep.
     """
+    from .geometry import gamma_loc, gamma_star
     memo: dict = {}
-    rows = [_sweep_cell(config, hi, h, ni, n, memo) for hi, h in enumerate(config.h_grid)
+    rows = [_sweep_cell(config, hi, h, ni, n, memo, gamma_loc, gamma_star)
+            for hi, h in enumerate(config.h_grid)
             for ni, n in enumerate(config.n_grid)]
     rows.sort(key=lambda r: (r["h"], r["n"]))
     return SweepTable(rows=tuple(rows))
@@ -145,6 +150,7 @@ def check_sandwich(cls: HypothesisClass, h: float, n: int, search: str = "auto",
     scanned packing value (greedy values are lower bounds of the true
     packing, so they must satisfy the bound as well).
     """
+    from .geometry import gamma_loc, packing_log_vc_bound
     dres, sres = vc_dimension(cls), star_number(cls)
     d_val, s_val = dres.value, sres.value
     if d_val < 1:

@@ -204,7 +204,9 @@ def star_number(cls: HypothesisClass) -> MeasureResult:
     sets point by point in index order, maintaining for every chosen point
     the rows still able to witness it; a point whose witness pool empties
     prunes the branch.  A center is skipped, and its search left, once the
-    best set reaches its chain bound; STAR_BUDGET caps search nodes.
+    best set reaches its chain bound, and a center with no more flippable
+    columns than the best set has points is skipped before that bound is
+    built; STAR_BUDGET caps search nodes.
     """
     full = (1 << cls.n_rows) - 1
     plus = bitsets(cls.patterns.T > 0)
@@ -220,6 +222,8 @@ def star_number(cls: HypothesisClass) -> MeasureResult:
             break
         cols = [col ^ full if col >> center & 1 else col for col in plus]
         order = [(j, col) for j, col in enumerate(cols) if col]
+        if len(order) <= len(best_set):  # the chain bound is at most len(order)
+            continue
         bound = _chain_bound([col for _, col in order])
         if bound <= len(best_set):
             continue

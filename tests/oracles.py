@@ -534,7 +534,7 @@ def ref_exact_pack(dists, eps, subset, node_budget):
 def ref_local_profile(proj, h, eps_values, exact, node_budget=None):
     """Best packing per radius, eps -> (size, center, witness), re-solving
     every (center, radius) pair; returns (profile, all_certified)."""
-    from locent import geometry
+    from locent import geometry, packing
 
     out = {}
     certified_all = True
@@ -544,7 +544,7 @@ def ref_local_profile(proj, h, eps_values, exact, node_budget=None):
     total = proj.size
     u = proj.n_patterns
     centers = geometry._center_indices(u, exact)
-    budget = geometry.PACK_NODE_BUDGET if node_budget is None else node_budget
+    budget = packing.PACK_NODE_BUDGET if node_budget is None else node_budget
     discr = [(eps, min(int(math.floor(eps / h + 1e-12)), total),
               int(math.ceil(eps / 2 - 1e-12))) for eps in eps_values]
     max_dist = int(dists.max()) if u > 1 else 0

@@ -18,8 +18,8 @@ from locent.erm import kl_closed_form
 from locent.experiments import (SweepConfig, fit_loglog_slope, run_rate_sweep,
                                 star_class_separation)
 from locent.erm import version_space_disagreement
-from locent.geometry import (doubling_dimension, gamma_loc, gamma_star,
-                             local_packing_number, max_packing,
+from locent.doubling import doubling_dimension
+from locent.geometry import (gamma_loc, gamma_star, local_packing_number, max_packing,
                              packing_log_vc_bound)
 from locent.measures import star_number, vc_dimension
 from locent.processes import (LossClassView, check_contraction,

@@ -190,6 +190,14 @@ class TestErrorPaths:
                     "--trials", "5", "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_circle_sweep_without_points(self, tmp_path, capsys):
+        # erm-sweep defaults --points to None, which only thresholds can take
+        out = tmp_path / "sweep.csv"
+        assert run(["erm-sweep", "--generator", "linsep-circle", "--n-grid", "8",
+                    "--trials", "5", "--out", str(out)]) == 1
+        assert "needs --points" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_fixed_point_format(self, tmp_path, capsys):
         out = tmp_path / "fp.yaml"
         assert run(["fixed-point", "--format", "yaml", "--points", "8", "--n", "8",
@@ -365,13 +373,13 @@ class TestPipelines:
     def test_sandwich_writes_the_violating_row(self, tmp_path, monkeypatch):
         # a bound below every packing value: each scanned row violates it,
         # and the report names the last one
-        from locent import experiments
-        monkeypatch.setattr(experiments, "packing_log_vc_bound", lambda *a: -1.0)
+        from locent import geometry
+        monkeypatch.setattr(geometry, "packing_log_vc_bound", lambda *a: -1.0)
         out = tmp_path / "s.json"
         assert run(["sandwich", "--points", "16", "--n", "16", "--out", str(out)]) == 2
         results = json.loads(out.read_text())["results"]
         assert not results["explicit_ok"]
-        scan = experiments.gamma_loc(threshold_instance(16, 1.0).cls, 1.0, 1.0, 16).scan
+        scan = geometry.gamma_loc(threshold_instance(16, 1.0).cls, 1.0, 1.0, 16).scan
         assert results["violating_row"] == json.loads(json.dumps(scan[-1]))
 
     def test_sandwich_of_vc_dimension_zero_is_a_usage_error(self, tmp_path, capsys):
@@ -443,11 +451,12 @@ class TestPipelines:
     def test_erm_sweep_builds_the_class_once(self, tmp_path, monkeypatch):
         # the class is built before the cells, so its per-class memo serves
         # d and s once and gamma_star once per n across the h grid
-        from locent import experiments
+        from locent import experiments, geometry
         calls = []
-        for name in ("vc_dimension", "star_number", "gamma_star"):
-            fn = getattr(experiments, name)
-            monkeypatch.setattr(experiments, name, lambda *a, _fn=fn, _name=name, **k:
+        for module, name in ((experiments, "vc_dimension"), (experiments, "star_number"),
+                             (geometry, "gamma_star")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _fn=fn, _name=name, **k:
                                 calls.append(_name) or _fn(*a, **k))
         assert run(["erm-sweep", "--generator", "f1", "--d", "2", "--s", "8",
                     "--h-grid", "1.0,0.5", "--n-grid", "16,32", "--trials", "5",

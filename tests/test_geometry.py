@@ -7,17 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locent import geometry, util
+from locent import doubling, geometry, multisets, packing, util
+from locent.chains import _chain, _chain_plan
 from locent.classes import (DomainDistribution, HypothesisClass, PointDomain,
                             circle_separator_class, make_massart_instance,
                             make_star_class, threshold_class)
-from locent.geometry import (_blocks, _canonical_multisets, _exact_pack,
-                             _greedy_cover_sizes, _greedy_pack, _local_profile, _members,
-                             alexander_capacity, doubling_dimension, gamma_loc, gamma_star, global_packing_number,
-                             local_packing_number, max_packing,
-                             packing_log_vc_bound, project,
-                             pseudoconvexity_constant, verify_packing)
+from locent.doubling import _greedy_cover_sizes, alexander_capacity, doubling_dimension
+from locent.geometry import (_local_profile, gamma_loc, gamma_star, global_packing_number,
+                             local_packing_number, packing_log_vc_bound,
+                             pseudoconvexity_constant)
 from locent.measures import star_number, vc_dimension
+from locent.multisets import _blocks, _canonical_multisets, project
+from locent.packing import _exact_pack, _greedy_pack, _members, max_packing, verify_packing
 from locent.util import bitsets, hamming_matrix, tlog
 
 import oracles
@@ -102,7 +103,7 @@ class TestMaxPacking:
         for i in range(5):
             pats[i, [i, (i + 1) % 5]] = 1
         assert max_packing(pats, 2).size == 2
-        monkeypatch.setattr(geometry, "PACK_NODE_BUDGET", 1)
+        monkeypatch.setattr(packing, "PACK_NODE_BUDGET", 1)
         res = max_packing(pats, 2)
         assert res.mode == "greedy" and res.budget_hit
 
@@ -183,7 +184,7 @@ class TestPackingCore:
                 for budget in (None, 1):
                     with pytest.MonkeyPatch.context() as m:
                         if budget is not None:
-                            m.setattr(geometry, "PACK_NODE_BUDGET", budget)
+                            m.setattr(packing, "PACK_NODE_BUDGET", budget)
                         got = _local_profile(proj, h, grid, exact)
                     want = oracles.ref_local_profile(proj, h, grid, exact, node_budget=budget)
                     if budget is None or not exact or want[1]:
@@ -213,7 +214,7 @@ class TestPackingCore:
         assert proj.size == 4 and int(proj.dists.max()) == 4
         greedy = _greedy_pack(bitsets(proj.dists <= 2), (1 << proj.n_patterns) - 1)
         for budget in range(12):
-            monkeypatch.setattr(geometry, "PACK_NODE_BUDGET", budget)
+            monkeypatch.setattr(packing, "PACK_NODE_BUDGET", budget)
             # eps=4 at h=1: the ball of radius 4 holds every pattern
             prof, local_exact = _local_profile(proj, 1.0, [4], exact=True)
             res = max_packing(proj.patterns, 2)
@@ -228,7 +229,7 @@ class TestPackingCore:
         proj = project(make_star_class("F1", 2, 6), range(6))
         _, certified = _local_profile(proj, 1.0, [1, 2, 3], exact=True)
         assert certified
-        monkeypatch.setattr(geometry, "PACK_NODE_BUDGET", 0)
+        monkeypatch.setattr(packing, "PACK_NODE_BUDGET", 0)
         _, certified = _local_profile(proj, 1.0, [1, 2, 3], exact=True)
         assert not certified
 
@@ -261,7 +262,7 @@ class TestDistanceClasses:
                 for budget in (None, 1, 4):
                     with pytest.MonkeyPatch.context() as m:
                         if budget is not None:
-                            m.setattr(geometry, "PACK_NODE_BUDGET", budget)
+                            m.setattr(packing, "PACK_NODE_BUDGET", budget)
                         got = _local_profile(proj, h, grid, exact)
                         alone = [_local_profile(proj, h, [eps], exact) for eps in grid]
                     # one radius at a time, starved branch and bound included
@@ -282,9 +283,9 @@ class TestDistanceClasses:
             for budget in (None, 1, 4):
                 with pytest.MonkeyPatch.context() as m:
                     if budget is not None:
-                        m.setattr(geometry, "PACK_NODE_BUDGET", budget)
+                        m.setattr(packing, "PACK_NODE_BUDGET", budget)
                     got = geometry._global_profile(proj, gammas, exact)
-                    alone = {g: geometry._packing(proj.dists, g, exact) for g in gammas}
+                    alone = {g: packing._packing(proj.dists, g, exact) for g in gammas}
                 assert got == ({g: (res.size, res) for g, res in alone.items()},
                                all(res.exact for res in alone.values()))
 
@@ -295,13 +296,15 @@ class TestDistanceClasses:
         proj = project(make_star_class("F1", 2, 6), list(range(6)) * 4)
         h, grid = 0.5, list(range(1, 13))
         calls = []
-        pack = geometry._pack
+        pack = packing._pack
 
         def counted(*args):
             calls.append(args[1])
             return pack(*args)
 
-        monkeypatch.setattr(geometry, "_pack", counted)
+        # the local profile calls _pack from geometry, the global one through _packing
+        for module in (geometry, packing):
+            monkeypatch.setattr(module, "_pack", counted)
         keys = {}
         for eps in grid:
             radius, sep = geometry._discretize(eps, h, proj.size)
@@ -348,7 +351,7 @@ class TestExactBounds:
         res = doubling_dimension(cls, px, gamma_frac)
         assert res.exact and res.value == pytest.approx(want)
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(geometry, "COVER_NODE_BUDGET", 1)
+            m.setattr(doubling, "COVER_NODE_BUDGET", 1)
             res = doubling_dimension(cls, px, gamma_frac)
         assert not res.exact or res.value == pytest.approx(want)
 
@@ -392,7 +395,7 @@ class TestGlobalPacking:
                 assert res.size == brute
                 # starved packings may lose certification, but exact stays a proof
                 with monkeypatch.context() as m:
-                    m.setattr(geometry, "PACK_NODE_BUDGET", 1)
+                    m.setattr(packing, "PACK_NODE_BUDGET", 1)
                     res = global_packing_number(cls, gamma, n, search="exact")
                 assert not res.exact or res.size == brute
 
@@ -404,9 +407,9 @@ class TestGlobalPacking:
                         dtype=np.int8)
         cls = HypothesisClass(PointDomain.of_size(3), pats)
         assert oracles.brute_global_packing(cls, 1, 3) == 3
-        monkeypatch.setattr(geometry, "PACK_NODE_BUDGET", 1)
+        monkeypatch.setattr(packing, "PACK_NODE_BUDGET", 1)
         res = global_packing_number(cls, 1, 3, search="exact")
-        assert not res.exact or res.size == 3
+        assert (res.size, res.exact) == (2, False)
 
     def test_thresholds_order_n_over_gamma(self):
         # chain structure: max gamma-packing on n distinct points is
@@ -556,14 +559,14 @@ class TestInterchangeablePoints:
 
         reduced = results()
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(geometry, "_blocks", lambda c: [(i,) for i in range(c.n_points)])
+            m.setattr(multisets, "_blocks", lambda c: [(i,) for i in range(c.n_points)])
             assert results() == reduced
 
     def test_hill_climb_skips_blocks(self, monkeypatch):
         def fail(cls):
             raise AssertionError("blocks computed for a hill climb")
 
-        monkeypatch.setattr(geometry, "_blocks", fail)
+        monkeypatch.setattr(multisets, "_blocks", fail)
         fp = gamma_star(broken_chain(2048), 0.5, 8, search="auto")
         assert not fp.exact
 
@@ -775,7 +778,7 @@ class TestChainRoute:
         n = int(rng.integers(1, 7))
         h = float(rng.choice([1.0, 0.5, 0.3]))
         gamma = int(rng.integers(0, n + 1))
-        assert geometry._chain(cls) is not None
+        assert _chain(cls) is not None
         res = global_packing_number(cls, gamma, n, search="hill_climb")
         assert res.exact and res.size == oracles.brute_global_packing(cls, gamma, n)
         lp = local_packing_number(cls, max(gamma, 1), n, h, search="hill_climb")
@@ -838,8 +841,8 @@ class TestChainRoute:
 
         cls = threshold_class(4096)
         with monkeypatch.context() as m:
-            for module, name in ((geometry, "project"), (geometry, "hamming_matrix"),
-                                 (util, "hamming_matrix")):
+            for module, name in ((geometry, "project"), (multisets, "project"),
+                                 (multisets, "hamming_matrix"), (util, "hamming_matrix")):
                 m.setattr(module, name, forbidden)
             star = gamma_star(cls, 0.5, 4096)
             single = global_packing_number(cls, 3, 4096)
@@ -870,7 +873,7 @@ class TestChainRoute:
         mid = points // 2
         cls = HypothesisClass(PointDomain.of_size(points),
                               np.vstack([pats[mid:mid + 1], pats[:mid], pats[mid + 1:]]))
-        chain = geometry._chain(cls)
+        chain = _chain(cls)
         assert chain.order[0] != 0 and chain.order[-1] != 0
         for n in (points, 2 * points + 1):
             assert_path_matches_gram(cls, n)
@@ -884,17 +887,17 @@ class TestChainRoute:
         # a global plan (radius n) fits k = 1 + min(gaps, n // (gamma + 1)),
         # the largest size its loop tries, so its path bound is that size
         rng = np.random.default_rng(5)
-        chains = [geometry._chain(random_chain(rng, max_points=12)) for _ in range(200)]
-        chains += [geometry._chain(threshold_class(p)) for p in range(2, 301)]
+        chains = [_chain(random_chain(rng, max_points=12)) for _ in range(200)]
+        chains += [_chain(threshold_class(p)) for p in range(2, 301)]
         for chain in chains:
             gaps = len(chain.gap_points)
             for n in sorted({1, 2, 3, gaps + 1, 2 * gaps + 1, int(rng.integers(1, 700))}):
                 for g in sorted({0, 1, 2, 5, n // 2, n, int(rng.integers(0, n + 1))}):
-                    assert geometry._chain_plan(chain, n, n, g)[0] == 1 + min(gaps, n // (g + 1))
+                    assert _chain_plan(chain, n, n, g)[0] == 1 + min(gaps, n // (g + 1))
 
     def test_peak_memory_below_class_size(self):
         cls = threshold_class(2048)
-        for run in (lambda: geometry._chain(cls), lambda: gamma_star(cls, 0.5, 2048)):
+        for run in (lambda: _chain(cls), lambda: gamma_star(cls, 0.5, 2048)):
             tracemalloc.start()
             try:
                 run()
@@ -904,10 +907,10 @@ class TestChainRoute:
             assert peak < cls.patterns.nbytes
 
     def test_detection(self):
-        chain = geometry._chain(threshold_class(7))
+        chain = _chain(threshold_class(7))
         assert sorted(chain.gap_points) == list(range(7)) and chain.const_point is None
         for cls in (make_star_class("F1", 1, 4), circle_separator_class(10), broken_chain(16)):
-            assert geometry._chain(cls) is None
+            assert _chain(cls) is None
 
 
 class TestAlexanderCapacity:
@@ -1002,7 +1005,7 @@ class TestDoublingDimension:
         want = [oracles.greedy_cover_size(rho[np.ix_(b, b)] <= eps / 2.0 + 1e-12)
                 for eps, b in zip(levels, balls)]
         assert got.tolist() == want
-        assert doubling_dimension(cls, px, 0.05) == geometry.DoublingResult(
+        assert doubling_dimension(cls, px, 0.05) == doubling.DoublingResult(
             value=math.log(3), exact=True, center_row=3, eps=0.05, cover_size=3)
 
     def test_f1_benchmark_result(self):
@@ -1023,7 +1026,7 @@ class TestDoublingDimension:
         cls = make_star_class("F1", 2, 10)
         px = DomainDistribution.uniform(10)
         assert doubling_dimension(cls, px, 0.2).exact
-        monkeypatch.setattr(geometry, "COVER_NODE_BUDGET", 1)
+        monkeypatch.setattr(doubling, "COVER_NODE_BUDGET", 1)
         assert not doubling_dimension(cls, px, 0.2).exact
 
 

@@ -50,6 +50,50 @@ def test_measures_subcommand_skips_the_entropy_and_learning_stack(tmp_path):
     assert loaded.isdisjoint({"geometry", "erm", "experiments", "processes", "seeding"})
 
 
+# the modules the entropy fixed points compile
+FIXED_POINT_MODULES = {"geometry", "multisets", "chains", "packing"}
+
+
+@pytest.mark.parametrize("call, own", [
+    ("from locent import max_packing\n"
+     "assert max_packing(threshold_class(8).patterns, 1).exact", {"packing"}),
+    ("from locent import doubling_dimension\n"
+     "assert doubling_dimension(threshold_class(8), DomainDistribution.uniform(8), 0.2).exact",
+     {"doubling"}),
+], ids=["max_packing", "doubling_dimension"])
+def test_library_calls_load_only_their_module(call, own):
+    loaded = _loaded("from locent.classes import DomainDistribution, threshold_class\n" + call)
+    assert own <= loaded
+    assert loaded.isdisjoint(FIXED_POINT_MODULES - own)
+
+
+def test_star_theorem_loads_no_fixed_point_module(tmp_path):
+    out = tmp_path / "star.json"
+    loaded = _loaded("from locent.cli import dispatch\n"
+                     "assert dispatch(['star-theorem', '--s', '6', '--n', '8', '--trials', '5', "
+                     f"'--out', {str(out)!r}]) == 0")
+    assert out.exists()
+    assert loaded.isdisjoint(FIXED_POINT_MODULES | {"doubling"})
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_importing_every_module_after_the_cli_adds_under_1_mb_to_the_peak():
+    # Without cached bytecode each import compiles its module, and a large
+    # compile sets a job's peak resident set.  numpy is imported first, so the
+    # reading starts past numpy and the CLI's own compile, which leaves its
+    # freed memory for the compiles after it.
+    names = sorted(path.stem for path in (ROOT / "src" / "locent").glob("*.py")
+                   if path.stem not in ("__init__", "cli"))
+    out = _run("import importlib\nimport numpy\nimport locent.cli\n"
+               "def hwm():\n"
+               "    with open('/proc/self/status') as fh:\n"
+               "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM'))\n"
+               f"before = hwm()\nfor name in {names!r}:\n"
+               "    importlib.import_module('locent.' + name)\n"
+               "print(hwm() - before)")
+    assert int(out) < 1024  # kB
+
+
 def test_circle_separators_load_no_fractions(tmp_path):
     # the separator enumeration takes exact cross products on Python ints
     out = tmp_path / "measures.json"
@@ -100,7 +144,7 @@ def test_jobs_leave_numpy_ma_unloaded(tmp_path, job):
     out = tmp_path / "out.json"
     if isinstance(job, str):
         code = ("from locent.classes import DomainDistribution, threshold_class\n"
-                f"from locent.geometry import doubling_dimension\nassert {job}.exact\n")
+                f"from locent.doubling import doubling_dimension\nassert {job}.exact\n")
     else:
         code = ("from locent.cli import dispatch\n"
                 f"assert dispatch({job + ['--out', str(out)]!r}) == 0\n")

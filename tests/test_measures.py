@@ -236,6 +236,26 @@ class TestStarNumber:
         assert len(pts) == res.value
         assert verify_star_witness(cls, center, pts, rows)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_skipped_centers_match_the_numpy_reference(self, seed):
+        # wide classes, where most centers have no more flippable columns
+        # than the best set has points and are skipped before the chain bound
+        cls = random_class(np.random.default_rng(seed), max_points=12, max_rows=40)
+        res = star_number(cls)
+        assert (res.value, res.witness, res.exact) == oracles.ref_star_number(
+            cls, measures.STAR_BUDGET)
+
+    def test_star_class_builds_one_chain_bound(self):
+        # F1(2,32): the all-minus center's star set of 32 points reaches
+        # every other center's count of flippable columns
+        cls = make_star_class("F1", 2, 32)
+        with mock.patch.object(measures, "_chain_bound", wraps=measures._chain_bound) as bound:
+            res = star_number(cls)
+        assert bound.call_count == 1
+        assert (res.value, res.witness, res.exact) == oracles.ref_star_number(
+            cls, measures.STAR_BUDGET)
+
     def test_chain_bound_certifies_long_thresholds(self):
         for n in (256, 1024):
             res = star_number(threshold_class(n))

@@ -7,7 +7,8 @@ import re
 from pathlib import Path
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-MODULES = ("geometry", "measures", "erm", "processes", "classes")
+MODULES = ("geometry", "packing", "multisets", "chains", "doubling", "measures", "erm",
+           "processes", "classes")
 
 
 def _section(title: str) -> str:
