@@ -16,7 +16,7 @@ _EXPORTS = {
                      "make_linear_separators", "make_massart_instance",
                      "make_star_class", "make_thresholds", "sample", "save_class"),
                     "classes"),
-    **dict.fromkeys(("AdversarialSpec", "ErmPolicy", "TrialReport",
+    **dict.fromkeys(("AdversarialSpec", "TrialReport",
                      "build_adversarial_family", "erm", "excess_risk", "kl_product",
                      "run_trial", "version_space_disagreement"), "erm"),
     **dict.fromkeys(("SweepConfig", "SweepTable", "check_sandwich",

@@ -379,7 +379,7 @@ def make_star_class(variant: str, d: int, s: int, grid: int = 8) -> HypothesisCl
 def make_linear_separators(domain: PointDomain) -> HypothesisClass:
     """All sign vectors realizable by affine separators on planar domain points.
 
-    Exact rational arithmetic throughout (floats are rationals, so there is
+    Exact integer cross products (floats are dyadic rationals, so there is
     no tolerance): every dichotomy is read off the lines through pairs of
     points, at most n(n-1)+2 rows in O(n^3) cross products.  Coordinates
     that are not 2-D, or none at all, are a ValueError.
@@ -391,7 +391,7 @@ def make_linear_separators(domain: PointDomain) -> HypothesisClass:
         raise ValueError(
             f"{n} points exceed the separator cap {SEPARATOR_POINT_CAP} "
             f"(up to {n * (n - 1) + 2} rows)")
-    from .separators import enumerate_separator_patterns  # and fractions, for this alone
+    from .separators import enumerate_separator_patterns  # only this function needs it
     patterns = enumerate_separator_patterns(domain.coords)
     return HypothesisClass(domain=domain, patterns=patterns)
 

@@ -18,7 +18,6 @@ from .util import mean_ci99
 # loads erm but runs no trial, so it skips compiling the generator hash
 
 __all__ = [
-    "ErmPolicy",
     "TrialReport",
     "AdversarialSpec",
     "KLReport",
@@ -39,25 +38,8 @@ __all__ = [
 POSITION_CAP = 512
 
 
-@dataclass(frozen=True)
-class ErmPolicy:
-    """Tie-breaking rule among empirical risk minimizers.
-
-    first_index: lowest row index.
-    seeded_random: uniform among minimizers, driven by the trial seed.
-    pessimistic: the minimizer with the largest true excess risk; this is
-    an evaluation-only policy (it peeks at the instance) used to measure
-    how bad a worst-case minimizer choice can be.
-    """
-
-    kind: str
-    instance: MassartInstance | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("first_index", "seeded_random", "pessimistic"):
-            raise ValueError(f"unknown policy {self.kind!r}")
-        if self.kind == "pessimistic" and self.instance is None:
-            raise ValueError("pessimistic tie-breaking needs the true instance")
+# the tie-breaking rules among empirical risk minimizers, described at _run_trials
+_POLICIES = ("first_index", "seeded_random", "pessimistic")
 
 
 def empirical_risks(cls: HypothesisClass, smp: LabeledSample) -> np.ndarray:
@@ -98,23 +80,36 @@ def excess_risk_all(instance: MassartInstance) -> np.ndarray:
     return dis @ (instance.px.weights * instance.abs_eta)
 
 
-def erm(cls: HypothesisClass, smp: LabeledSample, policy: ErmPolicy,
-        seed: int = 0) -> int:
-    """A row minimizing empirical risk, ties broken per policy."""
-    exc_all = excess_risk_all(policy.instance) if policy.kind == "pessimistic" else None
-    return int(_choose(empirical_risks(cls, smp)[None], policy, [seed], exc_all)[0])
+def erm(cls: HypothesisClass, smp: LabeledSample, policy: str, seed: int = 0,
+        instance: MassartInstance | None = None) -> int:
+    """A row minimizing empirical risk, ties broken per policy as _run_trials
+    breaks them; only "pessimistic" reads instance, the true instance on cls."""
+    if policy == "pessimistic" and instance is None:
+        raise ValueError("pessimistic tie-breaking needs the true instance")
+    if instance is not None and instance.cls is not cls and not instance.cls.equals(cls):
+        raise ValueError("instance class does not match cls")
+    return int(_choose(empirical_risks(cls, smp)[None], policy, [seed],
+                       _pessimism(policy, instance))[0])
 
 
-def _choose(risks: np.ndarray, policy: ErmPolicy, seeds, exc_all) -> np.ndarray:
+def _pessimism(policy: str | None, instance: MassartInstance) -> np.ndarray | None:
+    """excess_risk_all(instance), which the pessimistic policy reads; None for
+    the other policies and for none.  An unknown policy name raises."""
+    if policy is not None and policy not in _POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
+    return excess_risk_all(instance) if policy == "pessimistic" else None
+
+
+def _choose(risks: np.ndarray, policy: str, seeds, exc_all) -> np.ndarray:
     """Chosen row per trial among the (trials, rows) risks; seeds are the
     trials' seeds, exc_all the pessimistic policy's excess_risk_all."""
     tie = risks <= risks.min(axis=1, keepdims=True) + 1e-12
-    if policy.kind == "pessimistic":
+    if policy == "pessimistic":
         # argmax takes the first maximum, so a tie in excess resolves to the
         # lowest index, as ties[np.argmax(exc[ties])] does
         return np.argmax(np.where(tie, exc_all, -np.inf), axis=1)
     chosen = np.argmax(tie, axis=1)
-    if policy.kind == "seeded_random":  # a generator only where there is a tie
+    if policy == "seeded_random":  # a generator only where there is a tie
         from .seeding import spawn_rngs
         ties = np.flatnonzero(np.count_nonzero(tie, axis=1) > 1)
         for t, rng in zip(ties, spawn_rngs((seeds[t], (21,)) for t in ties)):
@@ -150,18 +145,23 @@ class _Trials(NamedTuple):
     dis_mass: list | None
 
 
-def _run_trials(instance: MassartInstance, n: int, seeds, policy: ErmPolicy | None = None,
+def _run_trials(instance: MassartInstance, n: int, seeds, policy: str | None = None,
                 version_space: bool = False) -> _Trials:
     """One trial per seed, in blocks: the sample drawn as sample(instance, n,
     seed) draws it, the ERM choice under policy (skipped for None) and, if
     version_space, the number of rows agreeing with the target on the
-    sample and the mass of the points where two of those rows differ."""
+    sample and the mass of the points where two of those rows differ.
+
+    The policy breaks ties among the empirical risk minimizers:
+    first_index takes the lowest row index; seeded_random a uniform one,
+    driven by the trial seed; pessimistic the one of largest true excess
+    risk over instance, an evaluation-only rule that measures how bad a
+    worst-case choice of minimizer can be."""
     if len(seeds) < 1:
         raise ValueError("trials must be >= 1")
+    exc_all = _pessimism(policy, instance)
     cls = instance.cls
     scores_t = cls.patterns.T.astype(np.float64)
-    exc_all = (excess_risk_all(policy.instance)
-               if policy is not None and policy.kind == "pessimistic" else None)
     if version_space:
         off_target = (cls.patterns != instance.fstar).T.astype(np.float32)
         positive = (cls.patterns > 0).astype(np.float32)
@@ -194,7 +194,7 @@ def _run_trials(instance: MassartInstance, n: int, seeds, policy: ErmPolicy | No
                    dis_mass if version_space else None)
 
 
-def run_trial(instance: MassartInstance, n: int, policy: ErmPolicy, seed: int) -> TrialReport:
+def run_trial(instance: MassartInstance, n: int, policy: str, seed: int) -> TrialReport:
     res = _run_trials(instance, n, [seed], policy, version_space=True)
     chosen = int(res.chosen[0])
     return TrialReport(n=n, seed=seed, chosen=chosen,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .classes import (DomainDistribution, HypothesisClass, MassartInstance,
                       make_massart_instance, make_star_class)
-from .erm import AdversarialSpec, ErmPolicy, _run_trials, excess_risk_all
+from .erm import AdversarialSpec, _run_trials, excess_risk_all
 from .measures import growth_function, star_number, vc_dimension
 from .seeding import spawn_seeds
 from .util import mean_ci99, tlog
@@ -70,8 +70,7 @@ class SweepTable:
 
 
 def _cell_mean_excess(instance: MassartInstance, n: int, trials: int,
-                      policy_kind: str, seed: int, cell_key: tuple) -> tuple[float, float]:
-    policy = ErmPolicy(policy_kind, instance if policy_kind == "pessimistic" else None)
+                      policy: str, seed: int, cell_key: tuple) -> tuple[float, float]:
     seeds = spawn_seeds((seed, (*cell_key, t)) for t in range(trials))
     out = excess_risk_all(instance)[_run_trials(instance, n, seeds, policy).chosen]
     return mean_ci99(out)

@@ -120,8 +120,10 @@ class LossClassView:
         return base
 
     def exact_means(self, instance: MassartInstance) -> np.ndarray:
-        """P g per classifier, exact over the finite instance."""
-        if instance.cls is not self.base and not instance.cls.equals(self.base):
+        """P g per classifier, exact over the finite instance, which must be
+        on the view's class and target."""
+        if instance.target != self.target or (instance.cls is not self.base
+                                              and not instance.cls.equals(self.base)):
             raise ValueError("instance class does not match the view")
         px = instance.px.weights
         if self.view == "excess_loss":
@@ -317,14 +319,15 @@ def _one_sided(name: str, lhs: np.ndarray, rhs: np.ndarray, details: dict) -> In
         passed=lhs_m <= rhs_m + 3.0 * math.hypot(lhs_se, rhs_se), details=details)
 
 
-def check_symmetrization_expectation(view: LossClassView, instance: MassartInstance,
-                                     c: float, n: int, trials: int, seed: int) -> InequalityReport:
-    """Shifted symmetrization in expectation:
+def check_symmetrization_expectation(instance: MassartInstance, c: float, n: int,
+                                     trials: int, seed: int) -> InequalityReport:
+    """Shifted symmetrization in expectation, over the excess loss class:
     E sup (P - (1+c)P_n) g  <=  ((c+2)/n) E E_eps sup (sum eps_i g_i - (c/(c+2)) g_i).
     """
     seeds = spawn_seeds((seed, (t, 1)) for t in range(trials))
     samples, sup = _trials(instance, n, trials, seed, ((s, ()) for s in seeds), 2)
     shift = c / (c + 2.0)
+    view = LossClassView(instance.cls, instance.target, "excess_loss")
     pg = view.exact_means(instance)
     lhs, rhs = np.empty((2, trials))
     for t, (xs, ys) in enumerate(samples):
@@ -376,6 +379,8 @@ def check_localization_bound(instance: MassartInstance, view_kind: str, c: float
     """
     if not (0 < c <= 0.25):
         raise ValueError("c must lie in (0, 1/4]")
+    if not (0 < k_loc < math.inf):
+        raise ValueError(f"k_loc must be finite and positive, not {k_loc!r}")
     if view_kind not in ("halved_difference", "disagreement"):
         raise ValueError("view must contain the zero function: use halved_difference or disagreement")
     samples, sup = _trials(instance, n, trials, seed,

@@ -13,7 +13,7 @@ from itertools import islice
 
 import numpy as np
 
-from .util import frozen_array, make_rng
+from .util import frozen_array
 
 __all__ = ["spawn_rngs", "spawn_seeds"]
 
@@ -25,31 +25,23 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# most (seed, key) pairs hashed at once, and fewest: below it numpy's own
-# construction costs less than the hash.  At 512 pairs a chunk's Python ints
+# most (seed, key) pairs hashed at once.  At 512 pairs a chunk's Python ints
 # and lists raised a trial job's peak RSS by about 0.4 MB; at 64 they stay
 # within the heap a job already has, and the hash's ~50 us per chunk adds
 # under 1 us per pair.
 _SPAWN_CHUNK = 64
-_SPAWN_MIN = 8
 
 
 def spawn_rngs(pairs):
     """For each (seed, key) pair, the generator make_rng(seed, *key) returns.
 
     The SeedSequence hash runs on chunks of up to _SPAWN_CHUNK pairs; every
-    generator of a hashed chunk is one np.random.Generator whose PCG64 is
-    reseeded in place, so it is valid until the next one is taken.  A chunk
-    of fewer than _SPAWN_MIN pairs gets make_rng's generators."""
+    generator is one np.random.Generator whose PCG64 is reseeded in place, so
+    it is valid until the next one is taken."""
     pairs = iter(pairs)
-    rng = None
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
     while chunk := list(islice(pairs, _SPAWN_CHUNK)):
-        if len(chunk) < _SPAWN_MIN:
-            yield from (make_rng(seed, *key) for seed, key in chunk)
-            continue
-        if rng is None:
-            rng = np.random.Generator(np.random.PCG64(0))
-        bit_generator = rng.bit_generator
         for state, inc in _pcg_states(chunk):
             # the reset of has_uint32 drops the half-word integers() buffers
             bit_generator.state = {"bit_generator": "PCG64",

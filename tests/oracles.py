@@ -440,12 +440,12 @@ def ref_run_trial(instance, n, policy, seed):
     risks = (n - patterns.astype(np.float64) @ w) / (2.0 * n)
     # tie-breaking
     ties = np.nonzero(risks <= risks.min() + 1e-12)[0]
-    if policy.kind == "first_index" or ties.size == 1:
+    if policy == "first_index" or ties.size == 1:
         chosen = int(ties[0])
-    elif policy.kind == "seeded_random":
+    elif policy == "seeded_random":
         chosen = int(make_rng(seed, 21).choice(ties))
     else:
-        chosen = int(ties[np.argmax(excess_risk_all(policy.instance)[ties])])
+        chosen = int(ties[np.argmax(excess_risk_all(instance)[ties])])
     # version space: rows agreeing with the target on the sample
     agree = patterns[:, xs] == instance.fstar[xs]
     members = patterns[agree.all(axis=1)]

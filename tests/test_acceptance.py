@@ -287,10 +287,9 @@ def test_criterion_10_star_class_separation():
 
 def _lemma_battery(seed):
     inst_half = threshold_instance(12, 0.5)
-    view = LossClassView(inst_half.cls, inst_half.target, "excess_loss")
     checks = [
-        check_symmetrization_expectation(view, inst_half, 0.0, 12, 250, seed),
-        check_symmetrization_expectation(view, inst_half, 2.0, 12, 250, seed),
+        check_symmetrization_expectation(inst_half, 0.0, 12, 250, seed),
+        check_symmetrization_expectation(inst_half, 2.0, 12, 250, seed),
         check_contraction(inst_half, 0.25, 12, 250, seed),
         check_contraction(threshold_instance(10, 1.0), 0.25, 10, 150, seed),
         check_localization_bound(threshold_instance(16, 0.25), "halved_difference",

@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 
 from locent.cli import dispatch
-from locent.erm import ErmPolicy
 from locent.classes import threshold_instance
 from locent.util import make_rng
 
@@ -231,6 +230,24 @@ class TestErrorPaths:
         out = tmp_path / "out"
         assert run(["erm-run", "--seed", "-1", "--out", str(out)]) == 1
         assert "expected non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["erm-run", "erm-sweep"])
+    def test_unknown_policy(self, sub, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run([sub, "--policy", "bogus", "--n-grid" if sub == "erm-sweep" else "--n",
+                    "8", "--trials", "5", "--out", str(out)]) == 1
+        assert "unknown policy 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k_loc", ["-1", "0", "nan", "inf"])
+    def test_k_loc_must_be_finite_and_positive(self, k_loc, tmp_path, capsys):
+        # a usage error, not a failing (or trivially passing) localization check
+        out = tmp_path / "lemmas.json"
+        assert run(["verify-lemmas", "--generator", "thresholds", "--points", "8",
+                    "--n", "8", "--trials", "100", "--k-loc", k_loc,
+                    "--out", str(out)]) == 1
+        assert "k_loc must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -482,14 +499,13 @@ class TestPipelines:
         # few draws on 8 evenly weighted thresholds: many empirical ties, and
         # thresholds either side of the target tie in excess as well
         inst = threshold_instance(8, 0.5)
-        pol = ErmPolicy(policy, inst if policy == "pessimistic" else None)
         out = tmp_path / "run.csv"
         assert run(["erm-run", "--generator", "thresholds", "--points", "8", "--h", "0.5",
                     "--n", "3", "--trials", "60", "--policy", policy, "--seed", "9",
                     "--out", str(out)]) == 0
         lines = ["n,seed,chosen,empirical_risk,excess,version_space_size,dis_mass"]
         for t in range(60):
-            rep = oracles.ref_run_trial(inst, 3, pol, int(make_rng(9, t).integers(2 ** 31)))
+            rep = oracles.ref_run_trial(inst, 3, policy, int(make_rng(9, t).integers(2 ** 31)))
             lines.append(f"{rep.n},{rep.seed},{rep.chosen},{rep.empirical_risk!r},"
                          f"{rep.excess!r},{rep.version_space_size},{rep.dis_mass!r}")
         assert out.read_text().splitlines()[1:] == lines

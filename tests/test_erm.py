@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from locent.classes import (DomainDistribution, HypothesisClass, LabeledSample,
                             PointDomain, make_massart_instance, make_star_class,
                             sample, threshold_class, threshold_instance)
-from locent.erm import (ErmPolicy, build_adversarial_family, empirical_risks,
-                        erm, excess_risk, excess_risk_all, kl_closed_form,
+from locent.erm import (build_adversarial_family, empirical_risks, erm,
+                        excess_risk, excess_risk_all, kl_closed_form,
                         kl_exact, kl_product, run_trial,
                         version_space_disagreement)
 from locent.geometry import local_packing_number
@@ -25,7 +25,7 @@ class TestErm:
         inst = threshold_instance(12, 1.0)
         for seed in range(5):
             smp = sample(inst, 30, seed)
-            row = erm(inst.cls, smp, ErmPolicy("first_index"))
+            row = erm(inst.cls, smp, "first_index")
             assert empirical_risks(inst.cls, smp)[row] == 0.0
 
     def test_two_row_majority(self):
@@ -33,7 +33,7 @@ class TestErm:
                               np.array([[1, 1, 1, 1], [-1, -1, -1, -1]], dtype=np.int8))
         smp = LabeledSample(xs=np.array([0, 1, 2, 3]),
                             ys=np.array([1, 1, 1, -1], dtype=np.int8), seed=0)
-        assert erm(cls, smp, ErmPolicy("first_index")) == 0
+        assert erm(cls, smp, "first_index") == 0
 
     def test_pessimistic_tie_break(self):
         # rows 1 and 2 tie empirically on a sample seeing only point 0;
@@ -44,14 +44,14 @@ class TestErm:
         inst = make_massart_instance(cls, 0, 1.0)
         smp = LabeledSample(xs=np.array([0, 0]), ys=np.array([1, 1], dtype=np.int8),
                             seed=0)
-        assert erm(cls, smp, ErmPolicy("pessimistic", inst)) == 2
-        assert erm(cls, smp, ErmPolicy("first_index")) == 0
+        assert erm(cls, smp, "pessimistic", instance=inst) == 2
+        assert erm(cls, smp, "first_index") == 0
 
     def test_seeded_random_is_deterministic(self):
         cls = threshold_class(6)
         inst = make_massart_instance(cls, 3, 1.0)
         smp = sample(inst, 3, 5)
-        picks = {erm(cls, smp, ErmPolicy("seeded_random"), seed=42) for _ in range(5)}
+        picks = {erm(cls, smp, "seeded_random", seed=42) for _ in range(5)}
         assert len(picks) == 1
 
     @settings(max_examples=200, deadline=None)
@@ -70,8 +70,7 @@ class TestErm:
             smp = sample(inst, 8, int(rng.integers(10_000)))
             risks = empirical_risks(cls, smp)
             for kind in ("first_index", "seeded_random", "pessimistic"):
-                pol = ErmPolicy(kind, inst if kind == "pessimistic" else None)
-                chosen = erm(cls, smp, pol, seed=3)
+                chosen = erm(cls, smp, kind, seed=3, instance=inst)
                 assert risks[chosen] == pytest.approx(risks.min())
 
 
@@ -128,7 +127,7 @@ class TestVersionSpace:
 
     def test_trial_report_consistency(self):
         inst = threshold_instance(8, 1.0)
-        rep = run_trial(inst, 12, ErmPolicy("first_index"), seed=4)
+        rep = run_trial(inst, 12, "first_index", seed=4)
         assert rep.excess >= 0.0
         assert rep.version_space_size >= 1
         assert 0.0 <= rep.dis_mass <= 1.0
@@ -141,9 +140,8 @@ class TestVersionSpace:
             seed = int(rng.integers(10_000))
             smp = sample(inst, 8, seed)
             for kind in ("first_index", "seeded_random", "pessimistic"):
-                pol = ErmPolicy(kind, inst if kind == "pessimistic" else None)
-                rep = run_trial(inst, 8, pol, seed)
-                assert rep.chosen == erm(cls, smp, pol, seed=seed)
+                rep = run_trial(inst, 8, kind, seed)
+                assert rep.chosen == erm(cls, smp, kind, seed=seed, instance=inst)
                 assert rep.empirical_risk == empirical_risks(cls, smp)[rep.chosen]
 
     def test_realizable_excess_dominated_by_dis_mass(self):
@@ -151,7 +149,7 @@ class TestVersionSpace:
         # h = 1, so the excess risk is at most the disagreement mass
         inst = threshold_instance(16, 1.0)
         for seed in range(20):
-            rep = run_trial(inst, 10, ErmPolicy("pessimistic", inst), seed=seed)
+            rep = run_trial(inst, 10, "pessimistic", seed=seed)
             assert rep.excess <= rep.dis_mass + 1e-12
 
 
@@ -175,13 +173,12 @@ class TestTrialEngine:
         px = DomainDistribution.from_counts(
             np.ones(cls.n_points) if uniform else rng.integers(1, 8, cls.n_points))
         inst = make_massart_instance(cls, int(rng.integers(cls.n_rows)), h, px=px)
-        pol = ErmPolicy(kind, inst if kind == "pessimistic" else None)
         trials = {"1": 1, "block-1": block - 1, "block": block, "block+1": block + 1}[count]
         seeds = [int(s) for s in rng.integers(2 ** 31, size=trials)]
         budget = block * (cls.n_rows + cls.n_points + n)  # blocks of `block` trials
         with mock.patch.object(erm_module, "_BLOCK_ELEMENTS", budget):
-            res = erm_module._run_trials(inst, n, seeds, pol, version_space=True)
-        refs = [oracles.ref_run_trial(inst, n, pol, s) for s in seeds]
+            res = erm_module._run_trials(inst, n, seeds, kind, version_space=True)
+        refs = [oracles.ref_run_trial(inst, n, kind, s) for s in seeds]
         assert res.chosen.tolist() == [r.chosen for r in refs]
         assert res.empirical_risk.tobytes() == np.array(
             [r.empirical_risk for r in refs]).tobytes()
@@ -189,12 +186,32 @@ class TestTrialEngine:
         assert np.array(res.dis_mass).tobytes() == np.array(
             [r.dis_mass for r in refs]).tobytes()
         # the one-trial entry points are one-row calls of the same code
-        assert run_trial(inst, n, pol, seeds[0]) == refs[0]
-        assert erm(cls, sample(inst, n, seeds[0]), pol, seed=seeds[0]) == refs[0].chosen
+        assert run_trial(inst, n, kind, seeds[0]) == refs[0]
+        assert erm(cls, sample(inst, n, seeds[0]), kind, seed=seeds[0],
+                   instance=inst) == refs[0].chosen
+
+    def test_unknown_policy_raises_before_drawing(self):
+        inst = threshold_instance(8, 0.5)
+        with mock.patch.object(erm_module, "draw_samples",
+                               side_effect=AssertionError("drew a sample")), \
+                pytest.raises(ValueError, match="unknown policy 'bogus'"):
+            erm_module._run_trials(inst, 4, [1, 2], "bogus")
+        with pytest.raises(ValueError, match="unknown policy 'bogus'"):
+            erm(inst.cls, sample(inst, 4, 0), "bogus")
+
+    def test_pessimistic_erm_needs_the_instance_of_its_class(self):
+        inst = threshold_instance(8, 0.5)
+        smp = sample(inst, 4, 0)
+        with pytest.raises(ValueError, match="needs the true instance"):
+            erm(inst.cls, smp, "pessimistic")
+        other = make_massart_instance(
+            HypothesisClass(inst.cls.domain, inst.cls.patterns[1:]), 3, 0.5)
+        with pytest.raises(ValueError, match="instance class does not match cls"):
+            erm(inst.cls, smp, "pessimistic", instance=other)
 
     def test_erm_only_and_version_space_only(self):
         inst = threshold_instance(12, 1.0)
-        pol = ErmPolicy("first_index")
+        pol = "first_index"
         res = erm_module._run_trials(inst, 6, [1, 2, 3], pol)
         assert res.version_space_size is None and res.dis_mass is None
         res = erm_module._run_trials(inst, 6, [1, 2, 3], version_space=True)

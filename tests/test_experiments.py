@@ -6,7 +6,7 @@ import pytest
 from locent.classes import (HypothesisClass, PointDomain, circle_domain,
                             make_massart_instance, make_star_class,
                             threshold_class, threshold_instance)
-from locent.erm import ErmPolicy, build_adversarial_family, excess_risk_all
+from locent.erm import build_adversarial_family, excess_risk_all
 from locent.experiments import (SweepConfig, check_sandwich, check_star_theorem,
                                 fit_loglog_slope, lower_bound_report,
                                 run_rate_sweep, star_class_separation)
@@ -63,10 +63,9 @@ class TestRateSweep:
         for hi, h in enumerate(cfg.h_grid):
             for ni, n in enumerate(cfg.n_grid):
                 inst = threshold_instance(n, h)
-                pol = ErmPolicy(policy, inst if policy == "pessimistic" else None)
                 exc_all = excess_risk_all(inst)
                 out = np.array([exc_all[oracles.ref_run_trial(
-                    inst, n, pol, int(make_rng(4, hi, ni, t).integers(2 ** 31))).chosen]
+                    inst, n, policy, int(make_rng(4, hi, ni, t).integers(2 ** 31))).chosen]
                     for t in range(30)])
                 assert (rows[h, n]["mean_excess"], rows[h, n]["ci"]) == mean_ci99(out)
 

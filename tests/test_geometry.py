@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from locent import doubling, geometry, multisets, packing, util
@@ -181,11 +181,13 @@ class TestPackingCore:
         grid = list(range(1, proj.size + 2))
         for h in (1.0, 0.5, 0.3):
             for exact in (True, False):
-                for budget in (None, 1):
+                for budget in (None, 1, 0):
                     with pytest.MonkeyPatch.context() as m:
                         if budget is not None:
                             m.setattr(packing, "PACK_NODE_BUDGET", budget)
                         got = _local_profile(proj, h, grid, exact)
+                    # with no node to spend, no branch and bound is certified
+                    assert not (exact and budget == 0 and got[1])
                     want = oracles.ref_local_profile(proj, h, grid, exact, node_budget=budget)
                     if budget is None or not exact or want[1]:
                         assert list(got[0].items()) == list(want[0].items())
@@ -259,12 +261,13 @@ class TestDistanceClasses:
         grid = list(range(1, proj.size + 2))
         for h in (1.0, 0.5, 0.3):
             for exact in (True, False):
-                for budget in (None, 1, 4):
+                for budget in (None, 1, 4, 0):
                     with pytest.MonkeyPatch.context() as m:
                         if budget is not None:
                             m.setattr(packing, "PACK_NODE_BUDGET", budget)
                         got = _local_profile(proj, h, grid, exact)
                         alone = [_local_profile(proj, h, [eps], exact) for eps in grid]
+                    assert not (exact and budget == 0 and got[1])  # no node to spend
                     # one radius at a time, starved branch and bound included
                     assert list(got[0].items()) == [item for prof, _ in alone
                                                     for item in prof.items()]
@@ -280,12 +283,13 @@ class TestDistanceClasses:
         proj = surplus_projection(seed)
         gammas = list(range(1, proj.size + 2))
         for exact in (True, False):
-            for budget in (None, 1, 4):
+            for budget in (None, 1, 4, 0):
                 with pytest.MonkeyPatch.context() as m:
                     if budget is not None:
                         m.setattr(packing, "PACK_NODE_BUDGET", budget)
                     got = geometry._global_profile(proj, gammas, exact)
                     alone = {g: packing._packing(proj.dists, g, exact) for g in gammas}
+                assert not (exact and budget == 0 and got[1])  # no node to spend
                 assert got == ({g: (res.size, res) for g, res in alone.items()},
                                all(res.exact for res in alone.values()))
 
@@ -350,10 +354,22 @@ class TestExactBounds:
         want = oracles.brute_doubling(cls, px, gamma_frac)
         res = doubling_dimension(cls, px, gamma_frac)
         assert res.exact and res.value == pytest.approx(want)
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(doubling, "COVER_NODE_BUDGET", 1)
-            res = doubling_dimension(cls, px, gamma_frac)
-        assert not res.exact or res.value == pytest.approx(want)
+        exact_cover = doubling._exact_cover_size
+
+        def spy(covers, greedy, node_budget):
+            settled.append(math.ceil(covers.shape[1] / covers.sum(axis=1).max()) >= greedy)
+            return exact_cover(covers, greedy, node_budget)
+
+        for budget in (1, 0):
+            settled = []  # per exact cover: does the ceil bound settle it?
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(doubling, "_exact_cover_size", spy)
+                m.setattr(doubling, "COVER_NODE_BUDGET", budget)
+                res = doubling_dimension(cls, px, gamma_frac)
+            assert not res.exact or res.value == pytest.approx(want)
+            # with no node to spend, only the covers that the ceil bound
+            # settles are certified; about half the classes here branch
+            assert budget or res.exact == all(settled)
 
     def test_chain_501_is_certified(self):
         # at eps=1 the threshold chain's conflict graph is a path; the node
@@ -386,6 +402,7 @@ class TestGlobalPacking:
         assert res.size == oracles.brute_global_packing(cls, 1, 4) == 4
 
     def test_random_matches_brute(self, rng, monkeypatch):
+        starved = []
         for _ in range(6):
             cls = random_class(rng, max_points=5, max_rows=8)
             for gamma, n in ((1, 2), (2, 3)):
@@ -398,6 +415,8 @@ class TestGlobalPacking:
                     m.setattr(packing, "PACK_NODE_BUDGET", 1)
                     res = global_packing_number(cls, gamma, n, search="exact")
                 assert not res.exact or res.size == brute
+                starved.append(not res.exact)
+        assert any(starved)  # one node certifies some of these packings, not all
 
     def test_uncertified_loser_is_not_exact(self, monkeypatch):
         # with one node per branch and bound, the winning multiset's packing
@@ -558,9 +577,15 @@ class TestInterchangeablePoints:
                     repr(global_packing_number(cls, 1, n, search="exact"))]
 
         reduced = results()
+        blocks, pooled = multisets._blocks, []
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(multisets, "_blocks", lambda c: [(i,) for i in range(c.n_points)])
+            m.setattr(multisets, "_blocks", lambda c: pooled.append(blocks(c)) or
+                      [(i,) for i in range(c.n_points)])
             assert results() == reduced
+        # a chain, or a search past MULTISET_WORK, never reaches _blocks;
+        # where the search does, the planted block pools its points there
+        assume(pooled)
+        assert all(any(len(b) > 1 for b in found) for found in pooled)
 
     def test_hill_climb_skips_blocks(self, monkeypatch):
         def fail(cls):

@@ -240,6 +240,15 @@ class TestLossViews:
             assert np.allclose(LossClassView(cls, target, "halved_difference").exact_means(inst),
                                ((cls.patterns - fstar) / 2) @ px)
 
+    @pytest.mark.parametrize("kind", ["excess_loss", "halved_difference", "disagreement"])
+    def test_exact_means_rejects_another_target(self, kind):
+        # a view around row 0 beside an instance around row 6 would mix the
+        # two targets, one in values and one in exact_means
+        inst = threshold_instance(12, 0.5)
+        with pytest.raises(ValueError, match="instance class does not match the view"):
+            LossClassView(inst.cls, 0, kind).exact_means(inst)
+        assert LossClassView(inst.cls, inst.target, kind).exact_means(inst).shape == (13,)
+
 
 class TestShiftedProcess:
     def test_target_loss_vanishes_realizable(self):
@@ -282,22 +291,19 @@ class TestShiftedProcess:
 class TestInequalityChecks:
     def test_symmetrization_c0(self):
         inst = threshold_instance(10, 0.5)
-        view = LossClassView(inst.cls, inst.target, "excess_loss")
-        rep = check_symmetrization_expectation(view, inst, 0.0, 10, 150, seed=4)
+        rep = check_symmetrization_expectation(inst, 0.0, 10, 150, seed=4)
         assert rep.passed
 
     def test_symmetrization_c2(self):
         inst = threshold_instance(12, 0.5)
-        view = LossClassView(inst.cls, inst.target, "excess_loss")
-        rep = check_symmetrization_expectation(view, inst, 2.0, 12, 150, seed=4)
+        rep = check_symmetrization_expectation(inst, 2.0, 12, 150, seed=4)
         assert rep.passed
 
     def test_symmetrization_singleton(self):
         cls = HypothesisClass(PointDomain.of_size(3),
                               np.array([[1, -1, 1]], dtype=np.int8))
         inst = make_massart_instance(cls, 0, 1.0)
-        view = LossClassView(cls, 0, "excess_loss")
-        rep = check_symmetrization_expectation(view, inst, 0.0, 6, 100, seed=1)
+        rep = check_symmetrization_expectation(inst, 0.0, 6, 100, seed=1)
         assert rep.passed and abs(rep.lhs) < 1e-12
 
     def test_contraction_noisy(self):
@@ -320,6 +326,12 @@ class TestInequalityChecks:
         with pytest.raises(ValueError, match="at least 100 trials"):
             check_localization_bound(threshold_instance(10, 0.5), "halved_difference",
                                      0.25, 10, 1, seed=2)
+
+    @pytest.mark.parametrize("k_loc", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_localization_k_loc_must_be_finite_and_positive(self, k_loc):
+        with pytest.raises(ValueError, match="k_loc must be finite and positive"):
+            check_localization_bound(threshold_instance(8, 0.5), "halved_difference",
+                                     0.25, 8, 100, seed=0, k_loc=k_loc)
 
     def test_localization_zero_view(self):
         cls = HypothesisClass(PointDomain.of_size(4),
@@ -344,8 +356,7 @@ class TestInequalityChecks:
         inst = threshold_instance(16, 0.5)
         c, trials, seed = 0.25, 100, 3
         sym, con, loc = oracles.ref_lemma_trials(inst, c, n, trials, seed)
-        view = LossClassView(inst.cls, inst.target, "excess_loss")
-        for got, ref in ((check_symmetrization_expectation(view, inst, c, n, trials, seed), sym),
+        for got, ref in ((check_symmetrization_expectation(inst, c, n, trials, seed), sym),
                          (check_contraction(inst, c, n, trials, seed), con)):
             assert (got.lhs, got.rhs) == (float(ref[:, 0].mean()), float(ref[:, 1].mean()))
         got = check_localization_bound(inst, "halved_difference", c, n, trials, seed)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from locent import seeding
 from locent.classes import threshold_instance
-from locent.erm import ErmPolicy, _run_trials, version_space_disagreement
+from locent.erm import _run_trials, version_space_disagreement
 from locent.processes import ENUM_CAP, check_contraction, check_localization_bound
 from locent.seeding import spawn_rngs, spawn_seeds
 from locent.util import make_rng
@@ -38,16 +38,16 @@ keys = st.lists(st.one_of(st.sampled_from(EDGE_KEYS), st.integers(0, 2 ** 70),
 
 class TestSpawnRngs:
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(seeds, keys), max_size=3 * seeding._SPAWN_MIN))
+    @given(st.lists(st.tuples(seeds, keys), max_size=24))
     def test_matches_numpy(self, pairs):
-        # batches of mixed word widths, hashed from _SPAWN_MIN pairs on
+        # batches of mixed word widths, a lone pair included
         assert [draws(rng) for rng in spawn_rngs(pairs)] == \
             [draws(numpy_rng(seed, key)) for seed, key in pairs]
 
     def test_edge_pairs_in_one_batch(self):
         pairs = [(seed, key) for seed in EDGE_SEEDS
                  for key in [(), (0,), (21,), (2 ** 32, 1), (0, 2 ** 40 + 3, 7)]]
-        assert len(pairs) >= seeding._SPAWN_MIN
+        assert len(pairs) <= seeding._SPAWN_CHUNK
         assert [draws(rng) for rng in spawn_rngs(pairs)] == \
             [draws(numpy_rng(seed, key)) for seed, key in pairs]
 
@@ -62,8 +62,8 @@ class TestSpawnRngs:
 
     @pytest.mark.parametrize("pairs", [
         [(-1, ())],
-        [(5, (1, -2))] * seeding._SPAWN_MIN,
-        [(1, ())] * seeding._SPAWN_MIN + [(-3, (0,))] * seeding._SPAWN_MIN,
+        [(5, (1, -2))] * 8,
+        [(1, ())] * seeding._SPAWN_CHUNK + [(-3, (0,))],
     ], ids=["lone-seed", "batch-key", "second-chunk"])
     def test_negative_raises(self, pairs):
         with pytest.raises(ValueError, match="expected non-negative integer"):
@@ -73,7 +73,7 @@ class TestSpawnRngs:
 def _chunked_results():
     inst = threshold_instance(16, 0.5)
     seeds = spawn_seeds((7, (t,)) for t in range(40))
-    trials = [_run_trials(inst, 20, seeds, ErmPolicy(kind, inst), version_space=True)
+    trials = [_run_trials(inst, 20, seeds, kind, version_space=True)
               for kind in ("first_index", "seeded_random", "pessimistic")]
     n = ENUM_CAP + 4  # Monte Carlo signs, so the checks draw every generator
     return ([(r.chosen.tolist(), r.empirical_risk.tolist(),
@@ -83,9 +83,8 @@ def _chunked_results():
             check_localization_bound(inst, "halved_difference", 0.25, n, 100, 5).as_dict())
 
 
-@pytest.mark.parametrize("chunk, least", [(1, seeding._SPAWN_MIN), (3, 2)])
-def test_chunking_leaves_results_unchanged(chunk, least):
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_chunking_leaves_results_unchanged(chunk):
     expected = _chunked_results()
-    with mock.patch.object(seeding, "_SPAWN_CHUNK", chunk), \
-            mock.patch.object(seeding, "_SPAWN_MIN", least):
+    with mock.patch.object(seeding, "_SPAWN_CHUNK", chunk):
         assert _chunked_results() == expected
