@@ -8,7 +8,7 @@ weighted path.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,8 +16,7 @@ from .classes import HypothesisClass
 from .packing import PackingResult
 
 
-@dataclass(frozen=True)
-class _Chain:
+class _Chain(NamedTuple):
     """A class whose + sets are nested once each column is oriented so that
     an end row is all -1.  order lists the class rows by + count, from that
     end row; gap_points[t] is one point whose column turns + between the

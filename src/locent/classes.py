@@ -9,12 +9,11 @@ finite representation loses nothing at the scales we target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations, product
 
 import numpy as np
 
-from .util import bitsets, distinct, frozen_array
+from .util import Frozen, bitsets, distinct, frozen_array
 
 __all__ = [
     "PointDomain",
@@ -52,29 +51,28 @@ class PatternCountError(ValueError):
     """Generator would enumerate more patterns than PATTERN_CAP."""
 
 
-@dataclass(frozen=True)
-class PointDomain:
+class PointDomain(Frozen):
     """Ordered finite instance space, optionally with real coordinate vectors."""
 
-    points: tuple
-    coords: np.ndarray | None = None
+    __slots__ = _fields = ("points", "coords")
 
-    def __post_init__(self):
-        if len(self.points) == 0:
+    def __init__(self, points: tuple, coords: np.ndarray | None = None):
+        if len(points) == 0:
             raise ValueError("domain needs at least one point")
-        if len(set(self.points)) != len(self.points):
+        if len(set(points)) != len(points):
             raise ValueError("point identifiers must be unique")
-        if self.coords is not None:
-            c = np.asarray(self.coords, dtype=float)
+        if coords is not None:
+            c = np.asarray(coords, dtype=float)
             if c.ndim == 1:
                 c = c[:, None]
-            if c.ndim != 2 or c.shape[0] != len(self.points) or c.shape[1] < 1:
+            if c.ndim != 2 or c.shape[0] != len(points) or c.shape[1] < 1:
                 raise ValueError("coords must be one k-vector (k >= 1) per point")
             bad = np.argwhere(~np.isfinite(c))
             if len(bad):
                 i, k = bad[0]
                 raise ValueError(f"coords must be finite: coordinate {k} of point {i} is {c[i, k]}")
-            object.__setattr__(self, "coords", frozen_array(c))
+            coords = frozen_array(c)
+        self._set(points=points, coords=coords)
 
     @classmethod
     def of_size(cls, n: int) -> "PointDomain":
@@ -95,18 +93,17 @@ class PointDomain:
         return None if self.coords is None else self.coords.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class HypothesisClass:
+class HypothesisClass(Frozen):
     """Explicit class of binary classifiers: distinct +-1 rows over a domain."""
 
-    domain: PointDomain
-    patterns: np.ndarray
+    __slots__ = _fields = ("domain", "patterns")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # one object; see equals
 
-    def __post_init__(self):
-        a = np.asarray(self.patterns, dtype=np.int8)
+    def __init__(self, domain: PointDomain, patterns: np.ndarray):
+        a = np.asarray(patterns, dtype=np.int8)
         if a.ndim != 2 or a.shape[0] < 1:
             raise ValueError("patterns must be a nonempty 2-d matrix")
-        if a.shape[1] != self.domain.size:
+        if a.shape[1] != domain.size:
             raise ValueError("pattern width must match domain size")
         # entries are checked a block of rows at a time and rows compared by
         # their sign bitsets: no temporary is as large as the matrix
@@ -119,7 +116,7 @@ class HypothesisClass:
             signs.update(bitsets(block > 0))
         if len(signs) != a.shape[0]:
             raise ValueError("patterns must be pairwise distinct")
-        object.__setattr__(self, "patterns", frozen_array(a))
+        self._set(domain=domain, patterns=frozen_array(a))
 
     @property
     def n_points(self) -> int:
@@ -143,15 +140,14 @@ class HypothesisClass:
         return bool(np.array_equal(self.patterns, other.patterns))
 
 
-@dataclass(frozen=True)
-class DomainDistribution:
+class DomainDistribution(Frozen):
     """Probability weights over domain points (sum to 1 within 1e-12)."""
 
-    weights: np.ndarray
-    cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("weights", "cdf")
+    _fields = ("weights",)
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+    def __init__(self, weights: np.ndarray):
+        w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a nonempty vector")
         if not np.all(np.isfinite(w)):
@@ -160,9 +156,8 @@ class DomainDistribution:
             raise ValueError("weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {w.sum()!r}, expected 1 within 1e-12")
-        object.__setattr__(self, "weights", frozen_array(w))
         cdf = w.cumsum()  # normalized as rng.choice(p=w) does, so draws match it
-        object.__setattr__(self, "cdf", frozen_array(cdf / cdf[-1]))
+        self._set(weights=frozen_array(w), cdf=frozen_array(cdf / cdf[-1]))
 
     @classmethod
     def uniform(cls, n: int) -> "DomainDistribution":
@@ -176,8 +171,7 @@ class DomainDistribution:
         return cls(c / c.sum())
 
 
-@dataclass(frozen=True)
-class MassartInstance:
+class MassartInstance(Frozen):
     """Bounded-noise learning problem: marginal, target classifier, regression values.
 
     eta(x) is the conditional label expectation at x; labels satisfy
@@ -185,29 +179,25 @@ class MassartInstance:
     bounds |eta| everywhere.
     """
 
-    cls: HypothesisClass
-    px: DomainDistribution
-    target: int
-    eta: np.ndarray
-    margin: float
+    __slots__ = _fields = ("cls", "px", "target", "eta", "margin")
 
-    def __post_init__(self):
-        if not (0 < self.margin <= 1):
+    def __init__(self, cls: HypothesisClass, px: DomainDistribution, target: int,
+                 eta: np.ndarray, margin: float):
+        if not (0 < margin <= 1):
             raise ValueError("margin h must lie in (0, 1]")
-        if not (0 <= self.target < self.cls.n_rows):
+        if not (0 <= target < cls.n_rows):
             raise ValueError("target row index out of range")
-        if self.px.weights.size != self.cls.n_points:
+        if px.weights.size != cls.n_points:
             raise ValueError("distribution size must match domain")
-        e = np.asarray(self.eta, dtype=float)
-        if e.shape != (self.cls.n_points,):
+        e = np.asarray(eta, dtype=float)
+        if e.shape != (cls.n_points,):
             raise ValueError("eta must give one value per domain point")
         a = np.abs(e)
-        if np.any(a < self.margin - 1e-15) or np.any(a > 1 + 1e-15):
+        if np.any(a < margin - 1e-15) or np.any(a > 1 + 1e-15):
             raise ValueError("|eta| must lie in [h, 1] at every point")
-        fstar = self.cls.row(self.target)
-        if np.any(np.sign(e) != fstar):
+        if np.any(np.sign(e) != cls.row(target)):
             raise ValueError("sign(eta) must agree with the target classifier")
-        object.__setattr__(self, "eta", frozen_array(e))
+        self._set(cls=cls, px=px, target=target, eta=frozen_array(e), margin=margin)
 
     @property
     def fstar(self) -> np.ndarray:
@@ -227,25 +217,21 @@ class MassartInstance:
         return bool(np.all(self.abs_eta >= 1.0 - 1e-15))
 
 
-@dataclass(frozen=True)
-class LabeledSample:
+class LabeledSample(Frozen):
     """An i.i.d. draw: point indices with +-1 labels, tagged by its seed."""
 
-    xs: np.ndarray
-    ys: np.ndarray
-    seed: int
+    __slots__ = _fields = ("xs", "ys", "seed")
 
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=np.int64)
-        ys = np.asarray(self.ys, dtype=np.int8)
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, seed: int):
+        xs = np.asarray(xs, dtype=np.int64)
+        ys = np.asarray(ys, dtype=np.int8)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 1:
             raise ValueError("sample must hold parallel nonempty index/label vectors")
         if np.any(xs < 0):
             raise ValueError("negative point index in sample")
         if not np.all(np.abs(ys) == 1):
             raise ValueError("labels must be +-1")
-        object.__setattr__(self, "xs", frozen_array(xs))
-        object.__setattr__(self, "ys", frozen_array(ys))
+        self._set(xs=frozen_array(xs), ys=frozen_array(ys), seed=seed)
 
     @property
     def size(self) -> int:

@@ -14,11 +14,17 @@ Each subcommand imports the modules it runs on the first line of its body,
 before it builds a class or an array: without cached bytecode every module
 is compiled again in every process, and an import made once arrays exist
 adds its compile to the peak resident set.
+
+Importing this module ends with gc.freeze(): the ~20k objects of numpy and
+the standard library loaded by then live until the one command exits, and
+frozen, no collection walks them, the full ones at shutdown included.  No
+library module freezes, so a library caller's collector is left alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -123,10 +129,13 @@ def _coerce(key: str, value):
     try:
         if isinstance(value, bool) or (kind is int and isinstance(value, float)):
             raise TypeError(value)
-        return kind(value)
+        value = kind(value)
     except (TypeError, ValueError):
         raise ValueError(f"--{key.replace('_', '-')} takes "
                          f"{'an integer' if kind is int else 'a number'}, not {value!r}") from None
+    if key == "seed" and value < 0:
+        raise ValueError(f"--seed takes a nonnegative integer, not {value}")
+    return value
 
 
 def _resolve(sub: str, cli_args: dict, config_path: str | None) -> dict:
@@ -203,7 +212,7 @@ def _cmd_measures(opts, config) -> int:
         "results": {
             "class": desc,
             "projected": bool(desc.get("projected", False)),
-            "d": {"value": d.value, "exact": d.exact, "witness": list(d.witness)},
+            "d": d._asdict(),
             "s": {"value": s.value, "exact": s.exact,
                   "witness": {"center": s.witness[0], "points": list(s.witness[1]),
                               "rows": list(s.witness[2])}},
@@ -227,12 +236,7 @@ def _cmd_packing(opts, config) -> int:
     elif opts["kind"] == "local":
         res = geometry.local_packing_number(cls, gamma, n, opts["h"],
                                             search=opts["search"], seed=opts["seed"])
-        body = {"kind": "local", "value": res.value, "eps": res.eps,
-                "center_row": res.center_row,
-                "multiset": None if res.multiset is None else list(res.multiset),
-                "witness": list(res.witness), "ball_radius": res.ball_radius,
-                "separation": res.separation,
-                "mode": "exact" if res.exact else "greedy", "exact": res.exact}
+        body = {"kind": "local", **res._asdict(), "mode": "exact" if res.exact else "greedy"}
     else:
         raise ValueError(f"unknown packing kind {opts['kind']!r}")
     _emit_json({"config": config, "results": {"class": desc, **body}}, opts["out"])
@@ -286,6 +290,7 @@ def _cmd_capacity(opts, config) -> int:
 
 def _cmd_verify_lemmas(opts, config) -> int:
     from . import processes  # and geometry, for check_localization_bound
+    processes._check_k_loc(opts["k_loc"])  # before the checks that run ahead of it
     cls, desc = _build_class(opts)
     instance = _build_instance(cls, desc, opts)
     h = instance.margin
@@ -373,8 +378,7 @@ def _cmd_lower_bound_family(opts, config) -> int:
             "pseudoconvexity": spec.pseudoconvexity,
             "family_size": spec.size, "family_size_with_center": spec.size_with_center,
             "center_in_family": spec.center_in_family, "exact": spec.exact,
-            "kl_first_pair": None if kl01 is None else
-            {"closed_form": kl01.closed_form, "exact": kl01.exact, "rho": kl01.rho}}
+            "kl_first_pair": None if kl01 is None else kl01._asdict()}
     if trials > 0:
         from .experiments import lower_bound_report
         body["experiment"] = lower_bound_report(spec, n_budget, trials, seed)
@@ -387,11 +391,9 @@ def _cmd_star_theorem(opts, config) -> int:
     cls, desc = _build_class(opts)
     rep = experiments.check_star_theorem(cls, opts["n"], opts["trials"],
                                          opts["seed"], target=_target(cls, desc, opts))
-    _emit_json({"config": config,
-                "results": {"class": desc, "mean_risk": rep.mean_risk, "ci": rep.ci,
-                            "bound": rep.bound, "implied_constant": rep.implied_constant,
-                            "s": rep.s, "growth_value": rep.growth_value,
-                            "exact": rep.exact, **rep.details}}, opts["out"])
+    results = {"class": desc, **rep._asdict(), **rep.details}
+    del results["details"]  # spread in its place
+    _emit_json({"config": config, "results": results}, opts["out"])
     return 0
 
 
@@ -400,12 +402,9 @@ def _cmd_sandwich(opts, config) -> int:
     cls, desc = _build_class(opts)
     rep = experiments.check_sandwich(cls, opts["h"], opts["n"],
                                      search=opts["search"], seed=opts["seed"])
-    _emit_json({"config": config,
-                "results": {"class": desc, "gamma": rep.gamma,
-                            "lower_form": rep.lower_form, "upper_form": rep.upper_form,
-                            "ratio_lower": rep.ratio_lower, "ratio_upper": rep.ratio_upper,
-                            "explicit_ok": rep.explicit_ok, "soft": rep.soft,
-                            **rep.details}}, opts["out"])
+    results = {"class": desc, **rep._asdict(), **rep.details}
+    del results["details"]  # spread in its place
+    _emit_json({"config": config, "results": results}, opts["out"])
     return 0 if rep.explicit_ok else CHECK_FAILURE
 
 
@@ -481,6 +480,8 @@ def _replay(artifact_path: str, out: str | None) -> int:
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
 
+
+gc.freeze()  # last: the module docstring says why
 
 if __name__ == "__main__":
     main()

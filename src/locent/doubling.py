@@ -7,7 +7,7 @@ domain distribution, not on point multisets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ def alexander_capacity(instance: MassartInstance, eps: float) -> float:
     return best
 
 
-@dataclass(frozen=True)
-class DoublingResult:
+class DoublingResult(NamedTuple):
     value: float
     exact: bool
     center_row: int | None

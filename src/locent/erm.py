@@ -5,7 +5,6 @@ exact KL accounting."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -118,8 +117,7 @@ def _choose(risks: np.ndarray, policy: str, seeds, exc_all) -> np.ndarray:
     return chosen
 
 
-@dataclass(frozen=True)
-class TrialReport:
+class TrialReport(NamedTuple):
     n: int
     seed: int
     chosen: int
@@ -219,8 +217,7 @@ def version_space_disagreement(instance: MassartInstance, n: int, trials: int,
 # adversarial family and KL accounting
 
 
-@dataclass(frozen=True)
-class AdversarialSpec:
+class AdversarialSpec(NamedTuple):
     """A separated family of bounded-noise distributions around a center.
 
     Each member flips labels toward a binary vector b over the N multiset
@@ -305,8 +302,7 @@ def build_adversarial_family(cls: HypothesisClass, h: float, n_budget: int,
         center_in_family=row["center_row"] in row["witness"], exact=cf.exact)
 
 
-@dataclass(frozen=True)
-class KLReport:
+class KLReport(NamedTuple):
     closed_form: float
     exact: float
     rho: int

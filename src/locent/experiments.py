@@ -8,7 +8,7 @@ the grid, with the ratio tolerance recorded in the report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .classes import (DomainDistribution, HypothesisClass, MassartInstance,
 from .erm import AdversarialSpec, _run_trials, excess_risk_all
 from .measures import growth_function, star_number, vc_dimension
 from .seeding import spawn_seeds
-from .util import mean_ci99, tlog
+from .util import Frozen, mean_ci99, tlog
 
 # run_rate_sweep and check_sandwich import geometry themselves, on their first
 # line: star-theorem runs neither, so it skips compiling the fixed-point stack
@@ -36,26 +36,31 @@ __all__ = [
 CSV_HEADER = "h,n,trials,mean_excess,ci,gamma_loc,gamma_star,ratio,d,s,exact_flags"
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    instance_factory: object            # (h, n) -> MassartInstance
-    h_grid: tuple
-    n_grid: tuple
-    trials: int
-    policy: str = "first_index"
-    seed: int = 0
-    search: str = "auto"
+class SweepConfig(Frozen):
+    """A rate sweep: instance_factory(h, n) gives each cell's MassartInstance."""
 
-    def __post_init__(self):
-        if not self.h_grid or not self.n_grid:
+    __slots__ = _fields = ("instance_factory", "h_grid", "n_grid", "trials", "policy",
+                           "seed", "search")
+
+    def __init__(self, instance_factory, h_grid: tuple, n_grid: tuple, trials: int,
+                 policy: str = "first_index", seed: int = 0, search: str = "auto"):
+        if not h_grid or not n_grid:
             raise ValueError("grids must be nonempty")
-        if self.trials < 1:
+        if trials < 1:
             raise ValueError("trials must be >= 1")
+        if min(n_grid) < 1:
+            raise ValueError(f"n_grid sample sizes must be >= 1, not {min(n_grid)}")
+        self._set(instance_factory=instance_factory, h_grid=h_grid, n_grid=n_grid,
+                  trials=trials, policy=policy, seed=seed, search=search)
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    rows: tuple
+class SweepTable(Frozen):
+    """The sweep's rows, one dict per cell (as a 1-tuple it would iterate as its rows)."""
+
+    __slots__ = _fields = ("rows",)
+
+    def __init__(self, rows: tuple):
+        self._set(rows=rows)
 
     def to_csv_lines(self) -> list[str]:
         lines = [CSV_HEADER]
@@ -126,8 +131,7 @@ def run_rate_sweep(config: SweepConfig) -> SweepTable:
     return SweepTable(rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
     gamma: int
     lower_form: float
     upper_form: float
@@ -174,8 +178,7 @@ def check_sandwich(cls: HypothesisClass, h: float, n: int, search: str = "auto",
                  "violating_row": worst, "exact": fp.exact})
 
 
-@dataclass(frozen=True)
-class StarTheoremReport:
+class StarTheoremReport(NamedTuple):
     mean_risk: float
     ci: float
     bound: float

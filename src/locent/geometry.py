@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,8 +93,7 @@ def _local_search(cls: HypothesisClass, n: int, h: float, gammas, exhaustive: bo
     return pooled, exact
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
+class FixedPointResult(NamedTuple):
     gamma: int
     scan: tuple                  # per-gamma rows: dicts with the scan table columns
     params: dict
@@ -135,8 +134,7 @@ def _fixed_point(slope: float, scan: list, params: dict, exact: bool) -> FixedPo
 # global packing numbers and their fixed point
 
 
-@dataclass(frozen=True)
-class GlobalPackingResult:
+class GlobalPackingResult(NamedTuple):
     packing: PackingResult       # witness in the multiset's projected-row indices
     multiset: tuple[int, ...]
     exact: bool                  # multiset search exhausted and every packing certified
@@ -157,7 +155,7 @@ def _global_profile(proj: Projection, gammas, exhaustive: bool):
         c = bisect_right(levels, g)
         if c not in solved:
             solved[c] = _packing(proj.dists, g, exhaustive)
-        packs[g] = replace(solved[c], radius=g)
+        packs[g] = solved[c]._replace(radius=g)
     return ({g: (res.size, res) for g, res in packs.items()},
             all(res.exact for res in solved.values()))
 
@@ -200,8 +198,7 @@ def gamma_star(cls: HypothesisClass, c: float, n: int, search: str = "auto",
 # local packing numbers and their fixed point
 
 
-@dataclass(frozen=True)
-class LocalPackingResult:
+class LocalPackingResult(NamedTuple):
     value: int
     center_row: int | None       # class-row index achieving the max
     eps: int | None              # radius achieving the max (None if range empty)
@@ -388,8 +385,7 @@ def gamma_loc(cls: HypothesisClass, h: float, h_prime: float, n: int,
 # pseudoconvexity
 
 
-@dataclass(frozen=True)
-class PseudoconvexityReport:
+class PseudoconvexityReport(NamedTuple):
     constant: float
     gamma: int
     eps: int | None

@@ -9,8 +9,8 @@ budget stopped the search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ GROWTH_BUDGET = 200_000  # most point subsets growth_function enumerates
 STAR_BUDGET = 200_000    # star_number's search-node budget
 
 
-@dataclass(frozen=True)
-class MeasureResult:
+class MeasureResult(NamedTuple):
     value: int
     witness: tuple
     exact: bool

@@ -8,7 +8,7 @@ scored and pooled per projection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ SWAP_TRIES = 8               # hill-climb single-point swaps on small classes
 _SEARCHES = ("exact", "auto", "hill_climb")
 
 
-@dataclass(frozen=True)
-class Projection:
+class Projection(NamedTuple):
     """A class restricted to a point multiset: distinct rows + column weights."""
 
     multiset: tuple[int, ...]

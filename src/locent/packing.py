@@ -5,8 +5,8 @@ greater than eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ __all__ = ["PackingResult", "max_packing", "verify_packing"]
 PACK_NODE_BUDGET = 200_000   # branch-and-bound nodes per exact packing
 
 
-@dataclass(frozen=True)
-class PackingResult:
+class PackingResult(NamedTuple):
     size: int
     witness: tuple[int, ...]
     radius: int

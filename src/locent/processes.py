@@ -25,16 +25,16 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, count, repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from .classes import HypothesisClass, LabeledSample, MassartInstance, draw_samples
 from .geometry import gamma_loc
 from .seeding import spawn_rngs, spawn_seeds
-from .util import NORMAL_99, distinct, frozen_array, make_rng, tlog
+from .util import NORMAL_99, Frozen, distinct, frozen_array, make_rng, tlog
 
 __all__ = [
     "ProcessEstimate",
@@ -54,8 +54,7 @@ _COMB = np.array([[math.comb(k, i) for i in range(ENUM_CAP + 1)] for k in range(
                  dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class ProcessEstimate:
+class ProcessEstimate(NamedTuple):
     value: float
     ci_halfwidth: float
     exact: bool                  # exact enumeration, else Monte Carlo
@@ -63,15 +62,15 @@ class ProcessEstimate:
     seed: int | None = None
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    name: str
-    lhs: float
-    rhs: float
-    lhs_ci: float
-    rhs_ci: float
-    passed: bool
-    details: dict
+class InequalityReport(Frozen):
+    """One inequality check; as_dict is its JSON form (a tuple would dump as a list)."""
+
+    __slots__ = _fields = ("name", "lhs", "rhs", "lhs_ci", "rhs_ci", "passed", "details")
+
+    def __init__(self, name: str, lhs: float, rhs: float, lhs_ci: float, rhs_ci: float,
+                 passed: bool, details: dict):
+        self._set(name=name, lhs=lhs, rhs=rhs, lhs_ci=lhs_ci, rhs_ci=rhs_ci,
+                  passed=passed, details=details)
 
     def as_dict(self) -> dict:
         return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
@@ -79,8 +78,7 @@ class InequalityReport:
                 "pass": self.passed, **self.details}
 
 
-@dataclass(frozen=True)
-class LossClassView:
+class LossClassView(Frozen):
     """Pointwise derived function class around a target classifier.
 
     disagreement:       g_f(x)   = 1[f(x) != target(x)]      in {0, 1}
@@ -89,15 +87,15 @@ class LossClassView:
                                  = -y * (f(x) - target(x)) / 2
     """
 
-    base: HypothesisClass
-    target: int
-    view: str
+    __slots__ = ("base", "target", "view", "__dict__")  # __dict__ holds _domain
+    _fields = ("base", "target", "view")
 
-    def __post_init__(self):
-        if self.view not in ("excess_loss", "disagreement", "halved_difference"):
-            raise ValueError(f"unknown view {self.view!r}")
-        if not (0 <= self.target < self.base.n_rows):
+    def __init__(self, base: HypothesisClass, target: int, view: str):
+        if view not in ("excess_loss", "disagreement", "halved_difference"):
+            raise ValueError(f"unknown view {view!r}")
+        if not (0 <= target < base.n_rows):
             raise ValueError("target row out of range")
+        self._set(base=base, target=target, view=view)
 
     def domain_values(self) -> np.ndarray:
         """Per-point values for the x-only views; the halved difference for
@@ -368,6 +366,11 @@ def check_contraction(instance: MassartInstance, c: float, n: int, trials: int,
                       {"c": c, "n": n, "h": h, "trials": trials, "seed": seed})
 
 
+def _check_k_loc(k_loc: float) -> None:
+    if not (0 < k_loc < math.inf):
+        raise ValueError(f"k_loc must be finite and positive, not {k_loc!r}")
+
+
 def check_localization_bound(instance: MassartInstance, view_kind: str, c: float,
                              n: int, trials: int, seed: int,
                              k_loc: float = 64.0) -> InequalityReport:
@@ -379,8 +382,7 @@ def check_localization_bound(instance: MassartInstance, view_kind: str, c: float
     """
     if not (0 < c <= 0.25):
         raise ValueError("c must lie in (0, 1/4]")
-    if not (0 < k_loc < math.inf):
-        raise ValueError(f"k_loc must be finite and positive, not {k_loc!r}")
+    _check_k_loc(k_loc)
     if view_kind not in ("halved_difference", "disagreement"):
         raise ValueError("view must contain the zero function: use halved_difference or disagreement")
     samples, sup = _trials(instance, n, trials, seed,

@@ -1,5 +1,5 @@
-"""Shared numeric helpers: truncated logarithm, Hamming kernels, row bitsets,
-seeded RNG, Monte Carlo confidence intervals."""
+"""Shared helpers: truncated logarithm, Hamming kernels, row bitsets, seeded
+RNG, Monte Carlo confidence intervals, and the immutable record base."""
 
 from __future__ import annotations
 
@@ -76,3 +76,36 @@ def hamming_matrix(patterns: np.ndarray, weights=None) -> np.ndarray:
     np.subtract(total, gram, out=gram)
     gram *= 0.5
     return np.rint(gram, out=gram).astype(np.int32)
+
+
+class Frozen:
+    """Base of the records that are not tuples: __init__ takes the _fields in
+    order and stores them with _set, and they are read-only from then on.
+    Records of one type compare and hash by their _fields' values."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):  # and, without a value, __delattr__
+        raise AttributeError(f"field {name!r} of {type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"

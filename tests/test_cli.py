@@ -229,7 +229,25 @@ class TestErrorPaths:
     def test_negative_seed(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run(["erm-run", "--seed", "-1", "--out", str(out)]) == 1
-        assert "expected non-negative integer" in capsys.readouterr().err
+        assert "--seed takes a nonnegative integer, not -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["packing", "fixed-point", "verify-lemmas", "erm-run",
+                                     "erm-sweep", "lower-bound-family", "star-theorem",
+                                     "sandwich"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_names_the_option(self, sub, source, tmp_path, capsys):
+        # before this check, fixed-point and sandwich embedded a negative seed
+        out = tmp_path / "out"
+        if source == "flag":
+            argv = [sub, "--seed", "-3"]
+        else:
+            ini = tmp_path / "run.ini"
+            ini.write_text("[run]\nseed = -3\n")
+            argv = [sub, "--config", str(ini)]
+        assert run(argv + ["--out", str(out)]) == 1
+        assert f"locent {sub}: error: --seed takes a nonnegative integer, not -3" \
+            in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("sub", ["erm-run", "erm-sweep"])
@@ -248,6 +266,28 @@ class TestErrorPaths:
                     "--n", "8", "--trials", "100", "--k-loc", k_loc,
                     "--out", str(out)]) == 1
         assert "k_loc must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_k_loc_runs_no_check(self, tmp_path, capsys, monkeypatch):
+        from locent import processes
+        ran = []
+        for name in ("check_symmetrization_expectation", "check_contraction",
+                     "check_localization_bound", "sudakov_check"):
+            monkeypatch.setattr(processes, name, lambda *a, _n=name, **k: ran.append(_n))
+        out = tmp_path / "lemmas.json"
+        assert run(["verify-lemmas", "--k-loc", "-1", "--out", str(out)]) == 1
+        assert "k_loc must be finite and positive, not -1.0" in capsys.readouterr().err
+        assert ran == [] and not out.exists()
+
+    @pytest.mark.parametrize("generator", ["thresholds", "f1"])
+    def test_sweep_sample_size_below_one_runs_no_cell(self, generator, tmp_path, capsys,
+                                                       monkeypatch):
+        from locent import experiments
+        monkeypatch.setattr(experiments, "_sweep_cell", lambda *a: pytest.fail("a cell ran"))
+        out = tmp_path / "sweep.csv"
+        assert run(["erm-sweep", "--generator", generator, "--n-grid", "8,0",
+                    "--trials", "5", "--out", str(out)]) == 1
+        assert "n_grid sample sizes must be >= 1, not 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -293,6 +333,12 @@ class TestErrorPaths:
         payload["config"]["subcommand"] = "frobnicate"
         a.write_text(json.dumps(payload))
         self._replay_fails(a, capsys, "no config with a known subcommand")
+
+    def test_replay_negative_seed(self, tmp_path, capsys):
+        a, payload = self._artifact(tmp_path)
+        payload["config"]["args"]["seed"] = -1
+        a.write_text(json.dumps(payload))
+        self._replay_fails(a, capsys, "--seed takes a nonnegative integer, not -1")
 
     def test_replay_config_without_args(self, tmp_path, capsys):
         a, payload = self._artifact(tmp_path)

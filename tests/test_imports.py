@@ -137,10 +137,13 @@ def test_unknown_attribute_raises_attribute_error():
     ["measures", "--points", "6", "--growth-max", "2"],
     ["fixed-point", "--generator", "thresholds", "--points", "12", "--n", "12", "--h", "0.5"],
     ["verify-lemmas", "--points", "6", "--n", "6", "--trials", "100"],
+    ["erm-run", "--points", "8", "--n", "8", "--trials", "20"],
+    ["star-theorem", "--s", "6", "--n", "8", "--trials", "5"],
     "doubling_dimension(threshold_class(8), DomainDistribution.uniform(8), 0.2)",
-], ids=["measures", "fixed-point", "verify-lemmas", "doubling"])
+], ids=["measures", "fixed-point", "verify-lemmas", "erm-run", "star-theorem", "doubling"])
 def test_jobs_leave_numpy_ma_unloaded(tmp_path, job):
-    # numpy 2.x imports numpy.ma (about 13 ms) in a plain np.unique call
+    # numpy 2.x imports numpy.ma (about 13 ms) in a plain np.unique call, and
+    # no record is a dataclass, whose decorator costs about 1 ms per class
     out = tmp_path / "out.json"
     if isinstance(job, str):
         code = ("from locent.classes import DomainDistribution, threshold_class\n"
@@ -148,9 +151,25 @@ def test_jobs_leave_numpy_ma_unloaded(tmp_path, job):
     else:
         code = ("from locent.cli import dispatch\n"
                 f"assert dispatch({job + ['--out', str(out)]!r}) == 0\n")
-    done = _run(code + "import sys\nprint('numpy.ma' in sys.modules)")
+    done = _run(code + "import sys\nprint('numpy.ma' in sys.modules, 'dataclasses' in sys.modules)")
     assert isinstance(job, str) or out.exists()
-    assert done.splitlines()[-1] == "False"
+    assert done.splitlines()[-1] == "False False"
+
+
+def test_cli_import_freezes_the_heap():
+    assert int(_run("import gc\nimport locent.cli\nprint(gc.get_freeze_count())")) > 0
+
+
+def test_library_calls_leave_the_gc_unfrozen():
+    out = _run("import gc\nimport locent\n"
+               "from locent import gamma_loc, erm, max_packing\n"
+               "from locent.classes import sample, threshold_instance\n"
+               "inst = threshold_instance(8, 0.5)\n"
+               "gamma_loc(inst.cls, 0.5, 0.5, 8)\n"
+               "erm(inst.cls, sample(inst, 8, 0), 'first_index')\n"
+               "max_packing(inst.cls.patterns, 1)\n"
+               "print(gc.get_freeze_count())")
+    assert int(out) == 0
 
 
 def test_src_calls_np_unique_with_counts():
