@@ -419,6 +419,8 @@ def make_massart_instance(cls: HypothesisClass, target: int, h: float,
                           px: DomainDistribution | None = None) -> MassartInstance:
     """Bounded-noise instance around a target row with |eta| = h everywhere
     (build a MassartInstance directly for per-point margins)."""
+    if not (0 <= target < cls.n_rows):  # before cls.row reads it
+        raise ValueError("target row index out of range")
     if px is None:
         px = DomainDistribution.uniform(cls.n_points)
     eta = h * cls.row(target).astype(float)
@@ -435,22 +437,22 @@ def threshold_instance(n: int, h: float, target: int | None = None) -> MassartIn
 
 def sample(instance: MassartInstance, n: int, seed: int) -> LabeledSample:
     """n i.i.d. draws: point by px, label flipped from the target w.p. (1-|eta|)/2."""
-    xs, ys = draw_samples(instance, n, [(seed, ())])
+    from .seeding import _pcg_states
+    xs, ys = draw_samples(instance, n, _pcg_states([(seed, ())]))
     return LabeledSample(xs=xs[0], ys=ys[0], seed=seed)
 
 
-def draw_samples(instance: MassartInstance, n: int, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Point indices and +-1 labels of one sample per (seed, key) pair, as
-    (len(pairs), n) arrays.  Each sample draws random(n) for its points, then
-    random(n) for its flips, from make_rng(seed, *key)'s generator, so the
-    row of (seed, ()) is sample(instance, n, seed)."""
-    # erm and processes load seeding before any array; a lone sample loads it here
-    from .seeding import spawn_rngs
+def draw_samples(instance: MassartInstance, n: int, states) -> tuple[np.ndarray, np.ndarray]:
+    """Point indices and +-1 labels of one sample per row of states, the
+    PCG64 states seeding._pcg_states gives for (seed, key) pairs, as
+    (len(states), n) arrays.  Each sample draws random(n) for its points,
+    then random(n) for its flips, from make_rng(seed, *key)'s generator, so
+    the row of (seed, ()) is sample(instance, n, seed)."""
+    from .seeding import generators  # loaded already by whoever made states
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    pairs = list(pairs)
-    u = np.empty((len(pairs), 2, n))
-    for row, rng in zip(u, spawn_rngs(pairs)):
+    u = np.empty((len(states), 2, n))
+    for row, rng in zip(u, generators(states)):
         rng.random(out=row)  # the points' n draws, then the flips'
     xs = instance.px.cdf.searchsorted(u[:, 0], side="right")
     flips = u[:, 1] < instance.flip_prob[xs]

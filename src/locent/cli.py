@@ -117,22 +117,23 @@ _ALL_KEYS = set().union(*_OPTION_DEFAULTS.values())
 _INT_KEYS = {"points", "d", "s", "grid", "growth_max", "gamma", "n", "trials",
              "seed", "n_budget", "target"}
 _FLOAT_KEYS = {"h", "c", "h_prime", "k_loc"}
+_KIND_NAMES = {int: "an integer", float: "a number", None: "a value"}
 
 
-def _coerce(key: str, value):
-    """value as its option's type.  A string parses as on the command line; a
-    replayed artifact may also hold a number, but never a bool, nor a float
-    for an int option."""
-    if value is None or key not in _INT_KEYS | _FLOAT_KEYS:
+def _coerce(sub: str, key: str, value):
+    """value as sub's option key's type.  A string parses as on the command
+    line; a replayed artifact may also hold a number, but never a bool, nor
+    a float for an int option, nor None unless None is the default."""
+    if value is None and _OPTION_DEFAULTS[sub][key] is None:
         return value
-    kind = int if key in _INT_KEYS else float
+    kind = int if key in _INT_KEYS else float if key in _FLOAT_KEYS else None
     try:
-        if isinstance(value, bool) or (kind is int and isinstance(value, float)):
+        if value is None or isinstance(value, bool) or (kind is int and isinstance(value, float)):
             raise TypeError(value)
-        value = kind(value)
+        value = value if kind is None else kind(value)
     except (TypeError, ValueError):
         raise ValueError(f"--{key.replace('_', '-')} takes "
-                         f"{'an integer' if kind is int else 'a number'}, not {value!r}") from None
+                         f"{_KIND_NAMES[kind]}, not {value!r}") from None
     if key == "seed" and value < 0:
         raise ValueError(f"--seed takes a nonnegative integer, not {value}")
     return value
@@ -157,10 +158,10 @@ def _resolve(sub: str, cli_args: dict, config_path: str | None) -> dict:
                     if section == "run" and key in _ALL_KEYS:
                         continue  # another subcommand's key
                     raise ValueError(f"unknown config key {key!r} in [{section}]")
-                opts[key] = _coerce(key, value)
+                opts[key] = _coerce(sub, key, value)
     for key, value in cli_args.items():
         if value is not None:
-            opts[key] = _coerce(key, value)
+            opts[key] = _coerce(sub, key, value)
     return opts
 
 
@@ -472,7 +473,7 @@ def _replay(artifact_path: str, out: str | None) -> int:
     if unknown:
         raise ValueError(f"unknown {sub} option(s) in the embedded config: {', '.join(unknown)}")
     opts = dict(_OPTION_DEFAULTS[sub])
-    opts.update((key, _coerce(key, value)) for key, value in config["args"].items())
+    opts.update((key, _coerce(sub, key, value)) for key, value in config["args"].items())
     opts["out"] = out
     return _BODIES[sub](opts, _config(sub, opts))
 

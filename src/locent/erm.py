@@ -88,7 +88,7 @@ def erm(cls: HypothesisClass, smp: LabeledSample, policy: str, seed: int = 0,
     if instance is not None and instance.cls is not cls and not instance.cls.equals(cls):
         raise ValueError("instance class does not match cls")
     return int(_choose(empirical_risks(cls, smp)[None], policy, [seed],
-                       _pessimism(policy, instance))[0])
+                       _pessimism(policy, instance), _tie_words(policy, [seed]))[0])
 
 
 def _pessimism(policy: str | None, instance: MassartInstance) -> np.ndarray | None:
@@ -99,21 +99,35 @@ def _pessimism(policy: str | None, instance: MassartInstance) -> np.ndarray | No
     return excess_risk_all(instance) if policy == "pessimistic" else None
 
 
-def _choose(risks: np.ndarray, policy: str, seeds, exc_all) -> np.ndarray:
+def _tie_words(policy: str, seeds) -> np.ndarray | None:
+    """The first_words of make_rng(seed, 21) per trial seed, which break the
+    seeded_random policy's ties; None for the other policies."""
+    if policy != "seeded_random":
+        return None
+    from .seeding import first_words
+    return first_words((seed, (21,)) for seed in seeds)
+
+
+def _choose(risks: np.ndarray, policy: str, seeds, exc_all, words) -> np.ndarray:
     """Chosen row per trial among the (trials, rows) risks; seeds are the
-    trials' seeds, exc_all the pessimistic policy's excess_risk_all."""
+    trials' seeds, exc_all the pessimistic policy's excess_risk_all, words
+    the seeded_random policy's _tie_words."""
     tie = risks <= risks.min(axis=1, keepdims=True) + 1e-12
     if policy == "pessimistic":
         # argmax takes the first maximum, so a tie in excess resolves to the
         # lowest index, as ties[np.argmax(exc[ties])] does
         return np.argmax(np.where(tie, exc_all, -np.inf), axis=1)
     chosen = np.argmax(tie, axis=1)
-    if policy == "seeded_random":  # a generator only where there is a tie
-        from .seeding import spawn_rngs
-        ties = np.flatnonzero(np.count_nonzero(tie, axis=1) > 1)
-        for t, rng in zip(ties, spawn_rngs((seeds[t], (21,)) for t in ties)):
-            rows = np.flatnonzero(tie[t])  # rng.choice(rows) draws this index
-            chosen[t] = rows[rng.integers(len(rows))]
+    if policy == "seeded_random":
+        from .seeding import bounded, spawn_rngs
+        counts = np.count_nonzero(tie, axis=1)
+        ties = np.flatnonzero(counts > 1)
+        # the k-th tied row, k = make_rng(seed, 21).integers(count), as
+        # rng.choice(rows) draws it
+        k, redraw = bounded(words[ties], counts[ties])
+        for i, rng in zip(redraw, spawn_rngs((seeds[ties[i]], (21,)) for i in redraw)):
+            k[i] = rng.integers(counts[ties[i]])
+        chosen[ties] = np.argmax(np.cumsum(tie[ties], axis=1) > k[:, None], axis=1)
     return chosen
 
 
@@ -163,15 +177,19 @@ def _run_trials(instance: MassartInstance, n: int, seeds, policy: str | None = N
     if version_space:
         off_target = (cls.patterns != instance.fstar).T.astype(np.float32)
         positive = (cls.patterns > 0).astype(np.float32)
+    from .seeding import _pcg_states
+    states = _pcg_states((seed, ()) for seed in seeds)  # 32 bytes a trial
+    words = _tie_words(policy, seeds)
     block = max(1, _BLOCK_ELEMENTS // (cls.n_rows + cls.n_points + n))
     chosen, risk, size, dis_mass = [], [], [], []
     for start in range(0, len(seeds), block):
         part = seeds[start:start + block]
         idx = np.arange(len(part))
-        xs, ys = draw_samples(instance, n, [(seed, ()) for seed in part])
+        xs, ys = draw_samples(instance, n, states[start:start + block])
         if policy is not None:
             risks = _risks(scores_t, xs, ys)
-            pick = _choose(risks, policy, part, exc_all)
+            pick = _choose(risks, policy, part, exc_all,
+                           None if words is None else words[start:start + block])
             chosen.append(pick)
             risk.append(risks[idx, pick])
         if version_space:

@@ -192,11 +192,15 @@ class StarTheoremReport(NamedTuple):
 def check_star_theorem(cls: HypothesisClass, n: int, trials: int, seed: int,
                        target: int = 0) -> StarTheoremReport:
     """Realizable mean ERM risk against log of the growth function at s min n."""
+    if n < 1:  # checked, as the instance is, before the searches run
+        raise ValueError("sample size must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    instance = make_massart_instance(cls, target, 1.0)
     s = star_number(cls)
     m = max(1, min(s.value, n))
     growth = growth_function(cls, m)
     bound = tlog(growth.value) / n
-    instance = make_massart_instance(cls, target, 1.0)
     mean, ci = _cell_mean_excess(instance, n, trials, "first_index", seed, (0,))
     return StarTheoremReport(mean_risk=mean, ci=ci, bound=bound,
                              implied_constant=mean / bound, s=s.value,

@@ -33,7 +33,7 @@ import numpy as np
 
 from .classes import HypothesisClass, LabeledSample, MassartInstance, draw_samples
 from .geometry import gamma_loc
-from .seeding import spawn_rngs, spawn_seeds
+from .seeding import _pcg_states, spawn_rngs, spawn_seeds
 from .util import NORMAL_99, Frozen, distinct, frozen_array, make_rng, tlog
 
 __all__ = [
@@ -293,7 +293,7 @@ def _trials(instance: MassartInstance, n: int, trials: int, seed: int, pairs, *s
     only the points, the first n uniforms of each sample."""
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    samples = zip(*draw_samples(instance, n, pairs))
+    samples = zip(*draw_samples(instance, n, _pcg_states(pairs)))
     signs = (repeat(None) if n <= ENUM_CAP else
              spawn_rngs((seed, (t, key)) for t in range(trials) for key in sign_keys))
     tables: dict = {}

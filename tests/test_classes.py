@@ -116,6 +116,13 @@ class TestLinearSeparators:
 
 
 class TestMassartInstance:
+    @pytest.mark.parametrize("target", [-1, 9, 99])
+    def test_target_out_of_range(self, target):
+        # checked before the row is read: a negative index would read a row
+        # from the end, one past the last an IndexError
+        with pytest.raises(ValueError, match="target row index out of range"):
+            make_massart_instance(thresholds_on(np.arange(8.0)), target, 0.5)
+
     def test_realizable_sampling(self):
         inst = make_massart_instance(thresholds_on([1.0, 2.0, 3.0]), 2, 1.0)
         for seed in range(5):

@@ -364,7 +364,12 @@ class TestErrorPaths:
         ("trials", 20.9, "--trials takes an integer, not 20.9"),
         ("seed", True, "--seed takes an integer, not True"),
         ("h", False, "--h takes a number, not False"),
-    ], ids=["float-trials", "bool-seed", "bool-h"])
+        ("seed", None, "--seed takes an integer, not None"),
+        ("n", None, "--n takes an integer, not None"),
+        ("h", None, "--h takes a number, not None"),
+        ("policy", None, "--policy takes a value, not None"),
+    ], ids=["float-trials", "bool-seed", "bool-h", "none-seed", "none-n", "none-h",
+            "none-policy"])
     def test_replay_refuses_a_mistyped_option(self, key, value, message, tmp_path, capsys):
         a = tmp_path / "a.csv"
         assert run(["erm-run", "--points", "8", "--n", "8", "--trials", "20",
@@ -374,6 +379,41 @@ class TestErrorPaths:
         config["args"][key] = value
         a.write_text("# config " + json.dumps(config) + "\n" + rest)
         self._replay_fails(a, capsys, message)
+
+    @pytest.mark.parametrize("argv, key", [
+        (["erm-run", "--points", "8", "--n", "8", "--trials", "10"], "target"),
+        (["fixed-point", "--points", "8", "--n", "8"], "h_prime"),
+        (["erm-sweep", "--n-grid", "8", "--trials", "10"], "points"),
+        (["measures", "--points", "6", "--growth-max", "2"], "class_file"),
+    ], ids=["target", "h-prime", "sweep-points", "class-file"])
+    def test_replay_keeps_none_where_it_is_the_default(self, argv, key, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(argv + ["--out", str(a)]) == 0
+        header = a.read_text().splitlines()[0]
+        config = (json.loads(header[len("# config "):]) if header.startswith("# config ")
+                  else json.loads(a.read_text())["config"])
+        assert config["args"][key] is None
+        assert run(["replay", str(a), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["erm-run", "--points", "8", "--target", "99"],
+        ["erm-run", "--points", "8", "--target", "-1"],
+        ["star-theorem", "--s", "6", "--n", "8", "--trials", "5", "--target", "99"],
+    ], ids=["erm-run-past-the-end", "erm-run-negative", "star-theorem-past-the-end"])
+    def test_target_out_of_range(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 1
+        assert "target row index out of range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_star_theorem_needs_a_sample(self, n, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["star-theorem", "--s", "6", "--n", n, "--trials", "5",
+                    "--out", str(out)]) == 1
+        assert "sample size must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mistyped_flag_names_the_option(self, tmp_path, capsys):
         out = tmp_path / "a.csv"

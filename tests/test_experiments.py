@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -100,6 +101,17 @@ class TestStarTheorem:
         narrow = check_star_theorem(make_star_class("F2", 2, 16), 32, 50, seed=2)
         assert narrow.bound < wide.bound
         assert wide.s == narrow.s == 16
+
+    @pytest.mark.parametrize("n, trials, message", [
+        (0, 10, "sample size must be >= 1"),
+        (-3, 10, "sample size must be >= 1"),
+        (8, 0, "trials must be >= 1"),
+    ], ids=["n-zero", "n-negative", "trials-zero"])
+    def test_rejects_sizes_before_the_searches(self, n, trials, message):
+        with mock.patch("locent.experiments.star_number",
+                        side_effect=AssertionError("searched")), \
+                pytest.raises(ValueError, match=message):
+            check_star_theorem(make_star_class("F1", 2, 6), n, trials, seed=0)
 
     def test_mean_below_constant_times_bound(self):
         rep = check_star_theorem(make_star_class("F1", 2, 16), 64, 300, seed=2)

@@ -156,6 +156,14 @@ def test_jobs_leave_numpy_ma_unloaded(tmp_path, job):
     assert done.splitlines()[-1] == "False False"
 
 
+def test_spawn_seeds_builds_no_generator():
+    # trial seeds come off the states' first output: numpy.random stays unloaded
+    out = _run("import sys\nfrom locent.seeding import spawn_seeds\n"
+               "assert len(spawn_seeds((7, (t, 31)) for t in range(100))) == 100\n"
+               "print('numpy.random' in sys.modules)")
+    assert out.splitlines()[-1] == "False"
+
+
 def test_cli_import_freezes_the_heap():
     assert int(_run("import gc\nimport locent.cli\nprint(gc.get_freeze_count())")) > 0
 
