@@ -446,8 +446,8 @@ def draw_samples(instance: MassartInstance, n: int, states) -> tuple[np.ndarray,
     """Point indices and +-1 labels of one sample per row of states, the
     PCG64 states seeding._pcg_states gives for (seed, key) pairs, as
     (len(states), n) arrays.  Each sample draws random(n) for its points,
-    then random(n) for its flips, from make_rng(seed, *key)'s generator, so
-    the row of (seed, ()) is sample(instance, n, seed)."""
+    then random(n) for its flips, from its pair's stream, so the row of
+    (seed, ()) is sample(instance, n, seed)."""
     from .seeding import generators  # loaded already by whoever made states
     if n < 1:
         raise ValueError("sample size must be >= 1")

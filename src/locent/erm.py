@@ -43,6 +43,8 @@ _POLICIES = ("first_index", "seeded_random", "pessimistic")
 
 def empirical_risks(cls: HypothesisClass, smp: LabeledSample) -> np.ndarray:
     """Per-row empirical 0-1 risk, via a label-weighted point histogram."""
+    if int(smp.xs.max()) >= cls.n_points:
+        raise ValueError("sample references unknown domain points")
     return _risks(cls.patterns.T.astype(np.float64), smp.xs[None], smp.ys[None])[0]
 
 
@@ -100,8 +102,8 @@ def _pessimism(policy: str | None, instance: MassartInstance) -> np.ndarray | No
 
 
 def _tie_words(policy: str, seeds) -> np.ndarray | None:
-    """The first_words of make_rng(seed, 21) per trial seed, which break the
-    seeded_random policy's ties; None for the other policies."""
+    """The first_words of the stream of (seed, (21,)) per trial seed, which
+    break the seeded_random policy's ties; None for the other policies."""
     if policy != "seeded_random":
         return None
     from .seeding import first_words
@@ -122,8 +124,8 @@ def _choose(risks: np.ndarray, policy: str, seeds, exc_all, words) -> np.ndarray
         from .seeding import bounded, spawn_rngs
         counts = np.count_nonzero(tie, axis=1)
         ties = np.flatnonzero(counts > 1)
-        # the k-th tied row, k = make_rng(seed, 21).integers(count), as
-        # rng.choice(rows) draws it
+        # the k-th tied row, k = integers(count) of the stream of (seed,
+        # (21,)), as rng.choice(rows) draws it
         k, redraw = bounded(words[ties], counts[ties])
         for i, rng in zip(redraw, spawn_rngs((seeds[ties[i]], (21,)) for i in redraw)):
             k[i] = rng.integers(counts[ties[i]])

@@ -265,6 +265,8 @@ def fit_loglog_slope(ns, values) -> tuple[float, float]:
     vs = np.asarray(values, dtype=float)
     if ns.size < 4:
         raise ValueError("need at least 4 points")
+    if ns.min() == ns.max():
+        raise ValueError("need at least two distinct n")
     if np.any(vs <= 0):
         raise ValueError("values must be positive for a log-log fit")
     x = np.log(ns)

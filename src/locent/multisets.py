@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classes import HypothesisClass
-from .util import hamming_matrix, make_rng
+from .util import hamming_matrix
 
 __all__ = ["Projection", "project"]
 
@@ -89,10 +89,9 @@ def _search_scale(cls: HypothesisClass) -> tuple[int, int]:
     return restarts, swaps
 
 
-def _start_multisets(cls: HypothesisClass, n: int, seed: int, restarts: int) -> list[tuple[int, ...]]:
+def _start_multisets(cls: HypothesisClass, n: int, rng, restarts: int) -> list[tuple[int, ...]]:
     m = cls.n_points
     starts = [_canonical_multiset(m, n)]
-    rng = make_rng(seed, m, n, 77)
     for _ in range(max(0, restarts - 1)):
         starts.append(tuple(sorted(rng.integers(0, m, size=n).tolist())))
     seen, out = set(), []
@@ -223,10 +222,13 @@ def _pooled_search(cls: HypothesisClass, n: int, exhaustive: bool, seed: int, pr
             consider(ms)
         return pooled, certified_all
 
+    from .seeding import spawn_rngs  # the hill climb alone draws
     restarts, swap_tries = _search_scale(cls)
-    rng = make_rng(seed, m, n, 101)
-    for start in _start_multisets(cls, n, seed, restarts):
+    # the starts' stream is spent before the swaps' stream reseeds its generator
+    streams = spawn_rngs([(seed, (m, n, 77)), (seed, (m, n, 101))])
+    for start in _start_multisets(cls, n, next(streams), restarts):
         consider(start)
+    rng = next(streams)
     # refine only the incumbent: single-point swaps, first improvement
     cur_score, current = best[0], list(best[1])
     for _ in range(swap_tries):

@@ -34,7 +34,7 @@ import numpy as np
 from .classes import HypothesisClass, LabeledSample, MassartInstance, draw_samples
 from .geometry import gamma_loc
 from .seeding import _pcg_states, spawn_rngs, spawn_seeds
-from .util import NORMAL_99, Frozen, distinct, frozen_array, make_rng, tlog
+from .util import NORMAL_99, Frozen, distinct, frozen_array, tlog
 
 __all__ = [
     "ProcessEstimate",
@@ -257,12 +257,15 @@ def offset_rademacher_sup(values, c: float, exact: bool = True,
     """
     if c < 0:
         raise ValueError("c must be >= 0")
+    if not exact and reps < 1:
+        raise ValueError("reps must be >= 1")
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] < 1:
         raise ValueError("values must be a nonempty matrix")
     n = v.shape[1]
     penalties = c * (v ** 2).sum(axis=1)
-    mean, sd, _, m = _sup_mean(v, penalties, reps, None if exact else make_rng(seed, 11))
+    rng = None if exact else next(spawn_rngs([(seed, (11,))]))
+    mean, sd, _, m = _sup_mean(v, penalties, reps, rng)
     ci = 0.0 if exact else NORMAL_99 * sd / math.sqrt(m) / n
     return ProcessEstimate(value=mean / n, ci_halfwidth=ci, exact=exact,
                            replicates=m, seed=seed)
@@ -286,11 +289,11 @@ def _shifted_sup(pg: np.ndarray, vals: np.ndarray, c: float) -> float:
 def _trials(instance: MassartInstance, n: int, trials: int, seed: int, pairs, *sign_keys):
     """A check's trial samples, one per (seed, key) pair in one draw_samples
     call, and sup(values, penalties), the _sup_mean of one sign draw: its
-    calls in trial t take the Monte Carlo signs of make_rng(seed, t, key) for
-    each sign key in turn past ENUM_CAP, none up to it, and share one tables
-    dict.  Symmetrization and contraction sample from trial seeds spawned
-    under keys 1 and 3; localization samples make_rng(seed, t, 6) and reads
-    only the points, the first n uniforms of each sample."""
+    calls in trial t take the Monte Carlo signs of the stream of (seed, (t,
+    key)) for each sign key in turn past ENUM_CAP, none up to it, and share
+    one tables dict.  Symmetrization and contraction sample from trial seeds
+    spawned under keys 1 and 3; localization samples the stream of (seed,
+    (t, 6)) and reads only the points, the first n uniforms of each sample."""
     if trials < 100:
         raise ValueError("need at least 100 trials")
     samples = zip(*draw_samples(instance, n, _pcg_states(pairs)))
@@ -413,9 +416,15 @@ def sudakov_check(vectors, trials: int = 4000, seed: int = 0) -> InequalityRepor
     and b the largest sup-norm.  The implied constant is unspecified, so
     the report never fails; it records the fitted ratio.
     """
-    v = distinct(np.asarray(vectors, dtype=np.float64), axis=0)
+    v = np.asarray(vectors, dtype=np.float64)
+    if v.ndim != 2 or v.shape[0] < 1:
+        raise ValueError("vectors must be a nonempty matrix")
+    v = distinct(v, axis=0)
     nvec, n = v.shape
-    b = float(np.abs(v).max()) if nvec else 0.0
+    exact = n <= ENUM_CAP
+    if not exact and trials < 1:
+        raise ValueError("trials must be >= 1")
+    b = float(np.abs(v).max())
     a = 0.0
     if nvec > 1:
         # the smallest pairwise l2 distance, one block of rows at a time in
@@ -425,8 +434,8 @@ def sudakov_check(vectors, trials: int = 4000, seed: int = 0) -> InequalityRepor
             d2 = np.sqrt(((v[i:i + step, None, :] - v[None, :, :]) ** 2).sum(axis=2))
             d2[np.arange(len(d2)), np.arange(i, i + len(d2))] = np.inf
             a = min(a, float(d2.min()))
-    exact = n <= ENUM_CAP
-    mean, sd, _, m = _sup_mean(v, np.zeros(nvec), trials, None if exact else make_rng(seed, 8))
+    rng = None if exact else next(spawn_rngs([(seed, (8,))]))
+    mean, sd, _, m = _sup_mean(v, np.zeros(nvec), trials, rng)
     denom = min(a * math.sqrt(tlog(nvec)), (a * a / b) if b > 0 else math.inf)
     ratio = 0.0 if denom == 0 or nvec == 1 else mean / denom
     se = 0.0 if exact else sd / math.sqrt(m)

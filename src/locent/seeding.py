@@ -1,37 +1,24 @@
-"""A run's trial streams in bulk: for each (seed, key) pair, the stream of
-util.make_rng(seed, *key), from numpy passes over many pairs at once.
-
-make_rng's generator is numpy's PCG64 (XSL-RR 128/64; O'Neill 2014, "PCG: A
-family of simple fast space-efficient statistically good algorithms for
-random number generation"), seeded by numpy's SeedSequence hash.  Both run
-here on arrays: the hash on uint32 words, PCG64's seeding and its 128-bit
-LCG step on uint64 limbs, the high half of a 64-bit product from 32-bit
-halves.  A bounded integer off a stream's first output (first_words,
-bounded, spawn_seeds) then needs no generator; only a stream that draws
-more is one np.random.Generator reseeded in place (generators, spawn_rngs).
+"""The streams of many (seed, key) pairs at once: a pair's stream is numpy's
+default_rng(SeedSequence(entropy=seed, spawn_key=key)), computed here on
+arrays as README "Trial engine" describes.
 
 Its own module because every process compiles what it imports (bytecode
-caching is off): only the jobs that run trials load it."""
+caching is off): only the jobs that draw from streams load it."""
 
 from __future__ import annotations
 
-import functools
-import operator
 from itertools import islice
 
 import numpy as np
 
-from .util import frozen_array
-
 __all__ = ["bounded", "first_words", "generators", "spawn_rngs", "spawn_seeds"]
 
-# numpy's SeedSequence hash (pool size 4), as constants; uint32 arrays wrap
-# their products and differences mod 2^32 as the hash does
+# numpy's SeedSequence hash constants (pool size 4); uint32 arrays wrap
+# their products and differences mod 2^32 as its uint32_t arithmetic does
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_SHIFT = np.uint32(16)
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # PCG64's multiplier in 64-bit limbs, the low one also in 32-bit halves
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (1 << 64) - 1)
@@ -42,9 +29,9 @@ _SPAWN_CHUNK = 4096
 
 
 def generators(states):
-    """For each row of states (from _pcg_states), the generator make_rng
-    returns for its pair: one np.random.Generator whose PCG64 is reseeded in
-    place, so each is valid until the next one is taken."""
+    """For each row of states (from _pcg_states), its pair's stream: one
+    np.random.Generator whose PCG64 is reseeded in place, so each is valid
+    until the next one is taken."""
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
     for s_hi, s_lo, i_hi, i_lo in states.tolist():
@@ -56,14 +43,13 @@ def generators(states):
 
 
 def spawn_rngs(pairs):
-    """For each (seed, key) pair, the generator make_rng(seed, *key) returns,
-    as generators yields them."""
+    """The stream of each (seed, key) pair, as generators yields them."""
     return generators(_pcg_states(pairs))
 
 
 def first_words(pairs) -> np.ndarray:
-    """The first 32-bit output of make_rng(seed, *key) for each (seed, key)
-    pair, the low half of its first 64-bit one, as uint64."""
+    """The first 32-bit output of each (seed, key) pair's stream, the low
+    half of its first 64-bit one, as uint64."""
     return _output(*_step(*_pcg_states(pairs).T)) & _M32
 
 
@@ -82,64 +68,39 @@ def bounded(words, highs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spawn_seeds(pairs) -> list[int]:
-    """integers(2**31) of make_rng(seed, *key) for each (seed, key) pair: the
-    seeds the Monte Carlo runs give their trials.  2**31 divides 2**32, so
+    """integers(2**31) of each (seed, key) pair's stream: the seeds the
+    Monte Carlo runs give their trials.  2**31 divides 2**32, so
     no draw is redrawn and no generator is built."""
     return bounded(first_words(pairs), 2 ** 31)[0].tolist()
 
 
 def _pcg_states(pairs) -> np.ndarray:
-    """(pairs, 4) uint64 PCG64 state of make_rng(seed, *key) for each (seed,
-    key) pair: the 128-bit state, high limb first, then the increment."""
+    """(pairs, 4) uint64 PCG64 state of each (seed, key) pair's stream: the
+    128-bit state, high limb first, then the increment."""
     pairs = iter(pairs)
     parts = []
     while chunk := list(islice(pairs, _SPAWN_CHUNK)):
-        part = np.empty((len(chunk), 4), dtype=np.uint64)
-        for idx, entropy in _entropy(chunk):
-            part[idx] = _seed_pcg(_generate_state(_mix_pools(entropy)))
-        parts.append(part)
+        parts.append(_seed_pcg(_seed_words(chunk)))
     return np.concatenate(parts) if parts else np.empty((0, 4), dtype=np.uint64)
 
 
-def _entropy(pairs):
-    """(rows, entropy) for the pairs grouped by the width of their
-    SeedSequence entropy: the (len(rows), width) uint32 words, seed first,
-    zero-padded to the pool size before a key and after everything."""
-    try:  # the usual chunk: every value a 32-bit word, keys of one length
+def _seed_words(pairs) -> np.ndarray:
+    """SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64) per
+    pair, as (pairs, 4) uint64: hashed here when every value is one 32-bit
+    word and the keys have one length, by numpy per pair otherwise."""
+    try:
         values = np.array([(seed, *key) for seed, key in pairs])
     except ValueError:  # keys of several lengths
         values = None
-    if (values is not None and values.ndim == 2 and values.dtype.kind in "iu"
-            and values.min() >= 0 and values.max() <= _M32):
-        entropy = np.zeros((len(values), 3 + values.shape[1]), dtype=np.uint32)
-        entropy[:, 0] = values[:, 0]
-        entropy[:, 4:] = values[:, 1:]
-        yield slice(None), entropy
-        return
-    rows = []
-    for seed, key in pairs:
-        row = _words(seed)
-        if key:
-            row += [0] * (4 - len(row))
-            for k in key:
-                row += _words(k)
-        rows.append(row + [0] * (4 - len(row)))
-    by_width: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        by_width.setdefault(len(row), []).append(i)
-    for idx in by_width.values():
-        yield idx, np.array([rows[i] for i in idx], dtype=np.uint32)
-
-
-def _words(value) -> list[int]:
-    """SeedSequence's little-endian 32-bit words of a non-negative int."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & _M32]
-    while value := value >> 32:
-        words.append(value & _M32)
-    return words
+    if (values is None or values.ndim != 2 or values.dtype.kind not in "iu"
+            or values.min() < 0 or values.max() > _M32):
+        return np.array([np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
+                         for seed, key in pairs], dtype=np.uint64)
+    # the seed's word, then the key's after padding to the pool size
+    entropy = np.zeros((len(values), 3 + values.shape[1]), dtype=np.uint32)
+    entropy[:, 0] = values[:, 0]
+    entropy[:, 4:] = values[:, 1:]
+    return _generate_state(_mix_entropy(entropy))
 
 
 def _seed_pcg(words: np.ndarray) -> np.ndarray:
@@ -172,57 +133,45 @@ def _output(hi, lo) -> np.ndarray:
     return x >> rot | x << (64 - rot & 63)
 
 
-def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The xor and multiplier constants of count successive hash steps."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _M32)
-    consts = frozen_array(consts, dtype=np.uint32)
-    return consts[:-1], consts[1:]
-
-
-_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 8)  # generate_state's 8 words
-
-
-@functools.cache
-def _pool_consts(width: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Hash constants of a pool of width entropy words, per stage: the first
-    four words, the mixing stage as (source, destination) with the source's
-    own entry unused, and the words past the pool as (word, destination)."""
-    xor, mult = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * (width - 4))
-    # the mixing stage runs destinations in order and skips the source
-    steps = [[4 + 3 * src + dst - (dst > src) if dst != src else 0 for dst in range(4)]
-             for src in range(4)]
-    return [(xor[:4], mult[:4]), (xor[steps], mult[steps]),
-            (xor[16:].reshape(-1, 4), mult[16:].reshape(-1, 4))]
-
-
-def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    value = (value ^ xor) * mult
-    return value ^ (value >> _SHIFT)
+def _hashmix(value: np.ndarray, hash_const: list[int]) -> np.ndarray:
+    """numpy's hashmix; hash_const holds the running constant, as numpy's
+    uint32_t pointer does."""
+    value = value ^ hash_const[0]
+    hash_const[0] = hash_const[0] * _MULT_A & _M32
+    value = value * hash_const[0]
+    return value ^ value >> 16
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = x * _MIX_L - y * _MIX_R
-    return out ^ (out >> _SHIFT)
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ result >> 16
 
 
-def _mix_pools(entropy: np.ndarray) -> np.ndarray:
-    """(rows, 4) SeedSequence pools of (rows, width) uint32 entropy words."""
-    first, (mix_xor, mix_mult), extra = _pool_consts(entropy.shape[1])
-    pool = _hashmix(entropy[:, :4], *first)
-    for src in range(4):  # each word mixes into the other three
-        mixed = _mix(pool, _hashmix(pool[:, src, None], mix_xor[src], mix_mult[src]))
-        mixed[:, src] = pool[:, src]
-        pool = mixed
-    # the hashes of the words past the pool do not depend on the pool
-    for word in _hashmix(entropy[:, 4:, None], *extra).transpose(1, 0, 2):
-        pool = _mix(pool, word)
-    return pool
+def _mix_entropy(entropy: np.ndarray) -> list[np.ndarray]:
+    """SeedSequence.mix_entropy of (rows, width) uint32 entropy words, width
+    at least the pool size: the pool's 4 uint32 columns."""
+    hash_const = [_INIT_A]
+    mixer = [_hashmix(entropy[:, i], hash_const) for i in range(4)]
+    # mix all bits together so late bits can affect earlier bits
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                mixer[i_dst] = _mix(mixer[i_dst], _hashmix(mixer[i_src], hash_const))
+    # add any remaining entropy, mixing each new word with each pool word
+    for i_src in range(4, entropy.shape[1]):
+        for i_dst in range(4):
+            mixer[i_dst] = _mix(mixer[i_dst], _hashmix(entropy[:, i_src], hash_const))
+    return mixer
 
 
-def _generate_state(pools: np.ndarray) -> np.ndarray:
-    """(rows, 4) little-endian uint64 words of SeedSequence.generate_state(4,
-    np.uint64)."""
-    words = _hashmix(pools[:, [0, 1, 2, 3, 0, 1, 2, 3]], *_STATE_CONSTS)
-    return np.ascontiguousarray(words, dtype="<u4").view("<u8")
+def _generate_state(pool: list[np.ndarray]) -> np.ndarray:
+    """SeedSequence.generate_state(4, np.uint64) of the pool's columns, as
+    (rows, 4) uint64."""
+    hash_const = _INIT_B
+    state = np.empty((len(pool[0]), 8), dtype=np.uint32)
+    for i_dst in range(8):
+        data_val = pool[i_dst % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        data_val = data_val * hash_const
+        state[:, i_dst] = data_val ^ data_val >> 16
+    return state.astype("<u4").view("<u8").astype(np.uint64)

@@ -1,5 +1,5 @@
-"""Shared helpers: truncated logarithm, Hamming kernels, row bitsets, seeded
-RNG, Monte Carlo confidence intervals, and the immutable record base."""
+"""Shared helpers: truncated logarithm, Hamming kernels, row bitsets, Monte
+Carlo confidence intervals, and the immutable record base."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import numpy as np
 
 __all__ = [
     "tlog",
-    "make_rng",
     "hamming_matrix",
     "distinct",
     "bitsets",
@@ -31,11 +30,6 @@ def mean_ci99(values: np.ndarray) -> tuple[float, float]:
     trials = len(values)
     ci = NORMAL_99 * float(values.std(ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
     return float(values.mean()), ci
-
-
-def make_rng(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic generator for (seed, key...); independent across keys."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 def distinct(values, axis=None) -> np.ndarray:

@@ -26,6 +26,13 @@ import operator
 
 import numpy as np
 
+
+def make_rng(seed, *key):
+    """The stream of (seed, key), built by numpy itself: the reference that
+    locent.seeding computes in bulk."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
 _POP = {}
 
 
@@ -390,7 +397,6 @@ def ref_lemma_trials(instance, c, n, trials, seed):
     from locent.classes import sample
     from locent.processes import (ENUM_CAP, INNER_REPS, LossClassView, _sup_mean,
                                   shifted_process_sup)
-    from locent.util import make_rng
 
     def sup(vals, pen, t, key):
         rng = None if n <= ENUM_CAP else make_rng(seed, t, key)
@@ -428,7 +434,6 @@ def ref_run_trial(instance, n, policy, seed):
     """One ERM trial, sample to version space, as the per-trial loop ran it
     before the batched trial engine; the engine must match it to the bit."""
     from locent.erm import TrialReport, excess_risk, excess_risk_all
-    from locent.util import make_rng
 
     rng = make_rng(seed)
     xs = instance.px.cdf.searchsorted(rng.random(n), side="right")

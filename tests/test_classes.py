@@ -10,10 +10,9 @@ from locent.classes import (ClassFormatError, DomainDistribution,
                             PointDomain, load_class, make_linear_separators,
                             make_massart_instance, make_star_class,
                             make_thresholds, sample, save_class)
-from locent.util import make_rng
 
 from conftest import random_class
-from oracles import is_affinely_separable
+from oracles import is_affinely_separable, make_rng
 
 
 def thresholds_on(coords):

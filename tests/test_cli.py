@@ -6,9 +6,9 @@ import pytest
 
 from locent.cli import dispatch
 from locent.classes import threshold_instance
-from locent.util import make_rng
 
 import oracles
+from oracles import make_rng
 
 
 def run(argv):

@@ -35,6 +35,12 @@ class TestErm:
                             ys=np.array([1, 1, 1, -1], dtype=np.int8), seed=0)
         assert erm(cls, smp, "first_index") == 0
 
+    def test_sample_past_the_domain_rejected(self):
+        cls, smp = threshold_class(8), LabeledSample([0, 9], [1, 1], 0)
+        for call in (lambda: empirical_risks(cls, smp), lambda: erm(cls, smp, "first_index")):
+            with pytest.raises(ValueError, match="sample references unknown domain points"):
+                call()
+
     def test_pessimistic_tie_break(self):
         # rows 1 and 2 tie empirically on a sample seeing only point 0;
         # row 2 differs from the target on two points, so it is worse

@@ -11,9 +11,10 @@ from locent.erm import build_adversarial_family, excess_risk_all
 from locent.experiments import (SweepConfig, check_sandwich, check_star_theorem,
                                 fit_loglog_slope, lower_bound_report,
                                 run_rate_sweep, star_class_separation)
-from locent.util import make_rng, mean_ci99
+from locent.util import mean_ci99
 
 import oracles
+from oracles import make_rng
 
 
 class TestFitLoglogSlope:
@@ -36,6 +37,8 @@ class TestFitLoglogSlope:
             fit_loglog_slope([1, 2, 3, 4], [1.0, -1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="4 points"):
             fit_loglog_slope([1, 2, 3], [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="two distinct n"):
+            fit_loglog_slope([2, 2, 2, 2], [1.0, 2.0, 3.0, 4.0])
 
 
 class TestRateSweep:

@@ -67,6 +67,16 @@ def test_library_calls_load_only_their_module(call, own):
     assert loaded.isdisjoint(FIXED_POINT_MODULES - own)
 
 
+def test_chain_route_fixed_point_loads_no_seeding(tmp_path):
+    # thresholds take the chain route; only the multiset hill climb draws
+    out = tmp_path / "fp.json"
+    loaded = _loaded("from locent.cli import dispatch\n"
+                     "assert dispatch(['fixed-point', '--generator', 'thresholds', '--points', '12', "
+                     f"'--n', '12', '--h', '0.5', '--out', {str(out)!r}]) == 0")
+    assert out.exists()
+    assert "chains" in loaded and "seeding" not in loaded
+
+
 def test_star_theorem_loads_no_fixed_point_module(tmp_path):
     out = tmp_path / "star.json"
     loaded = _loaded("from locent.cli import dispatch\n"
@@ -193,3 +203,15 @@ def test_src_calls_np_unique_with_counts():
                     & {"return_counts", "return_index", "return_inverse"}):
                 plain.append(f"{path.name}:{node.lineno}")
     assert plain == []
+
+
+def test_only_seeding_builds_streams():
+    # seeding is the one implementation of a (seed, key) stream in src/
+    names = {"SeedSequence", "default_rng", "make_rng"}
+    found = []
+    for path in sorted((ROOT / "src" / "locent").glob("*.py")):
+        if path.stem != "seeding":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if {getattr(node, field, None) for field in ("id", "attr", "name")} & names:
+                    found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert found == []

@@ -60,6 +60,10 @@ class TestOffsetRademacher:
         with pytest.raises(ValueError, match="exact=False"):
             offset_rademacher_sup(np.zeros((1, 20)), 1.0)
 
+    def test_monte_carlo_needs_reps(self):
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            offset_rademacher_sup(np.ones((2, 6)), 0.5, exact=False, reps=0)
+
 
 class TestExactEnumeration:
     @settings(max_examples=40, deadline=None)
@@ -364,6 +368,12 @@ class TestInequalityChecks:
 
 
 class TestSudakov:
+    def test_bad_arguments_rejected(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            sudakov_check(np.eye(20), trials=0)
+        with pytest.raises(ValueError, match="vectors must be a nonempty matrix"):
+            sudakov_check(np.empty((0, 5)))
+
     def test_singleton_ratio_zero(self):
         rep = sudakov_check(np.array([[1.0, -1.0, 1.0]]))
         assert rep.details["ratio"] == 0.0 and rep.lhs == 0.0

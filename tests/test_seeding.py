@@ -14,7 +14,8 @@ from locent.classes import threshold_instance
 from locent.erm import _run_trials, version_space_disagreement
 from locent.processes import ENUM_CAP, check_contraction, check_localization_bound
 from locent.seeding import bounded, first_words, spawn_rngs, spawn_seeds
-from locent.util import make_rng
+
+from oracles import make_rng
 
 erm_module = importlib.import_module("locent.erm")  # locent.erm is the function
 
