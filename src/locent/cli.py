@@ -451,7 +451,7 @@ def dispatch(argv) -> int:
         cli_args = {k: v for k, v in vars(ns).items() if k not in ("subcommand", "config")}
         opts = _resolve(ns.subcommand, cli_args, ns.config)
         return _BODIES[ns.subcommand](opts, _config(ns.subcommand, opts))
-    except (ValueError, FileNotFoundError) as exc:  # ClassFormatError, PatternCountError too
+    except (ValueError, OSError) as exc:  # ClassFormatError, PatternCountError too
         sys.stderr.write(f"locent {ns.subcommand}: error: {exc}\n")
         return USAGE_ERROR
 

@@ -340,7 +340,7 @@ def kl_closed_form(rho: int, h: float, big_n: int, n: int) -> float:
     return (n / big_n) * h * math.log((1.0 + h) / (1.0 - h)) * rho
 
 
-def kl_exact(b1, b2, weights, h: float, big_n: int, n: int) -> float:
+def kl_exact(b1, b2, weights, h: float, n: int) -> float:
     """Joint-law KL of one draw (point marginal shared, labels flipped), times n."""
     if not (0 < h < 1):
         raise ValueError("KL is finite only for h in (0, 1)")
@@ -359,7 +359,7 @@ def kl_product(spec: AdversarialSpec, i: int, j: int, n: int) -> KLReport:
     v1, v2 = spec.vector(i), spec.vector(j)
     rho = spec.rho(i, j)
     closed = kl_closed_form(rho, spec.h, spec.n_positions, n)
-    exact = kl_exact(v1, v2, spec.weights, spec.h, spec.n_positions, n)
+    exact = kl_exact(v1, v2, spec.weights, spec.h, n)
     report = KLReport(closed_form=closed, exact=exact, rho=rho)
     if rho > 0 and report.relative_gap > 1e-9:
         raise AssertionError(

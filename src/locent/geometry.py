@@ -400,7 +400,8 @@ def pseudoconvexity_constant(cls: HypothesisClass, h: float, n: int,
     radius achieving the local packing supremum (with unit ball scale) at
     gamma_loc(h, 1) and the fixed point itself.  The report carries that
     fixed point's scan row, whose packing certificate the constant is read
-    from."""
+    from; under a hill climb it can differ from a local_packing_number call
+    at the fixed point, whose search visits other multisets."""
     fp = gamma_loc(cls, h, 1.0, n, search=search, seed=seed)
     # the fixed point lies past the scan only when floor(1/h) > n, where no
     # radius reaches it and the local packing is the center alone

@@ -46,8 +46,6 @@ class MeasureResult(NamedTuple):
 
 def verify_shattered(cls: HypothesisClass, points: tuple[int, ...]) -> bool:
     """Definition replay: every +-1 assignment on `points` realized by some row."""
-    if not points:
-        return True
     realized = {tuple(row) for row in cls.patterns[:, list(points)]}
     return len(realized) == 2 ** len(points)
 

@@ -94,12 +94,7 @@ def _start_multisets(cls: HypothesisClass, n: int, rng, restarts: int) -> list[t
     starts = [_canonical_multiset(m, n)]
     for _ in range(max(0, restarts - 1)):
         starts.append(tuple(sorted(rng.integers(0, m, size=n).tolist())))
-    seen, out = set(), []
-    for s in starts:
-        if s not in seen:
-            seen.add(s)
-            out.append(s)
-    return out
+    return list(dict.fromkeys(starts))
 
 
 def _blocks(cls: HypothesisClass) -> list[tuple[int, ...]]:

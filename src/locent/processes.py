@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import cached_property
 from itertools import accumulate, count, repeat
 from typing import NamedTuple
 
@@ -87,7 +86,7 @@ class LossClassView(Frozen):
                                  = -y * (f(x) - target(x)) / 2
     """
 
-    __slots__ = ("base", "target", "view", "__dict__")  # __dict__ holds _domain
+    __slots__ = ("base", "target", "view", "_domain")
     _fields = ("base", "target", "view")
 
     def __init__(self, base: HypothesisClass, target: int, view: str):
@@ -95,18 +94,14 @@ class LossClassView(Frozen):
             raise ValueError(f"unknown view {view!r}")
         if not (0 <= target < base.n_rows):
             raise ValueError("target row out of range")
-        self._set(base=base, target=target, view=view)
+        diff = (base.patterns - base.row(target).astype(np.float64)) / 2.0
+        self._set(base=base, target=target, view=view,
+                  _domain=frozen_array(np.abs(diff) if view == "disagreement" else diff))
 
     def domain_values(self) -> np.ndarray:
         """Per-point values for the x-only views; the halved difference for
         excess_loss.  Computed once per view; the array is read-only."""
         return self._domain
-
-    @cached_property
-    def _domain(self) -> np.ndarray:
-        fstar = self.base.row(self.target).astype(np.float64)
-        diff = (self.base.patterns - fstar) / 2.0
-        return frozen_array(np.abs(diff) if self.view == "disagreement" else diff)
 
     def values(self, xs: np.ndarray, ys: np.ndarray | None = None) -> np.ndarray:
         """Matrix of g values on sample entries, one row per classifier."""

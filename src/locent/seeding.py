@@ -1,6 +1,7 @@
-"""The streams of many (seed, key) pairs at once: a pair's stream is numpy's
-default_rng(SeedSequence(entropy=seed, spawn_key=key)), computed here on
-arrays as README "Trial engine" describes.
+"""The streams of many (seed, key) pairs at once.  A pair's stream is numpy's
+default_rng(SeedSequence(entropy=seed, spawn_key=key)): _pcg_states hashes
+pairs into PCG64 states on arrays, spawn_seeds takes the first draw of each
+without a generator, and generators reseeds one generator per stream.
 
 Its own module because every process compiles what it imports (bytecode
 caching is off): only the jobs that draw from streams load it."""

@@ -75,7 +75,8 @@ def hamming_matrix(patterns: np.ndarray, weights=None) -> np.ndarray:
 class Frozen:
     """Base of the records that are not tuples: __init__ takes the _fields in
     order and stores them with _set, and they are read-only from then on.
-    Records of one type compare and hash by their _fields' values."""
+    Records of one type compare and hash by their _fields' values.  Not a
+    dataclass: @dataclass execs generated source for each class on import."""
 
     __slots__ = ()
 

@@ -254,3 +254,18 @@ class TestClassFile:
         path.write_text("points 2 dim 1\ncoord 1.0\n++\n")
         with pytest.raises(ClassFormatError, match="coord"):
             load_class(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("\n\n", "line 1: empty class file"),
+        ("points x\n++\n", "line 1: non-integer header field"),
+        ("points 0\n", "line 1: sizes must be positive"),
+        ("points 2 dim 2\ncoord 1.0 2.0\ncoord 3.0\n++\n", "line 3: expected 2 coordinates"),
+        ("points 1 dim 1\ncoord one\n+\n", "line 2: non-numeric coordinate"),
+        ("points 2 dim 1\ncoord 1.0\ncoord 2.0\n", "line 3: class needs at least one pattern row"),
+    ], ids=["empty", "header-not-integer", "zero-points", "coord-count", "coord-not-numeric",
+            "no-rows"])
+    def test_format_errors_name_their_line(self, text, message, tmp_path):
+        path = tmp_path / "cls.txt"
+        path.write_text(text)
+        with pytest.raises(ClassFormatError, match=f"^{message}$"):
+            load_class(path)

@@ -122,6 +122,24 @@ class TestDeterminism:
         assert run(["replay", str(a), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_replay_f3_measures(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(["measures", "--generator", "f3", "--d", "2", "--s", "6", "--grid", "4",
+                    "--out", str(a)]) == 0
+        assert json.loads(a.read_text())["results"]["class"] == {
+            "generator": "f3", "d": 2, "s": 6, "grid": 4}
+        assert run(["replay", str(a), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_artifact_without_out_goes_to_stdout(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        args = ["measures", "--points", "6", "--growth-max", "2"]
+        assert run(args) == 0
+        written = capsys.readouterr().out
+        assert run(args + ["--out", str(a)]) == 0
+        assert capsys.readouterr().out == ""
+        assert written == a.read_text()
+
 
 class TestConfigFile:
     def test_file_and_flag_precedence(self, tmp_path):
@@ -210,6 +228,29 @@ class TestErrorPaths:
     def test_missing_class_file(self):
         assert run(["measures", "--generator", "file",
                     "--class-file", "/nope.txt"]) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["measures", "--generator", "file"], "generator 'file' needs --class-file"),
+        (["packing", "--kind", "ball"], "unknown packing kind 'ball'"),
+        (["fixed-point", "--kind", "global"], "unknown fixed-point kind 'global'"),
+    ], ids=["file-without-class-file", "packing-kind", "fixed-point-kind"])
+    def test_usage_error_names_the_option(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 1
+        assert f"locent {argv[0]}: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    # each path is a directory: an OSError, not a traceback
+    @pytest.mark.parametrize("argv", [
+        ["fixed-point", "--points", "8", "--n", "8", "--out", "{dir}"],
+        ["measures", "--generator", "file", "--class-file", "{dir}"],
+        ["replay", "{dir}"],
+    ], ids=["fixed-point-out", "measures-class-file", "replay-artifact"])
+    def test_unusable_path_is_a_usage_error(self, argv, tmp_path, capsys):
+        assert run([arg.format(dir=tmp_path) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"locent {argv[0]}: error: ") and str(tmp_path) in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["erm-run", "--trials", "-3"],

@@ -268,12 +268,12 @@ class TestAdversarialFamily:
 class TestKl:
     def test_same_vector_zero(self):
         assert kl_closed_form(0, 0.5, 4, 10) == 0.0
-        assert kl_exact([1, 0], [1, 0], [1, 1], 0.5, 2, 10) == pytest.approx(0.0)
+        assert kl_exact([1, 0], [1, 0], [1, 1], 0.5, 10) == pytest.approx(0.0)
 
     def test_single_flip_half_margin(self):
         # one position, one draw, h = 1/2: KL = (1/2) ln 3
         assert kl_closed_form(1, 0.5, 1, 1) == pytest.approx(0.5 * math.log(3))
-        assert kl_exact([1], [0], [1], 0.5, 1, 1) == pytest.approx(0.5 * math.log(3))
+        assert kl_exact([1], [0], [1], 0.5, 1) == pytest.approx(0.5 * math.log(3))
 
     def test_product_additivity(self):
         a = kl_closed_form(3, 0.3, 8, 16)

@@ -1,4 +1,5 @@
-"""The README's list of budget and cap constants against the modules."""
+"""The README against the code: its budget and cap constants, its CLI examples
+and its class-file example."""
 
 import ast
 import importlib
@@ -16,6 +17,10 @@ def _section(title: str) -> str:
     start = text.index(f"\n## {title}\n")
     end = text.find("\n## ", start + 1)
     return text[start:end]
+
+
+def _code_blocks(title: str) -> list[str]:
+    return re.findall(r"```[a-z]*\n(.*?)```", _section(title), re.S)
 
 
 def _module_constants(name: str) -> set[str]:
@@ -38,3 +43,27 @@ def test_exactness_section_names_every_constant():
             named.setdefault(m.group(2), m.group(1) or module)
     defined = {const: mod for mod in MODULES for const in _module_constants(mod)}
     assert named == defined
+
+
+def test_cli_examples_name_real_subcommands_and_options():
+    from locent.cli import _OPTION_DEFAULTS
+    lines = _code_blocks("CLI")[0].splitlines()
+    subs = [line.split()[1] for line in lines]
+    assert sorted(subs) == sorted([*_OPTION_DEFAULTS, "replay"])
+    for line in lines:
+        locent, sub, *words = line.split()
+        assert locent == "locent"
+        if sub == "replay":  # an artifact path, then --out and its path
+            assert len(words) == 3 and not words[0].startswith("-") and words[1] == "--out"
+            continue
+        flags, values = words[0::2], words[1::2]
+        assert len(flags) == len(values) and not any(v.startswith("--") for v in values)
+        options = {"--config"} | {"--" + key.replace("_", "-") for key in _OPTION_DEFAULTS[sub]}
+        assert set(flags) <= options, (sub, set(flags) - options)
+
+
+def test_class_file_example_is_what_save_class_writes(tmp_path):
+    from locent.classes import save_class, threshold_class
+    path = tmp_path / "thresholds3.txt"
+    save_class(threshold_class(3), path)
+    assert _code_blocks("Class file format")[0] == path.read_text(encoding="utf-8")

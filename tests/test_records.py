@@ -106,7 +106,7 @@ def test_plain_records_compare_by_fields_and_classes_by_identity():
     assert len({cls, twin}) == 2
     view = LossClassView(cls, 0, "disagreement")
     assert view == LossClassView(cls, 0, "disagreement") != LossClassView(twin, 0, "disagreement")
-    assert view.domain_values() is view.domain_values()  # the cached_property
+    assert view.domain_values() is view.domain_values()  # computed in __init__
 
 
 def test_plain_records_pickle_and_copy_through_their_validation():
