@@ -156,7 +156,7 @@ class DomainDistribution(Frozen):
             raise ValueError("weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {w.sum()!r}, expected 1 within 1e-12")
-        cdf = w.cumsum()  # normalized as rng.choice(p=w) does, so draws match it
+        cdf = w.cumsum()  # ends at exactly 1, so every uniform draw lands on a point
         self._set(weights=frozen_array(w), cdf=frozen_array(cdf / cdf[-1]))
 
     @classmethod
@@ -437,25 +437,21 @@ def threshold_instance(n: int, h: float, target: int | None = None) -> MassartIn
 
 def sample(instance: MassartInstance, n: int, seed: int) -> LabeledSample:
     """n i.i.d. draws: point by px, label flipped from the target w.p. (1-|eta|)/2."""
-    from .seeding import _pcg_states
-    xs, ys = draw_samples(instance, n, _pcg_states([(seed, ())]))
+    from .seeding import bases
+    xs, ys = draw_samples(instance, n, bases([(seed, ())]))
     return LabeledSample(xs=xs[0], ys=ys[0], seed=seed)
 
 
-def draw_samples(instance: MassartInstance, n: int, states) -> tuple[np.ndarray, np.ndarray]:
-    """Point indices and +-1 labels of one sample per row of states, the
-    PCG64 states seeding._pcg_states gives for (seed, key) pairs, as
-    (len(states), n) arrays.  Each sample draws random(n) for its points,
-    then random(n) for its flips, from its pair's stream, so the row of
-    (seed, ()) is sample(instance, n, seed)."""
-    from .seeding import generators  # loaded already by whoever made states
+def draw_samples(instance: MassartInstance, n: int, bases) -> tuple[np.ndarray, np.ndarray]:
+    """Point indices and +-1 labels of one sample per stream base (from
+    seeding.bases), as (len(bases), n) arrays.  A sample's points are draws
+    0 to n - 1 of its stream and its flips draws n to 2n - 1, so the row of
+    the base of (seed, ()) is sample(instance, n, seed)."""
+    from .seeding import uniforms
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    u = np.empty((len(states), 2, n))
-    for row, rng in zip(u, generators(states)):
-        rng.random(out=row)  # the points' n draws, then the flips'
-    xs = instance.px.cdf.searchsorted(u[:, 0], side="right")
-    flips = u[:, 1] < instance.flip_prob[xs]
+    xs = instance.px.cdf.searchsorted(uniforms(bases, 0, n), side="right")
+    flips = uniforms(bases, n, 2 * n) < instance.flip_prob[xs]
     ys = instance.fstar[xs].astype(np.int8)
     ys[flips] = -ys[flips]
     return xs, ys

@@ -24,6 +24,7 @@ library module freezes, so a library caller's collector is left alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import sys
@@ -145,12 +146,15 @@ def _resolve(sub: str, cli_args: dict, config_path: str | None) -> dict:
         import configparser
         ini = configparser.ConfigParser()
         try:  # a missing section header, a duplicate key, a bad interpolation
-            read = ini.read(config_path)
+            with open(config_path, encoding="utf-8") as fh:
+                ini.read_file(fh)
             sections = {name: ini.items(name) for name in ("run", sub) if ini.has_section(name)}
         except configparser.Error as exc:
             raise ValueError(f"malformed config file {config_path}: {exc}") from exc
-        if not read:
-            raise FileNotFoundError(f"config file not found: {config_path}")
+        except FileNotFoundError:
+            raise FileNotFoundError(f"config file not found: {config_path}") from None
+        except OSError as exc:  # a directory, no read permission
+            raise OSError(f"config file cannot be read: {config_path}: {exc.strerror}") from None
         for section, items in sections.items():
             for key, value in items:
                 key = key.replace("-", "_")
@@ -188,9 +192,12 @@ def _emit_json(payload: dict, out: str | None) -> None:
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
 
 
+def _csv(lines: list[str], config: dict) -> str:
+    return "\n".join(["# config " + json.dumps(config, sort_keys=True)] + lines) + "\n"
+
+
 def _emit_csv(lines: list[str], config: dict, out: str | None) -> None:
-    header = "# config " + json.dumps(config, sort_keys=True)
-    _write("\n".join([header] + lines) + "\n", out)
+    _write(_csv(lines, config), out)
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +361,20 @@ def _cmd_erm_sweep(opts, config) -> int:
         trials=opts["trials"], policy=opts["policy"], seed=opts["seed"],
         search=opts["search"])
     table = experiments.run_rate_sweep(sweep)
-    _emit_csv(table.to_csv_lines(), config, opts["out"])
-    if opts["out"]:
-        for h in h_grid:  # gnuplot-ready two-column series per curve
-            rows = [r for r in table.rows if r["h"] == h]
-            series = "\n".join(f"{r['n']} {r['mean_excess']!r}" for r in rows) + "\n"
-            with open(f"{opts['out']}.h{h:g}.dat", "w", encoding="utf-8") as fh:
-                fh.write(series)
+    if not opts["out"]:
+        _emit_csv(table.to_csv_lines(), config, None)
+        return 0
+    # gnuplot-ready two-column series per curve, then the CSV; every file is
+    # opened before any is written, so a path that cannot be opened leaves
+    # no CSV behind
+    files = {f"{opts['out']}.h{h:g}.dat": "".join(f"{r['n']} {r['mean_excess']!r}\n"
+                                                   for r in table.rows if r["h"] == h)
+             for h in h_grid}
+    files[opts["out"]] = _csv(table.to_csv_lines(), config)
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "w", encoding="utf-8")) for path in files]
+        for fh, text in zip(handles, files.values()):
+            fh.write(text)
     return 0
 
 
@@ -438,11 +452,16 @@ def _config(sub: str, opts: dict) -> dict:
 def dispatch(argv) -> int:
     parser = _Parser(prog="locent", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for sub in _OPTION_DEFAULTS:
-        _add_options(subs.add_parser(sub, prog=f"locent {sub}"), sub)
-    rp = subs.add_parser("replay", prog="locent replay")
-    rp.add_argument("artifact")
-    rp.add_argument("--out", default=None)
+    # only the subparser argv names, when it names one: the others cost
+    # about 5 ms of argparse work that this command never reads
+    names = [*_OPTION_DEFAULTS, "replay"]
+    for sub in [argv[0]] if argv and argv[0] in names else names:
+        if sub == "replay":
+            rp = subs.add_parser("replay", prog="locent replay")
+            rp.add_argument("artifact")
+            rp.add_argument("--out", default=None)
+        else:
+            _add_options(subs.add_parser(sub, prog=f"locent {sub}"), sub)
 
     ns = parser.parse_args(argv)
     try:

@@ -14,7 +14,7 @@ from .classes import (DomainDistribution, HypothesisClass, LabeledSample,
 from .util import mean_ci99
 
 # the functions that run trials import seeding themselves: lower-bound-family
-# loads erm but runs no trial, so it skips compiling the generator hash
+# loads erm but runs no trial, so it skips compiling the stream hash
 
 __all__ = [
     "TrialReport",
@@ -89,8 +89,8 @@ def erm(cls: HypothesisClass, smp: LabeledSample, policy: str, seed: int = 0,
         raise ValueError("pessimistic tie-breaking needs the true instance")
     if instance is not None and instance.cls is not cls and not instance.cls.equals(cls):
         raise ValueError("instance class does not match cls")
-    return int(_choose(empirical_risks(cls, smp)[None], policy, [seed],
-                       _pessimism(policy, instance), _tie_words(policy, [seed]))[0])
+    return int(_choose(empirical_risks(cls, smp)[None], policy,
+                       _pessimism(policy, instance), _tie_draws(policy, [seed]))[0])
 
 
 def _pessimism(policy: str | None, instance: MassartInstance) -> np.ndarray | None:
@@ -101,36 +101,30 @@ def _pessimism(policy: str | None, instance: MassartInstance) -> np.ndarray | No
     return excess_risk_all(instance) if policy == "pessimistic" else None
 
 
-def _tie_words(policy: str, seeds) -> np.ndarray | None:
-    """The first_words of the stream of (seed, (21,)) per trial seed, which
-    break the seeded_random policy's ties; None for the other policies."""
+def _tie_draws(policy: str, seeds) -> np.ndarray | None:
+    """Draw 0 of the stream of (seed, (21,)) per trial seed, as a uniform,
+    which breaks the seeded_random policy's ties; None for the other
+    policies."""
     if policy != "seeded_random":
         return None
-    from .seeding import first_words
-    return first_words((seed, (21,)) for seed in seeds)
+    from .seeding import bases, uniforms
+    return uniforms(bases((seed, (21,)) for seed in seeds), 0, 1)[:, 0]
 
 
-def _choose(risks: np.ndarray, policy: str, seeds, exc_all, words) -> np.ndarray:
-    """Chosen row per trial among the (trials, rows) risks; seeds are the
-    trials' seeds, exc_all the pessimistic policy's excess_risk_all, words
-    the seeded_random policy's _tie_words."""
+def _choose(risks: np.ndarray, policy: str, exc_all, draws) -> np.ndarray:
+    """Chosen row per trial among the (trials, rows) risks; exc_all is the
+    pessimistic policy's excess_risk_all, draws the seeded_random policy's
+    _tie_draws."""
     tie = risks <= risks.min(axis=1, keepdims=True) + 1e-12
     if policy == "pessimistic":
         # argmax takes the first maximum, so a tie in excess resolves to the
         # lowest index, as ties[np.argmax(exc[ties])] does
         return np.argmax(np.where(tie, exc_all, -np.inf), axis=1)
-    chosen = np.argmax(tie, axis=1)
-    if policy == "seeded_random":
-        from .seeding import bounded, spawn_rngs
-        counts = np.count_nonzero(tie, axis=1)
-        ties = np.flatnonzero(counts > 1)
-        # the k-th tied row, k = integers(count) of the stream of (seed,
-        # (21,)), as rng.choice(rows) draws it
-        k, redraw = bounded(words[ties], counts[ties])
-        for i, rng in zip(redraw, spawn_rngs((seeds[ties[i]], (21,)) for i in redraw)):
-            k[i] = rng.integers(counts[ties[i]])
-        chosen[ties] = np.argmax(np.cumsum(tie[ties], axis=1) > k[:, None], axis=1)
-    return chosen
+    if policy != "seeded_random":
+        return np.argmax(tie, axis=1)
+    # the k-th tied row (from 0), k = floor(u * count) for the trial's draw u
+    k = (draws * np.count_nonzero(tie, axis=1)).astype(np.int64)
+    return np.argmax(np.cumsum(tie, axis=1) > k[:, None], axis=1)
 
 
 class TrialReport(NamedTuple):
@@ -179,23 +173,22 @@ def _run_trials(instance: MassartInstance, n: int, seeds, policy: str | None = N
     if version_space:
         off_target = (cls.patterns != instance.fstar).T.astype(np.float32)
         positive = (cls.patterns > 0).astype(np.float32)
-    from .seeding import _pcg_states
-    states = _pcg_states((seed, ()) for seed in seeds)  # 32 bytes a trial
-    words = _tie_words(policy, seeds)
+    from .seeding import bases
+    streams = bases((seed, ()) for seed in seeds)  # 8 bytes a trial
+    draws = _tie_draws(policy, seeds)
     block = max(1, _BLOCK_ELEMENTS // (cls.n_rows + cls.n_points + n))
     chosen, risk, size, dis_mass = [], [], [], []
     for start in range(0, len(seeds), block):
-        part = seeds[start:start + block]
-        idx = np.arange(len(part))
-        xs, ys = draw_samples(instance, n, states[start:start + block])
+        xs, ys = draw_samples(instance, n, streams[start:start + block])
+        idx = np.arange(len(xs))
         if policy is not None:
             risks = _risks(scores_t, xs, ys)
-            pick = _choose(risks, policy, part, exc_all,
-                           None if words is None else words[start:start + block])
+            pick = _choose(risks, policy, exc_all,
+                           None if draws is None else draws[start:start + block])
             chosen.append(pick)
             risk.append(risks[idx, pick])
         if version_space:
-            hit = np.zeros((len(part), cls.n_points), dtype=np.float32)
+            hit = np.zeros((len(xs), cls.n_points), dtype=np.float32)
             hit[idx[:, None], xs] = 1.0
             # products of 0/1 float32 entries count below 2**24: exact
             member = _matmul(hit, off_target) == 0

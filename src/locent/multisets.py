@@ -89,11 +89,12 @@ def _search_scale(cls: HypothesisClass) -> tuple[int, int]:
     return restarts, swaps
 
 
-def _start_multisets(cls: HypothesisClass, n: int, rng, restarts: int) -> list[tuple[int, ...]]:
+def _start_multisets(cls: HypothesisClass, n: int, draws: np.ndarray) -> list[tuple[int, ...]]:
+    """The canonical multiset, then one per row of the (restarts - 1, n)
+    uniform draws, each point floor(u * m); duplicates dropped."""
     m = cls.n_points
     starts = [_canonical_multiset(m, n)]
-    for _ in range(max(0, restarts - 1)):
-        starts.append(tuple(sorted(rng.integers(0, m, size=n).tolist())))
+    starts += [tuple(sorted(row)) for row in (draws * m).astype(np.int64).tolist()]
     return list(dict.fromkeys(starts))
 
 
@@ -217,18 +218,18 @@ def _pooled_search(cls: HypothesisClass, n: int, exhaustive: bool, seed: int, pr
             consider(ms)
         return pooled, certified_all
 
-    from .seeding import spawn_rngs  # the hill climb alone draws
+    from .seeding import bases, uniforms  # the hill climb alone draws
     restarts, swap_tries = _search_scale(cls)
-    # the starts' stream is spent before the swaps' stream reseeds its generator
-    streams = spawn_rngs([(seed, (m, n, 77)), (seed, (m, n, 101))])
-    for start in _start_multisets(cls, n, next(streams), restarts):
+    starts, swaps = bases([(seed, (m, n, 77)), (seed, (m, n, 101))])[:, None]
+    draws = uniforms(starts, 0, max(0, restarts - 1) * n).reshape(-1, n)
+    for start in _start_multisets(cls, n, draws):
         consider(start)
-    rng = next(streams)
-    # refine only the incumbent: single-point swaps, first improvement
+    # refine only the incumbent: single-point swaps, first improvement; swap
+    # t moves position floor(u * n) to point floor(u' * m), u and u' draws
+    # 2t and 2t + 1 of the swaps' stream
+    moves = (uniforms(swaps, 0, 2 * swap_tries).reshape(-1, 2) * (n, m)).astype(np.int64)
     cur_score, current = best[0], list(best[1])
-    for _ in range(swap_tries):
-        pos = int(rng.integers(0, n))
-        new_pt = int(rng.integers(0, m))
+    for pos, new_pt in moves.tolist():
         if current[pos] == new_pt:
             continue
         cand = list(current)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .classes import HypothesisClass, LabeledSample, MassartInstance, draw_samples
 from .geometry import gamma_loc
-from .seeding import _pcg_states, spawn_rngs, spawn_seeds
+from .seeding import bases, signs, spawn_seeds
 from .util import NORMAL_99, Frozen, distinct, frozen_array, tlog
 
 __all__ = [
@@ -179,17 +179,16 @@ def _running_max(high: np.ndarray, low: np.ndarray, pen: np.ndarray | None) -> n
     return sups
 
 
-def _sup_mean(values: np.ndarray, penalties: np.ndarray, reps: int,
-              rng: np.random.Generator | None,
+def _sup_mean(values: np.ndarray, penalties: np.ndarray, reps: int, base: int | None,
               tables: dict | None = None) -> tuple[float, float, bool, int]:
     """(mean, sd of per-replicate sup, exact, replicates) of
-    E_eps max_g (sum_i eps_i g_i - penalty_g), by exact enumeration when rng
-    is None, else from reps Monte Carlo draws of rng.  A check passes one
-    tables dict to all its calls, so each half table (_sum_table) is built
-    once per check."""
+    E_eps max_g (sum_i eps_i g_i - penalty_g), by exact enumeration when base
+    is None, else from reps Monte Carlo sign vectors of the stream of that
+    base (seeding.signs).  A check passes one tables dict to all its calls,
+    so each half table (_sum_table) is built once per check."""
     v = np.asarray(values, dtype=np.float32)
     n = v.shape[1]
-    if rng is None:
+    if base is None:
         if n > ENUM_CAP:
             raise ValueError(
                 f"exact enumeration is limited to n <= {ENUM_CAP}; use exact=False for n = {n}")
@@ -230,8 +229,7 @@ def _sup_mean(values: np.ndarray, penalties: np.ndarray, reps: int,
         # no partial sum exceeds 2^n max|sup|; einsum casts in small buffers
         total = float(high_w @ np.einsum("ab,b->a", sups, low_w))
         return total / (1 << sum(ks)), 0.0, True, 1 << n
-    signs = rng.choice(np.float32([-1.0, 1.0]), size=(reps, n))
-    sups = (signs @ v.T - penalties.astype(np.float32)).max(axis=1)
+    sups = (signs(base, (reps, n)) @ v.T - penalties.astype(np.float32)).max(axis=1)
     return float(sups.mean()), float(sups.std(ddof=1)) if reps > 1 else 0.0, False, reps
 
 
@@ -259,8 +257,8 @@ def offset_rademacher_sup(values, c: float, exact: bool = True,
         raise ValueError("values must be a nonempty matrix")
     n = v.shape[1]
     penalties = c * (v ** 2).sum(axis=1)
-    rng = None if exact else next(spawn_rngs([(seed, (11,))]))
-    mean, sd, _, m = _sup_mean(v, penalties, reps, rng)
+    base = None if exact else bases([(seed, (11,))])[0]
+    mean, sd, _, m = _sup_mean(v, penalties, reps, base)
     ci = 0.0 if exact else NORMAL_99 * sd / math.sqrt(m) / n
     return ProcessEstimate(value=mean / n, ci_halfwidth=ci, exact=exact,
                            replicates=m, seed=seed)
@@ -291,13 +289,13 @@ def _trials(instance: MassartInstance, n: int, trials: int, seed: int, pairs, *s
     (t, 6)) and reads only the points, the first n uniforms of each sample."""
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    samples = zip(*draw_samples(instance, n, _pcg_states(pairs)))
-    signs = (repeat(None) if n <= ENUM_CAP else
-             spawn_rngs((seed, (t, key)) for t in range(trials) for key in sign_keys))
+    samples = zip(*draw_samples(instance, n, bases(pairs)))
+    streams = (repeat(None) if n <= ENUM_CAP else
+               iter(bases((seed, (t, key)) for t in range(trials) for key in sign_keys)))
     tables: dict = {}
 
     def sup(values: np.ndarray, penalties: np.ndarray) -> float:
-        return _sup_mean(values, penalties, INNER_REPS, next(signs), tables)[0]
+        return _sup_mean(values, penalties, INNER_REPS, next(streams), tables)[0]
     return samples, sup
 
 
@@ -429,8 +427,8 @@ def sudakov_check(vectors, trials: int = 4000, seed: int = 0) -> InequalityRepor
             d2 = np.sqrt(((v[i:i + step, None, :] - v[None, :, :]) ** 2).sum(axis=2))
             d2[np.arange(len(d2)), np.arange(i, i + len(d2))] = np.inf
             a = min(a, float(d2.min()))
-    rng = None if exact else next(spawn_rngs([(seed, (8,))]))
-    mean, sd, _, m = _sup_mean(v, np.zeros(nvec), trials, rng)
+    base = None if exact else bases([(seed, (8,))])[0]
+    mean, sd, _, m = _sup_mean(v, np.zeros(nvec), trials, base)
     denom = min(a * math.sqrt(tlog(nvec)), (a * a / b) if b > 0 else math.inf)
     ratio = 0.0 if denom == 0 or nvec == 1 else mean / denom
     se = 0.0 if exact else sd / math.sqrt(m)

@@ -19,6 +19,7 @@ planar pair-line enumeration.  greedy_cover_size is the one-ball greedy
 cover that the doubling dimension's batched greedy replaced; the library
 must reproduce its size on every ball."""
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
 import math
@@ -26,11 +27,79 @@ import operator
 
 import numpy as np
 
+M64 = 2 ** 64 - 1
+GOLDEN = 0x9E3779B97F4A7C15
 
-def make_rng(seed, *key):
-    """The stream of (seed, key), built by numpy itself: the reference that
-    locent.seeding computes in bulk."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+def splitmix64(state):
+    """The outputs of SplitMix64 (Steele, Lea & Flood 2014) from state, one
+    plain int at a time."""
+    while True:
+        state = (state + GOLDEN) & M64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+        yield z ^ (z >> 31)
+
+
+def stream_base(seed, *key):
+    """The base of the stream of (seed, key): each int's 32-bit words, low
+    first, after their count, each word w taking h to the first SplitMix64
+    output from h + w."""
+    h = 0
+    for value in (seed, *key):
+        words = []
+        while True:
+            words.append(value % 2 ** 32)
+            value //= 2 ** 32
+            if value == 0:
+                break
+        for w in [len(words)] + words:
+            h = next(splitmix64((h + w) & M64))
+    return h
+
+
+class Stream:
+    """The stream of (seed, key) drawn one plain-int SplitMix64 output at a
+    time, with numpy Generator-like draws as the library's streams define
+    them: the reference that locent.seeding computes in bulk."""
+
+    def __init__(self, seed, *key):
+        self.outputs = splitmix64(stream_base(seed, *key))
+
+    def _uniform(self):
+        return (next(self.outputs) >> 11) / 2 ** 53
+
+    def random(self, size=None):
+        if size is None:
+            return self._uniform()
+        return np.array([self._uniform() for _ in range(size)])
+
+    def integers(self, high, size=None):
+        """floor(u * high) per uniform u."""
+        if size is None:
+            return int(self._uniform() * high)
+        return np.array([int(self._uniform() * high) for _ in range(size)])
+
+    def choice(self, a, size=None, p=None):
+        """Items of a: uniformly, or by the normalized running sum of p,
+        the first item whose cumulative weight exceeds the uniform."""
+        a = np.arange(a) if isinstance(a, int) else np.asarray(a)
+        if p is None:
+            picks = self.integers(len(a), size)
+        else:
+            cdf = list(accumulate(float(x) for x in p))
+            cdf = [c / cdf[-1] for c in cdf]
+            picks = (bisect_right(cdf, self._uniform()) if size is None else
+                     np.array([bisect_right(cdf, self._uniform()) for _ in range(size)]))
+        return a[picks]
+
+    def signs(self, count):
+        """count +-1 values, -1 where bit j % 64 of output j // 64 is set."""
+        words = [next(self.outputs) for _ in range(-(-count // 64))]
+        return [-1 if words[j // 64] >> (j % 64) & 1 else 1 for j in range(count)]
+
+
+make_rng = Stream
 
 
 _POP = {}
@@ -392,15 +461,15 @@ def ref_lemma_trials(instance, c, n, trials, seed):
     """Per-trial (lhs, rhs) of the symmetrization (excess-loss view, shift c)
     and contraction checks, and per-trial totals of the localization check
     (halved-difference view), with each trial's sample and signs drawn from
-    its own make_rng generators, as the checks drew them one trial at a
+    its own make_rng streams, as the checks drew them one trial at a
     time; the batched checks must match them to the bit."""
     from locent.classes import sample
     from locent.processes import (ENUM_CAP, INNER_REPS, LossClassView, _sup_mean,
                                   shifted_process_sup)
 
     def sup(vals, pen, t, key):
-        rng = None if n <= ENUM_CAP else make_rng(seed, t, key)
-        return _sup_mean(vals, pen, INNER_REPS, rng)[0]
+        base = None if n <= ENUM_CAP else stream_base(seed, t, key)
+        return _sup_mean(vals, pen, INNER_REPS, base)[0]
 
     def draw(t, key):
         return sample(instance, n, seed=int(make_rng(seed, t, key).integers(2 ** 31)))

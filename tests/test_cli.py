@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from locent.cli import dispatch
+from locent import cli
+from locent.cli import _OPTION_DEFAULTS, dispatch
 from locent.classes import threshold_instance
 
 import oracles
@@ -24,7 +25,7 @@ class TestMeasuresCommand:
         assert payload["results"]["d"]["value"] == 1
         assert payload["results"]["s"]["value"] == 2
         assert payload["results"]["d"]["exact"] and payload["results"]["s"]["exact"]
-        assert payload["config"]["args"]["seed"] if "seed" in payload["config"]["args"] else True
+        assert "seed" not in payload["config"]["args"]
 
     def test_growth_column(self, tmp_path):
         out = tmp_path / "m.json"
@@ -174,6 +175,12 @@ class TestConfigFile:
 
     def test_missing_config(self):
         assert run(["measures", "--config", "/nonexistent.cfg"]) == 1
+
+    def test_unreadable_config_is_not_called_missing(self, tmp_path, capsys):
+        assert run(["measures", "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"locent measures: error: config file cannot be read: {tmp_path}")
+        assert "not found" not in err
 
     def test_missing_section_header_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -347,6 +354,45 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
         assert exc.value.code == 1
+
+    def test_unknown_subcommand_names_every_choice(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["nope"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 1 and "invalid choice: 'nope'" in err
+        assert all(f"'{sub}'" in err for sub in [*_OPTION_DEFAULTS, "replay"])
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert all(sub in out for sub in [*_OPTION_DEFAULTS, "replay"])
+
+    def test_subcommand_help_shows_its_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["erm-run", "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and out.startswith("usage: locent erm-run")
+        assert all(f"--{key.replace('_', '-')}" in out for key in _OPTION_DEFAULTS["erm-run"])
+
+    def test_a_named_subcommand_builds_only_its_parser(self, tmp_path, monkeypatch):
+        built = []
+        add = cli._add_options
+        monkeypatch.setattr(cli, "_add_options", lambda p, sub: built.append(sub) or add(p, sub))
+        assert run(["measures", "--points", "4", "--out", str(tmp_path / "m.json")]) == 0
+        assert built == ["measures"]
+        with pytest.raises(SystemExit):
+            run(["nope"])
+        assert built[1:] == list(_OPTION_DEFAULTS)
+
+    def test_unopenable_series_path_leaves_no_csv(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        (tmp_path / "x.csv.h1.dat").mkdir()
+        assert run(["erm-sweep", "--points", "4", "--n-grid", "4", "--trials", "2",
+                    "--out", str(out)]) == 1
+        assert "x.csv.h1.dat" in capsys.readouterr().err
+        assert not out.exists()
 
     def _artifact(self, tmp_path):
         a = tmp_path / "a.json"
@@ -554,7 +600,7 @@ class TestPipelines:
         assert run(["verify-lemmas", "--generator", "thresholds", "--points", "12",
                     "--n", "12", "--trials", "100", "--seed", "1", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "e1b133b24b7f2ee027fcf9cd6a3902be1123a7d4d690ba9b830d76ffaaca9aca")
+            "19ba4341274ec4c6ce267539bb4520fa964f296993763aa3ff08159033017378")
 
     def test_erm_sweep_with_curves(self, tmp_path):
         out = tmp_path / "sweep.csv"

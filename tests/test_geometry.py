@@ -656,9 +656,9 @@ class TestHillClimbPooling:
         assert [r["witness_size"] for r in fp.scan] == [9, 6, 5, 4, 3, 3, 3, 2]
 
     @pytest.mark.parametrize("seed, multiset, witness, scan", [
-        (0, (3, 3, 3, 5, 5, 5, 6, 6, 7, 7), (0, 5, 6, 7, 8, 9, 10),
-         [17, 12, 11, 7, 4, 2, 2]),
-        (1, (2, 2, 3, 3, 4, 4, 5, 5, 6, 6), (0, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        (0, (1, 1, 2, 3, 3, 4, 4, 5, 5, 6), (0, 8, 9, 10, 16, 17, 19),
+         [17, 16, 11, 4, 4, 2, 2]),
+        (1, (0, 0, 1, 1, 4, 4, 5, 5, 7, 7), (0, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
          [17, 16, 11, 4, 2, 2, 2]),
     ])
     def test_f1_d2_s8(self, seed, multiset, witness, scan):

@@ -166,14 +166,6 @@ def test_jobs_leave_numpy_ma_unloaded(tmp_path, job):
     assert done.splitlines()[-1] == "False False"
 
 
-def test_spawn_seeds_builds_no_generator():
-    # trial seeds come off the states' first output: numpy.random stays unloaded
-    out = _run("import sys\nfrom locent.seeding import spawn_seeds\n"
-               "assert len(spawn_seeds((7, (t, 31)) for t in range(100))) == 100\n"
-               "print('numpy.random' in sys.modules)")
-    assert out.splitlines()[-1] == "False"
-
-
 def test_cli_import_freezes_the_heap():
     assert int(_run("import gc\nimport locent.cli\nprint(gc.get_freeze_count())")) > 0
 
@@ -205,13 +197,40 @@ def test_src_calls_np_unique_with_counts():
     assert plain == []
 
 
-def test_only_seeding_builds_streams():
-    # seeding is the one implementation of a (seed, key) stream in src/
-    names = {"SeedSequence", "default_rng", "make_rng"}
-    found = []
-    for path in sorted((ROOT / "src" / "locent").glob("*.py")):
-        if path.stem != "seeding":
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if {getattr(node, field, None) for field in ("id", "attr", "name")} & names:
-                    found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+def test_src_names_no_numpy_random():
+    # every draw comes off seeding's counter-based streams
+    found = [f"{path.name}:{i}" for path in sorted((ROOT / "src" / "locent").glob("*.py"))
+             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if re.search(r"\b(np|numpy)\.random\b", line)]
     assert found == []
+
+
+@pytest.mark.parametrize("job", [
+    *(["erm-run", "--points", "8", "--n", "8", "--trials", "20", "--policy", policy]
+      for policy in ("first_index", "seeded_random", "pessimistic")),
+    ["erm-sweep", "--h-grid", "1.0,0.5", "--n-grid", "4,8", "--trials", "10"],
+    ["star-theorem", "--s", "6", "--n", "8", "--trials", "5"],
+    ["lower-bound-family", "--s", "4", "--n-budget", "16", "--trials", "2"],
+    ["verify-lemmas", "--points", "6", "--n", "6", "--trials", "100"],
+    ["verify-lemmas", "--points", "6", "--n", "18", "--trials", "100"],
+    ["fixed-point", "--generator", "f1", "--s", "4", "--n", "6", "--search", "hill_climb"],
+    "version_space_disagreement(threshold_instance(8, 1.0), 4, 20, 0)",
+    "offset_rademacher_sup(np.ones((2, 20)), 0.5, exact=False, reps=10)",
+    "sudakov_check(np.eye(20), trials=10)",
+], ids=["erm-run-first_index", "erm-run-seeded_random", "erm-run-pessimistic", "erm-sweep",
+        "star-theorem", "lower-bound-family", "verify-lemmas-exact", "verify-lemmas-monte-carlo",
+        "fixed-point-hill-climb", "version-space", "offset-rademacher", "sudakov"])
+def test_drawing_jobs_leave_numpy_random_unloaded(tmp_path, job):
+    out = tmp_path / "out"
+    if isinstance(job, str):
+        code = ("import numpy as np\nfrom locent.classes import threshold_instance\n"
+                "from locent.erm import version_space_disagreement\n"
+                "from locent.processes import offset_rademacher_sup, sudakov_check\n"
+                f"{job}\n")
+    else:
+        code = ("from locent.cli import dispatch\n"
+                f"assert dispatch({job + ['--out', str(out)]!r}) == 0\n")
+    done = _run(code + "import sys\n"
+                "print('numpy.random' in sys.modules, 'locent.seeding' in sys.modules)")
+    assert isinstance(job, str) or out.exists()
+    assert done.splitlines()[-1] == "False True"
